@@ -13,18 +13,13 @@ from .clonal import (
     zcl_moment_ratio_scaled,
 )
 from .genealogy import (
-    AncestralPointMeasure,
     LeafConfig,
     Lk_all,
-    Lk_total,
     ZetaVector,
-    admissible_length,
-    ancestral_measure,
     intervals,
     population_tree_length,
     sample_population,
     sample_tree_length,
-    sample_zeta_star,
     sample_zetas,
     tmrca_consecutive,
 )

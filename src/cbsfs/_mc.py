@@ -30,7 +30,8 @@ def map_replicates(fn, args, reps: int, seed: int, workers: int = 1) -> np.ndarr
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    workers = max(1, int(workers))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1:
         return _run_chunk(fn, args, seed, 0, reps)
     bounds = np.linspace(0, reps, workers + 1, dtype=int)
@@ -42,10 +43,10 @@ def map_replicates(fn, args, reps: int, seed: int, workers: int = 1) -> np.ndarr
 
 
 def mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and their standard errors."""
+    """Column means and their standard errors (needs at least 2 rows)."""
     values = np.asarray(values, dtype=float)
-    mean = values.mean(axis=0)
     if values.shape[0] < 2:
-        return mean, np.full_like(mean, np.nan)
+        raise ValueError(f"a standard error needs reps >= 2, got {values.shape[0]}")
+    mean = values.mean(axis=0)
     se = values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
     return mean, se

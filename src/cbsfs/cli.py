@@ -4,7 +4,8 @@ Every command is reproducible from (config file, flags, seed); the
 scientific configuration is echoed into each output file header.  The
 --workers flag only distributes replicates and never changes output bytes.
 
-Exit codes: 0 ok, 1 failed verification check, 2 usage error.
+Exit codes: 0 ok, 1 failed verification check or rejected value, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -159,8 +160,6 @@ def cmd_sample(args) -> int:
     config = make_run_config(args, "sample")
     mode = RootMode(args.root_mode)
     base = Path(config.output_path)
-    if base.parent != Path("."):
-        base.parent.mkdir(parents=True, exist_ok=True)
     newicks = []
     records = []
     for i in range(config.reps):
@@ -263,7 +262,7 @@ def cmd_clonal(args) -> int:
             report = mc_clonal(
                 config.params,
                 n,
-                max(config.reps, 100),
+                config.reps,
                 config.seed,
                 statistic=args.statistic,
                 workers=args.workers,

@@ -3,15 +3,16 @@
 A replicate is built in three steps: sample the population interval and
 the n leaf positions (:func:`sample_population`), attach to every ordered
 position the interval length it governs (:func:`intervals`), and draw one
-branch depth per interval (:func:`sample_zetas`).  The pair
-(positions, depths) is the ancestral point measure; everything downstream
-(trees, mutation counts, admissible lengths) is a deterministic function
-of it.
+branch depth per interval (:func:`sample_zetas`).
 
-The closed-form window statistics at the bottom (:func:`tmrca_consecutive`,
-:func:`admissible_length`, :func:`Lk_total`) are the fast route used by the
-Monte-Carlo estimators; the explicit tree in :mod:`cbsfs.tree` is the slow
-geometric oracle they are tested against.
+Read left to right, the n leaves form a coalescent point process: the
+sample tree is determined by the n-1 gap depths between consecutive
+leaves, which are the branch depths with the spine's 0 removed.  The
+two depths at the interval endpoints flank the sample and only matter
+for the population root.  :func:`tmrca_consecutive` and :func:`Lk_all`
+read the gap depths directly; the explicit tree in :mod:`cbsfs.tree`,
+built by a separate attach walk, is the geometric oracle they are
+tested against.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
+from .reports import SCHEMA_VERSION
 
 logger = logging.getLogger(__name__)
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -112,20 +112,6 @@ def zeta_vector_from_dict(data: dict) -> ZetaVector:
     return ZetaVector(zetas=tuple(float(z) for z in data["zetas"]))
 
 
-@dataclass(frozen=True)
-class AncestralPointMeasure:
-    """Atoms (position, branch depth) for the n sample leaves, rank order."""
-
-    atoms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        xs = [x for x, _ in self.atoms]
-        if any(a >= b for a, b in zip(xs, xs[1:])):
-            raise ValueError("atom positions must be strictly increasing")
-        if not any(x == 0.0 and d == 0.0 for x, d in self.atoms):
-            raise ValueError("the spine atom (0, 0) is missing")
-
-
 def sample_population(
     params: ModelParams,
     n: int,
@@ -195,22 +181,6 @@ def intervals(config: LeafConfig) -> np.ndarray:
     return out
 
 
-def sample_zeta_star(params: ModelParams, delta: float, rng: np.random.Generator) -> float:
-    """One draw of the tallest-excursion height on an interval of mass delta.
-
-    Distributed as log(1 + 2 theta delta / E) / (2 beta theta) with E a unit
-    exponential; delta = 0 returns exactly 0 and consumes no randomness.
-    """
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    if delta == 0.0:
-        return 0.0
-    e = rng.exponential(1.0)
-    while e == 0.0:  # probability-zero underflow guard
-        e = rng.exponential(1.0)
-    return math.log1p(2.0 * params.theta * delta / e) / (2.0 * params.beta * params.theta)
-
-
 def sample_zetas(params: ModelParams, config: LeafConfig, rng: np.random.Generator) -> ZetaVector:
     """Independent branch depths, one per rank, each scaled by its interval.
 
@@ -225,78 +195,54 @@ def sample_zetas(params: ModelParams, config: LeafConfig, rng: np.random.Generat
     return ZetaVector(zetas=tuple(float(z) for z in zetas))
 
 
-def ancestral_measure(config: LeafConfig, zetas: ZetaVector) -> AncestralPointMeasure:
-    """Restrict (position, depth) pairs to the n sample leaves."""
-    return AncestralPointMeasure(
-        atoms=tuple(
-            (config.positions[k], zetas.zetas[k]) for k in range(1, config.n + 1)
-        )
-    )
+def _gap_depths(config: LeafConfig, zetas: ZetaVector) -> tuple[float, ...]:
+    """Depths of the n-1 gaps between consecutive leaves: the branch depths
+    of ranks 1..n without the spine's 0.  Entry g-1 is the gap between the
+    leaves at ranks g and g+1."""
+    z = zetas.zetas
+    s = config.spine_index
+    return z[1:s] + z[s + 1 : config.n + 1]
 
 
 def tmrca_consecutive(config: LeafConfig, zetas: ZetaVector, j: int, l: int) -> float:
-    """Depth of the MRCA of the consecutive leaves at ranks j..l.
-
-    The window maximum of the depths, dropping the endpoint whose side of
-    the spine makes its own branch irrelevant; a singleton window is its
-    own ancestor at depth 0.
-    """
+    """Depth of the MRCA of the consecutive leaves at ranks j..l: the
+    deepest gap between them (0 for a single leaf)."""
     n = config.n
     if not (1 <= j <= l <= n):
         raise IndexError(f"need 1 <= j <= l <= n, got j={j}, l={l}, n={n}")
     if j == l:
         return 0.0
-    x = config.positions
-    z = zetas.zetas
-    if x[j] >= 0.0:
-        return max(z[j + 1 : l + 1])
-    if x[l] <= 0.0:
-        return max(z[j:l])
-    return max(z[j : l + 1])
-
-
-def admissible_length(config: LeafConfig, zetas: ZetaVector, j: int, l: int) -> float:
-    """Branch length carrying mutations shared by exactly the ranks j..l.
-
-    The stretch between the window MRCA and the shallower of the two
-    flanking branches, clamped at 0.  Flanks at the interval endpoints
-    (ranks 0 and n+1) count as infinitely deep: in the sample-rooted tree
-    a mutation there would sit above the sample MRCA and be carried by
-    all n leaves, which is outside the window sizes k <= n-1 allowed here.
-    """
-    n = config.n
-    k = l - j + 1
-    if not (1 <= j <= l <= n):
-        raise IndexError(f"need 1 <= j <= l <= n, got j={j}, l={l}, n={n}")
-    if k > n - 1:
-        raise IndexError(f"window size {k} must be <= n-1 = {n - 1}")
-    x = config.positions
-    z = zetas.zetas
-    mrca = tmrca_consecutive(config, zetas, j, l)
-    left = math.inf if j - 1 == 0 else z[j - 1]
-    right = math.inf if l + 1 == n + 1 else z[l + 1]
-    if x[j] > 0.0:
-        top = min(z[j], right)
-    elif x[l] < 0.0:
-        top = min(left, z[l])
-    else:
-        top = min(left, right)
-    return max(top - mrca, 0.0)
-
-
-def Lk_total(config: LeafConfig, zetas: ZetaVector, k: int) -> float:
-    """Total branch length carrying mutations shared by exactly k leaves."""
-    n = config.n
-    if not (1 <= k <= n - 1):
-        raise IndexError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    return sum(
-        admissible_length(config, zetas, j, j + k - 1) for j in range(1, n - k + 2)
-    )
+    return max(_gap_depths(config, zetas)[j - 1 : l - 1])
 
 
 def Lk_all(config: LeafConfig, zetas: ZetaVector) -> np.ndarray:
-    """All of L_1..L_{n-1} for one replicate (index k-1 holds L_k)."""
-    return np.array([Lk_total(config, zetas, k) for k in range(1, config.n)])
+    """All of L_1..L_{n-1} for one replicate (index k-1 holds L_k).
+
+    The sample-rooted tree is the Cartesian tree of the gap depths: gap i
+    is the internal node whose clade runs between its nearest deeper gaps
+    on either side (missing ones infinitely deep), and its parent edge
+    climbs to the shallower of those two.  Leaf j's edge climbs to the
+    shallower of its two adjacent gaps.  One monotone stack finds every
+    nearest deeper gap.  Each edge is added as it is found, so clades of
+    one size, being disjoint, are summed left to right.  A tie counts as
+    deeper on the right, so of two tied gaps the left one gets a
+    zero-length edge.
+    """
+    n = config.n
+    if n == 1:
+        return np.zeros(0)
+    G = (math.inf, *_gap_depths(config, zetas), math.inf)  # G[g] is gap g, 0..n
+    L = [0.0] * (n - 1)
+    stack = [0]  # gaps of strictly decreasing depth above the sentinel gap 0
+    for right in range(1, n + 1):
+        L[0] += min(G[right - 1], G[right])  # the edge of leaf `right`
+        while len(stack) > 1 and G[stack[-1]] <= G[right]:
+            i = stack.pop()
+            left = stack[-1]
+            if left or right < n:  # else i is the root, which has no edge
+                L[right - left - 1] += min(G[left], G[right]) - G[i]
+        stack.append(right)
+    return np.array(L)
 
 
 def sample_tree_length(config: LeafConfig, zetas: ZetaVector) -> float:

@@ -30,6 +30,13 @@ def header_lines(command: str, pairs: list[tuple[str, object]]) -> list[str]:
     return lines
 
 
+def _write(path: str | Path, text: str) -> None:
+    """Write a whole file, creating its parent directory if missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def write_csv(
     path: str | Path,
     command: str,
@@ -41,7 +48,7 @@ def write_csv(
     out.append(",".join(columns))
     for row in rows:
         out.append(",".join(fmt_value(x) for x in row))
-    Path(path).write_text("\n".join(out) + "\n")
+    _write(path, "\n".join(out) + "\n")
 
 
 def write_json_doc(
@@ -53,8 +60,8 @@ def write_json_doc(
         "config": {key: value for key, value in pairs},
         "data": payload,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def write_text(path: str | Path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")

@@ -1,4 +1,4 @@
-"""Explicit rooted trees built from a sampled ancestral point measure.
+"""Explicit rooted trees built from sampled leaf positions and branch depths.
 
 The construction walks each leaf's branch toward the spine and merges it
 into the first strictly taller branch on the way (the spine counts as
@@ -20,8 +20,9 @@ from enum import Enum
 
 import numpy as np
 
-from .genealogy import SCHEMA_VERSION, LeafConfig, ZetaVector
+from .genealogy import LeafConfig, ZetaVector
 from .model import ModelParams
+from .reports import SCHEMA_VERSION
 
 
 class StructuralError(RuntimeError):

@@ -58,6 +58,11 @@ class TestSfsCommand:
         assert run(*base, b, "--workers", 3) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_out_into_new_directory(self, tmp_path):
+        out = tmp_path / "new" / "nested" / "sfs.csv"
+        assert run("sfs", "--mode", "expected", "--n", 3, "--z0", 1.0, "--out", out) == 0
+        assert out.read_text().startswith("# cbsfs sfs")
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "sfs.json"
         assert run("sfs", "--mode", "expected", "--n", 4, "--z0", 1.0,
@@ -141,3 +146,26 @@ class TestBadFlags:
 
     def test_invalid_z_list(self, tmp_path):
         assert run("g1", "--z", "-1.0", "--out", tmp_path / "x.csv") == 1
+
+    def test_clonal_too_few_reps(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("clonal", "--mode", "simulate", "--n-max", 2, "--reps", 5,
+                   "--out", out) == 1
+        assert "reps >= 100" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers(self, tmp_path, capsys, workers):
+        out = tmp_path / "x.csv"
+        assert run("sfs", "--mode", "simulate", "--n", 3, "--reps", 10,
+                   "--workers", workers, "--out", out) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_single_replicate_has_no_standard_error(self, tmp_path, capsys, fmt):
+        out = tmp_path / f"x.{fmt}"
+        assert run("sfs", "--mode", "simulate", "--n", 3, "--reps", 1,
+                   "--format", fmt, "--out", out) == 1
+        assert "reps >= 2" in capsys.readouterr().err
+        assert not out.exists()

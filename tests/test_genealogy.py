@@ -9,16 +9,12 @@ from scipy import stats
 from cbsfs.genealogy import (
     LeafConfig,
     Lk_all,
-    Lk_total,
     ZetaVector,
-    admissible_length,
-    ancestral_measure,
     intervals,
     leaf_config_from_dict,
     population_tree_length,
     sample_population,
     sample_tree_length,
-    sample_zeta_star,
     sample_zetas,
     tmrca_consecutive,
     zeta_vector_from_dict,
@@ -129,15 +125,23 @@ class TestIntervals:
             assert sorted(owned) == sorted(gaps)
 
 
+def _single_leaf_config(e_g, e_d):
+    """Hand-set n = 1 interval: rank 0 governs e_g and rank 2 governs e_d."""
+    return LeafConfig(
+        n=1, e_g=e_g, e_d=e_d, z0=e_g + e_d,
+        positions=(-e_g, 0.0, e_d), spine_index=1, labels=(0,),
+    )
+
+
 class TestZetaStar:
-    def test_zero_mass(self):
-        rng = np.random.default_rng(9)
-        assert sample_zeta_star(UNIT, 0.0, rng) == 0.0
+    """The per-rank depth drawn by sample_zetas: the tallest excursion over
+    the interval the rank governs."""
 
     def test_law_against_closed_cdf(self):
         rng = np.random.default_rng(10)
         delta = 1.7
-        draws = np.array([sample_zeta_star(UNIT, delta, rng) for _ in range(100_000)])
+        config = _single_leaf_config(delta, 0.5)
+        draws = np.array([sample_zetas(UNIT, config, rng).zetas[0] for _ in range(100_000)])
         cdf = lambda t: np.exp(-delta * extinction_tail(UNIT, np.maximum(t, 1e-300)))
         result = stats.kstest(draws, lambda t: np.array([cdf(v) for v in np.atleast_1d(t)]))
         assert result.statistic < KS_COEFF / math.sqrt(len(draws))
@@ -146,19 +150,14 @@ class TestZetaStar:
         rng = np.random.default_rng(11)
         d1, d2 = 0.8, 1.9
         n = 100_000
+        split = _single_leaf_config(d1, d2)
+        whole = _single_leaf_config(d1 + d2, 0.5)
         pairs_max = np.array(
-            [
-                max(sample_zeta_star(UNIT, d1, rng), sample_zeta_star(UNIT, d2, rng))
-                for _ in range(n)
-            ]
+            [max(sample_zetas(UNIT, split, rng).zetas) for _ in range(n)]
         )
-        single = np.array([sample_zeta_star(UNIT, d1 + d2, rng) for _ in range(n)])
+        single = np.array([sample_zetas(UNIT, whole, rng).zetas[0] for _ in range(n)])
         result = stats.ks_2samp(pairs_max, single)
         assert result.statistic < KS_COEFF * math.sqrt(2.0 / n)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            sample_zeta_star(UNIT, -0.5, np.random.default_rng(0))
 
 
 class TestSampleZetas:
@@ -180,13 +179,6 @@ class TestSampleZetas:
         result = stats.kstest(maxima, lambda t: np.array([cdf(v) for v in np.atleast_1d(t)]))
         assert result.statistic < KS_COEFF / math.sqrt(n_reps)
 
-    def test_ancestral_measure_atoms(self):
-        rng = np.random.default_rng(14)
-        config, zetas = _draw(UNIT, 7, rng)
-        measure = ancestral_measure(config, zetas)
-        assert len(measure.atoms) == 7
-        assert (0.0, 0.0) in measure.atoms
-
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(15)
         config, zetas = _draw(UNIT, 5, rng)
@@ -207,6 +199,22 @@ def _fig_config():
     )
     zetas = ZetaVector(zetas=(0.3, 1.0, 2.5, 0.0, 1.3, 3.5, 0.2))
     return config, zetas
+
+
+def _spine_at_end_config(params, n, rng, at_left):
+    """Hand-set interval whose spine leaf sits at rank 1 (at_left) or rank n."""
+    e_g, e_d = (float(e) for e in rng.exponential(1.0 / (2.0 * params.theta), size=2))
+    others = sorted(float(u) for u in rng.uniform(size=n - 1))
+    if at_left:
+        inner = (0.0, *(e_d * u for u in others))
+        spine_index, labels = 1, tuple(range(n))
+    else:
+        inner = (*(-e_g * u for u in reversed(others)), 0.0)
+        spine_index, labels = n, (*range(1, n), 0)
+    return LeafConfig(
+        n=n, e_g=e_g, e_d=e_d, z0=e_g + e_d,
+        positions=(-e_g, *inner, e_d), spine_index=spine_index, labels=labels,
+    )
 
 
 class TestBuildTree:
@@ -303,15 +311,21 @@ class TestClosedFormsAgainstTreeOracle:
 
     def test_admissible_lengths_match_edge_decomposition(self):
         rng = np.random.default_rng(20)
-        for _ in range(1000):
-            n = int(rng.integers(2, 9))
-            config, zetas = _draw(UNIT, n, rng)
+        for i in range(1000):
+            n = int(rng.integers(1, 13))
+            beta, theta = np.exp(rng.uniform(-3.0, 3.0, size=2))
+            params = ModelParams(beta=float(beta), theta=float(theta), mu=1.0)
+            if i % 3 == 0:
+                config = sample_population(params, n, rng)
+            else:
+                config = _spine_at_end_config(params, n, rng, at_left=i % 3 == 1)
+            zetas = sample_zetas(params, config, rng)
             tree = build_tree(config, zetas, RootMode.SAMPLE_MRCA)
             by_count = edge_lengths_by_count(tree)
+            lengths = Lk_all(config, zetas)
+            assert len(lengths) == n - 1
             for k in range(1, n):
-                assert Lk_total(config, zetas, k) == pytest.approx(
-                    by_count.get(k, 0.0), abs=1e-10
-                )
+                assert lengths[k - 1] == pytest.approx(by_count.get(k, 0.0), abs=1e-10)
 
     def test_partition_of_total_length(self):
         rng = np.random.default_rng(21)
@@ -322,32 +336,19 @@ class TestClosedFormsAgainstTreeOracle:
                 sample_tree_length(config, zetas), abs=1e-10
             )
 
-    def test_one_sided_window_positive_case(self):
-        # all-window leaves right of the spine: admissible stretch is the
-        # gap between the shallower flank and the window MRCA
+    def test_worked_lengths_by_hand(self):
+        # gap depths 1.0, 2.5, 1.3, 3.5: leaf edges 1.0+1.0+1.3+1.3+3.5;
+        # clade {1,2} from 1.0 to 2.5, clade {3,4} from 1.3 to 2.5, clade
+        # {1..4} from 2.5 to the root at 3.5, and no clade of three leaves
         config, zetas = _fig_config()
-        val = admissible_length(config, zetas, 4, 5)
-        mrca = tmrca_consecutive(config, zetas, 4, 5)  # 3.5
-        top = min(zetas.zetas[4], math.inf)  # right flank is the endpoint
-        assert val == pytest.approx(max(top - mrca, 0.0))
-        # a window with a genuinely positive one-sided stretch
-        deep = ZetaVector(zetas=(0.3, 1.0, 2.5, 0.0, 1.3, 3.5, 0.2))
-        assert admissible_length(config, deep, 4, 4) == pytest.approx(1.3)
-
-    def test_spine_window_size_one(self):
-        config, zetas = _fig_config()
-        j = config.spine_index
-        expected = min(zetas.zetas[j - 1], zetas.zetas[j + 1])
-        assert admissible_length(config, zetas, j, j) == pytest.approx(expected)
+        assert Lk_all(config, zetas) == pytest.approx([8.1, 2.7, 0.0, 1.0], abs=1e-12)
 
     def test_index_errors(self):
         config, zetas = _fig_config()
         with pytest.raises(IndexError):
             tmrca_consecutive(config, zetas, 0, 2)
         with pytest.raises(IndexError):
-            admissible_length(config, zetas, 1, 5)  # window size n
-        with pytest.raises(IndexError):
-            Lk_total(config, zetas, 5)
+            tmrca_consecutive(config, zetas, 3, 6)
 
 
 class TestReplicateDeterminism:
