@@ -201,6 +201,11 @@ def _fig_config():
     return config, zetas
 
 
+def _leaf_edges(tree):
+    """Length of each leaf's own edge, by position rank."""
+    return [-tree.nodes[tree.nodes[i].parent].time for i in tree.leaf_ids_by_rank]
+
+
 def _spine_at_end_config(params, n, rng, at_left):
     """Hand-set interval whose spine leaf sits at rank 1 (at_left) or rank n."""
     e_g, e_d = (float(e) for e in rng.exponential(1.0 / (2.0 * params.theta), size=2))
@@ -342,6 +347,27 @@ class TestClosedFormsAgainstTreeOracle:
         # {1..4} from 2.5 to the root at 3.5, and no clade of three leaves
         config, zetas = _fig_config()
         assert Lk_all(config, zetas) == pytest.approx([8.1, 2.7, 0.0, 1.0], abs=1e-12)
+
+    def test_one_sided_window_positive_case(self):
+        # leaves 4 and 5 lie right of the spine: the pair meets only at the
+        # root (3.5), so it is no clade and adds nothing to L_2, while leaf 4
+        # alone hangs an edge of 1.3 into L_1
+        config, zetas = _fig_config()
+        lengths = Lk_all(config, zetas)
+        edges = _leaf_edges(build_tree(config, zetas, RootMode.SAMPLE_MRCA))
+        assert tmrca_consecutive(config, zetas, 4, 5) == pytest.approx(max(zetas.zetas))
+        assert lengths[0] - (sum(edges) - edges[3]) == pytest.approx(1.3, abs=1e-12)
+        assert lengths[1] == pytest.approx((2.5 - 1.0) + (2.5 - 1.3), abs=1e-12)
+
+    def test_spine_window_size_one(self):
+        # the spine leaf's edge is the shallower of its two neighbours
+        config, zetas = _fig_config()
+        j = config.spine_index
+        expected = min(zetas.zetas[j - 1], zetas.zetas[j + 1])
+        edges = _leaf_edges(build_tree(config, zetas, RootMode.SAMPLE_MRCA))
+        assert edges[j - 1] == pytest.approx(expected)
+        others = sum(edges) - edges[j - 1]
+        assert Lk_all(config, zetas)[0] - others == pytest.approx(expected, abs=1e-12)
 
     def test_index_errors(self):
         config, zetas = _fig_config()
