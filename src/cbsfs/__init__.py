@@ -48,6 +48,7 @@ from .sfs import (
     g2_residual,
     mean_density,
     s_ell,
+    s_table,
     simulate_sfs,
 )
 from .specfun import (

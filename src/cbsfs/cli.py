@@ -77,7 +77,9 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    """The top-level parser and its command parsers, which hold the defaults
+    a --config file replaces."""
     parser = argparse.ArgumentParser(
         prog="cbsfs",
         description=(
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", required=True,
                    help="one of: " + ", ".join(sorted(verify.SUITES)) + ", all")
-    return parser
+    return parser, list(sub.choices.values())
 
 
 def make_run_config(args, default_out: str) -> RunConfig:
@@ -316,7 +318,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     # first pass picks up --config so its values become overridable defaults
     probe, _ = parser.parse_known_args(argv)
     if getattr(probe, "config", None):
@@ -325,10 +327,12 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"cbsfs: bad config file: {exc}", file=sys.stderr)
             return 2
-        for action in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-            action.set_defaults(**values)
+        for command in commands:
+            command.set_defaults(**values)
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {args.workers}")
         return COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"cbsfs: {exc}", file=sys.stderr)

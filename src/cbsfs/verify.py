@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 from . import clonal, model, sfs, specfun
 from ._mc import replicate_rng
@@ -51,6 +50,8 @@ def suite_specfun(params: model.ModelParams, reps: int, seed: int) -> list[Check
     out.append(_check("digamma log bounds", bounds_ok, "log x - 1/x <= psi <= log x - 1/2x"))
     shift = abs(specfun.beta_fn(4.0, 1.7) - (0.7 / 4.0) * specfun.beta_fn(5.0, 0.7))
     out.append(_check("beta shift identity", shift < 1e-14, f"dev {shift:.2e}"))
+    from scipy import integrate  # deferred: importing the CLI must not load it
+
     oracle, _ = integrate.quad(lambda v: math.exp(-v) / v, 1.0, np.inf, epsabs=1e-14)
     dev = abs(specfun.gamma_upper_zero(1.0) - oracle)
     out.append(_check("incomplete gamma at 1 vs quadrature", dev < 1e-12, f"dev {dev:.2e}"))
@@ -131,6 +132,8 @@ def suite_quadrature_identities(
 
 
 def suite_tmrca_law(params: model.ModelParams, reps: int, seed: int) -> list[CheckResult]:
+    from scipy import stats  # deferred: importing the CLI must not load it
+
     reps = max(reps, 5000)
     z0 = 2.0 / params.theta
     n = 5

@@ -33,7 +33,6 @@ from cbsfs.genealogy import (
 )
 from cbsfs.model import ModelParams, extinction_tail
 from cbsfs.sfs import (
-    _s_table,
     density_branch_check,
     density_spine_check,
     expected_Lk,
@@ -43,7 +42,6 @@ from cbsfs.sfs import (
     mean_density,
 )
 from cbsfs.specfun import (
-    DEFAULT_QUAD,
     beta_fn,
     digamma,
     gamma_upper_zero,
@@ -127,10 +125,7 @@ def test_criterion_3_residual_bounded():
     z0 = 2.0 / UNIT.theta
     max_by_n = {}
     for n in (10, 30, 100, 300):
-        s = _s_table(UNIT, n, z0, DEFAULT_QUAD)
-        max_by_n[n] = max(
-            abs(g2_residual(UNIT, n, k, z0, _s=s)) for k in range(1, n)
-        )
+        max_by_n[n] = max(abs(g2_residual(UNIT, n, k, z0)) for k in range(1, n))
     elapsed = time.perf_counter() - start
     bound = 2.0 * max_by_n[10]
     worst = max(max_by_n.values())

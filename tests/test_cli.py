@@ -1,9 +1,14 @@
 """End-to-end CLI tests: determinism, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cbsfs
 from cbsfs.cli import main
 from cbsfs.clonal import e_zcl_pow_r
 from cbsfs.model import ModelParams
@@ -156,11 +161,19 @@ class TestBadFlags:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_workers(self, tmp_path, capsys, workers):
+        # rejected by every command, including those that never start workers
         out = tmp_path / "x.csv"
         assert run("sfs", "--mode", "simulate", "--n", 3, "--reps", 10,
                    "--workers", workers, "--out", out) == 1
         assert "workers must be >= 1" in capsys.readouterr().err
+        assert run("sfs", "--mode", "expected", "--n", 3,
+                   "--workers", workers, "--out", out) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+        base = tmp_path / "trees"
+        assert run("sample", "--n", 3, "--reps", 2, "--workers", workers, "--out", base) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_single_replicate_has_no_standard_error(self, tmp_path, capsys, fmt):
@@ -169,3 +182,18 @@ class TestBadFlags:
                    "--format", fmt, "--out", out) == 1
         assert "reps >= 2" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_import_leaves_scipy_stats_and_integrate_unloaded():
+    # together they roughly doubled the CLI's start-up time; only `verify`
+    # and the quadrature routes use them, and they import them when called
+    code = (
+        "import sys, cbsfs.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    src = str(Path(cbsfs.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"

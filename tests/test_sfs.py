@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,8 +20,10 @@ from cbsfs.sfs import (
     g2_residual,
     mean_density,
     s_ell,
+    s_table,
     simulate_sfs,
 )
+from cbsfs.specfun import QuadratureSpec
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 
@@ -55,6 +58,77 @@ class TestSEll:
             s_ell(UNIT, 5, 2, 0.0)
 
 
+# per-l reference tight enough (relative only) to resolve 1e-12 in tiny S_1
+TIGHT = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-13)
+
+
+def s_ell_mpmath(params, n, ell, z0, dps=40):
+    """S_l at dps digits: Beta(l, n-l+1) mean of (z0 v/beta) H(2 theta z0 v)."""
+    with mpmath.workdps(dps):
+        z0 = mpmath.mpf(z0)
+        log_norm = mpmath.loggamma(n + 1) - mpmath.loggamma(ell) - mpmath.loggamma(n - ell + 1)
+
+        def integrand(v):
+            x = 2 * params.theta * z0 * v
+            h = (mpmath.euler + mpmath.log(x) + mpmath.exp(x) * mpmath.e1(x)) / x
+            log_pdf = log_norm + (ell - 1) * mpmath.log(v) + (n - ell) * mpmath.log1p(-v)
+            return mpmath.exp(log_pdf) * z0 * v / params.beta * h
+
+        mean = mpmath.mpf(ell) / (n + 1)
+        sd = mpmath.sqrt(mean * (1 - mean) / (n + 2))
+        cuts = [c for c in (mean - 8 * sd, mean - sd, mean, mean + sd, mean + 8 * sd) if 0 < c < 1]
+        return mpmath.quad(integrand, [0] + cuts + [1])
+
+
+def lk_mpmath(params, n, k, z0):
+    s_km, s_k, s_kp = (s_ell_mpmath(params, n, ell, z0) if ell else 0 for ell in (k - 1, k, k + 1))
+    return (n - k) * (2 * s_k - s_km - s_kp) + s_kp - s_km
+
+
+E3 = math.exp(3.0)
+# (beta, theta) pairs and the z0 grid, 1e-3/theta to 50/theta; the last pair
+# also takes z0 = 50, which puts 2 theta z0 v past the x = 600 switch of H
+TABLE_CASES = [
+    (ModelParams(1.0, 1.0, 1.0), (1e-3, 2.0, 50.0)),
+    (ModelParams(E3, 1.0 / E3, 1.0), (1e-3 * E3, 2.0 * E3, 50.0 * E3)),
+    (ModelParams(1.0 / E3, E3, 1.0), (1e-3 / E3, 2.0 / E3, 50.0 / E3, 50.0)),
+]
+
+
+class TestSTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 1000])
+    @pytest.mark.parametrize("params, z0s", TABLE_CASES, ids=["unit", "beta_e3", "theta_e3"])
+    def test_matches_per_ell_quadrature(self, n, params, z0s):
+        table = s_table(params, n, np.array(z0s))
+        assert table.shape == (len(z0s), n + 1)
+        for row, z0 in zip(table, z0s):
+            assert row[0] == 0.0
+            for ell in range(1, n + 1):
+                ref = s_ell(params, n, ell, z0, TIGHT)
+                assert abs(row[ell] / ref - 1.0) <= 1e-12, (z0, ell)
+            np.testing.assert_allclose(s_table(params, n, z0), row, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "n, ell, z0",
+        [(1, 1, 2.0), (5, 3, 1e-7), (12, 1, 0.4), (12, 12, 9.0), (20, 7, 1e-7), (20, 19, 2.0)],
+    )
+    def test_against_mpmath(self, n, ell, z0):
+        # z0 = 1e-7 keeps every 2 theta z0 v below 3e-7, in H's small-x
+        # branch, where the direct closed form would cancel to ~1e-9
+        params = ModelParams(0.7, 1.3, 1.0)
+        oracle = s_ell_mpmath(params, n, ell, z0)
+        assert abs(mpmath.mpf(s_table(params, n, z0)[ell]) / oracle - 1) <= 1e-13
+        assert abs(mpmath.mpf(s_ell(params, n, ell, z0, TIGHT)) / oracle - 1) <= 1e-12
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            s_table(UNIT, 0, 1.0)
+        with pytest.raises(ValueError):
+            s_table(UNIT, 5, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            expected_sfs(UNIT, 3, math.inf)
+
+
 class TestExpectedLk:
     def test_top_class_reduces_to_two_terms(self):
         n, z0 = 9, 1.7
@@ -83,12 +157,23 @@ class TestExpectedLk:
             assert abs(mean[k - 1] - expected_Lk(UNIT, n, k, z0)) < 4.0 * se[k - 1]
 
     def test_table_matches_scalar_route(self):
+        # the table against the second difference of per-l adaptive quadratures
         table = expected_sfs(UNIT, 6, 1.5)
+        s = [s_ell(UNIT, 6, ell, 1.5) for ell in range(7)]
         for row in table.rows:
-            assert row.expected_L == pytest.approx(
-                expected_Lk(UNIT, 6, row.k, 1.5), rel=1e-9
-            )
+            k = row.k
+            scalar = (6 - k) * (2.0 * s[k] - s[k - 1] - s[k + 1]) + s[k + 1] - s[k - 1]
+            assert row.expected_L == pytest.approx(scalar, rel=1e-9)
+            assert row.expected_L == pytest.approx(expected_Lk(UNIT, 6, k, 1.5), rel=1e-14)
             assert row.expected_xi == pytest.approx(UNIT.mu * row.expected_L, rel=1e-15)
+
+    @pytest.mark.parametrize("n, k, z0", [(8, 1, 1e-7), (20, 9, 2.0), (200, 50, 2.0), (200, 150, 2.0)])
+    def test_against_mpmath(self, n, k, z0):
+        # differencing S_l rounded to double precision loses about
+        # 4 (n-k) S_k / E[L_k] in relative accuracy (1e-9 at n = 200); the
+        # lengths difference the Beta densities before integrating instead
+        oracle = lk_mpmath(UNIT, n, k, z0)
+        assert abs(mpmath.mpf(expected_Lk(UNIT, n, k, z0)) / oracle - 1) <= 1e-11
 
     def test_averaged_over_stationary_size(self):
         table = expected_sfs(UNIT, 6, z0=None)

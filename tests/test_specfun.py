@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -182,11 +183,35 @@ class TestHScale:
         for x in (0.01, 0.3, 1.0, 7.0, 50.0, 400.0, 2000.0):
             assert H_closed(x) == pytest.approx(H_scale(x), rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "x", [1e-12, 1e-8, 1e-5, 1e-3, 0.1, 0.5, 0.999, 1.0, 3.0, 40.0, 599.0, 600.0, 601.0, 1e4]
+    )
+    def test_closed_form_vs_mpmath(self, x):
+        # 40-digit oracle on both sides of the small-x (x = 1) and
+        # asymptotic (x = 600) switches; the direct closed form cancels to
+        # ~1e-16/x relative below x = 1
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            oracle = (mpmath.euler + mpmath.log(xm) + mpmath.exp(xm) * mpmath.e1(xm)) / xm
+            assert abs(mpmath.mpf(H_closed(x)) / oracle - 1) <= 1e-13
+
+    def test_closed_form_arrays(self):
+        xs = np.array([[1e-9, 0.5, 1.0], [30.0, 600.0, 5e3]])
+        out = H_closed(xs)
+        assert out.shape == xs.shape
+        scalars = [[H_closed(float(x)) for x in row] for row in xs]
+        np.testing.assert_allclose(out, scalars, rtol=1e-15, atol=0.0)
+        assert isinstance(H_closed(2.0), float)
+        with pytest.raises(ValueError):
+            H_closed(np.array([1.0, 0.0]))
+
     def test_domain(self):
         with pytest.raises(ValueError):
             H_scale(0.0)
         with pytest.raises(ValueError):
             H_scale(-1.0)
+        with pytest.raises(ValueError):
+            H_closed(0.0)
 
 
 class TestH1Kernels:
