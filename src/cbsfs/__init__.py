@@ -54,7 +54,6 @@ from .sfs import (
 from .specfun import (
     EULER_GAMMA,
     QuadratureError,
-    QuadratureSpec,
     H_closed,
     H_scale,
     beta_fn,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import verify
@@ -23,27 +22,6 @@ from .model import ModelParams
 from .reports import fmt_value, write_csv, write_json_doc, write_text
 from .sfs import SIMULATE_MODES, density_curve, expected_sfs, g1_curve, simulate_sfs
 from .tree import RootMode, build_tree, drop_mutations, newick_export
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    params: ModelParams
-    seed: int
-    reps: int
-    n: int
-    z0_condition: float | None
-    output_path: str
-    format: str
-
-    def __post_init__(self) -> None:
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if not self.output_path:
-            raise ValueError("output path must be nonempty")
 
 
 CONFIG_KEYS = {
@@ -130,46 +108,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     return parser, list(sub.choices.values())
 
 
-def make_run_config(args, default_out: str) -> RunConfig:
-    params = ModelParams(beta=args.beta, theta=args.theta, mu=args.mu)
-    return RunConfig(
-        params=params,
-        seed=args.seed,
-        reps=args.reps,
-        n=args.n,
-        z0_condition=args.z0,
-        output_path=args.out or default_out,
-        format=args.format,
-    )
+# Header keys every data file echoes, in order, from the parsed flags.
+HEADER_KEYS = ("beta", "theta", "mu", "seed", "reps", "n", "z0", "format")
 
 
-def config_pairs(config: RunConfig, **extra) -> list[tuple[str, object]]:
-    pairs = [
-        ("beta", config.params.beta),
-        ("theta", config.params.theta),
-        ("mu", config.params.mu),
-        ("seed", config.seed),
-        ("reps", config.reps),
-        ("n", config.n),
-        ("z0", config.z0_condition),
-        ("format", config.format),
-    ]
+def config_pairs(args, **extra) -> list[tuple[str, object]]:
+    pairs = [(key, getattr(args, key)) for key in HEADER_KEYS]
     pairs.extend(extra.items())
     return pairs
 
 
-def cmd_sample(args) -> int:
-    config = make_run_config(args, "sample")
+def cmd_sample(args, params: ModelParams) -> int:
     mode = RootMode(args.root_mode)
-    base = Path(config.output_path)
+    base = Path(args.out or "sample")
     newicks = []
     records = []
-    for i in range(config.reps):
-        rng = replicate_rng(config.seed, i)
-        leaf_config = sample_population(config.params, config.n, rng, condition_z0=config.z0_condition)
-        zetas = sample_zetas(config.params, leaf_config, rng)
+    for i in range(args.reps):
+        rng = replicate_rng(args.seed, i)
+        leaf_config = sample_population(params, args.n, rng, condition_z0=args.z0)
+        zetas = sample_zetas(params, leaf_config, rng)
         tree = build_tree(leaf_config, zetas, mode)
-        overlay = drop_mutations(tree, config.params, rng)
+        overlay = drop_mutations(tree, params, rng)
         newick = newick_export(tree)
         newicks.append(newick)
         records.append(
@@ -182,60 +141,58 @@ def cmd_sample(args) -> int:
                 "newick": newick,
             }
         )
-    pairs = config_pairs(config, root_mode=mode.value)
+    pairs = config_pairs(args, root_mode=mode.value)
     write_text(base.with_suffix(".nwk"), newicks)
     write_json_doc(base.with_suffix(".json"), "sample", pairs, records)
-    print(f"wrote {config.reps} replicates to {base.with_suffix('.nwk')} and {base.with_suffix('.json')}")
+    print(f"wrote {args.reps} replicates to {base.with_suffix('.nwk')} and {base.with_suffix('.json')}")
     return 0
 
 
-def _emit_table(config: RunConfig, command: str, pairs, columns, rows) -> None:
-    if config.format == "csv":
-        write_csv(config.output_path, command, pairs, columns, rows)
+def _emit_table(args, command: str, pairs, columns, rows) -> None:
+    path = args.out or f"{command}.{args.format}"
+    if args.format == "csv":
+        write_csv(path, command, pairs, columns, rows)
     else:
         payload = [dict(zip(columns, row)) for row in rows]
-        write_json_doc(config.output_path, command, pairs, payload)
-    print(f"wrote {config.output_path}")
+        write_json_doc(path, command, pairs, payload)
+    print(f"wrote {path}")
 
 
-def cmd_sfs(args) -> int:
-    config = make_run_config(args, "sfs.csv" if args.format == "csv" else "sfs.json")
+def cmd_sfs(args, params: ModelParams) -> int:
     if args.mode == "expected":
-        table = expected_sfs(config.params, config.n, config.z0_condition)
+        table = expected_sfs(params, args.n, args.z0)
     else:
         table = simulate_sfs(
-            config.params,
-            config.n,
-            config.reps,
-            config.seed,
-            z0=config.z0_condition,
+            params,
+            args.n,
+            args.reps,
+            args.seed,
+            z0=args.z0,
             mode=args.sim_mode,
             workers=args.workers,
         )
-    pairs = config_pairs(config, mode=args.mode)
+    pairs = config_pairs(args, mode=args.mode)
     columns = ["k", "expected_L", "expected_xi", "mc_mean", "mc_se"]
     rows = [
         [row.k, row.expected_L, row.expected_xi, row.mc_mean, row.mc_se]
         for row in table.rows
     ]
-    _emit_table(config, "sfs", pairs, columns, rows)
+    _emit_table(args, "sfs", pairs, columns, rows)
     return 0
 
 
-def cmd_density(args) -> int:
-    config = make_run_config(args, "density.csv" if args.format == "csv" else "density.json")
+def cmd_density(args, params: ModelParams) -> int:
     if not (args.r_min > 0 and args.r_max > args.r_min and args.points >= 2):
         raise ValueError("need 0 < r-min < r-max and points >= 2")
     step = (args.r_max / args.r_min) ** (1.0 / (args.points - 1))
     grid = [args.r_min * step**i for i in range(args.points)]
-    curve = density_curve(config.params, grid)
-    pairs = config_pairs(config, r_min=args.r_min, r_max=args.r_max, points=args.points)
-    _emit_table(config, "density", pairs, ["r", "f"], [[r, f] for r, f in curve.points])
+    curve = density_curve(params, grid)
+    pairs = config_pairs(args, r_min=args.r_min, r_max=args.r_max, points=args.points)
+    _emit_table(args, "density", pairs, ["r", "f"], [[r, f] for r, f in curve.points])
     return 0
 
 
-def cmd_g1(args) -> int:
-    config = make_run_config(args, "g1.csv" if args.format == "csv" else "g1.json")
+def cmd_g1(args, params: ModelParams) -> int:
     z_values = [float(z) for z in args.z.split(",") if z.strip()]
     if not z_values or any(z <= 0 for z in z_values):
         raise ValueError("--z needs a comma list of positive values")
@@ -243,57 +200,55 @@ def cmd_g1(args) -> int:
         raise ValueError("--u-points must be >= 2")
     u_grid = [i / (args.u_points - 1) for i in range(args.u_points)]
     rows = g1_curve(z_values, u_grid)
-    pairs = config_pairs(config, z=args.z, u_points=args.u_points)
+    pairs = config_pairs(args, z=args.z, u_points=args.u_points)
     columns = ["u"] + [f"g1[z={fmt_value(z)}]" for z in z_values]
-    _emit_table(config, "g1", pairs, columns, rows)
+    _emit_table(args, "g1", pairs, columns, rows)
     return 0
 
 
-def cmd_clonal(args) -> int:
-    config = make_run_config(args, "clonal.csv" if args.format == "csv" else "clonal.json")
+def cmd_clonal(args, params: ModelParams) -> int:
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
     rows = []
     for n in range(1, args.n_max + 1):
         analytic = (
-            e_zcl_pow_r(config.params, n)
+            e_zcl_pow_r(params, n)
             if args.statistic == "zpow_r"
-            else e_zcl_pow(config.params, n)
+            else e_zcl_pow(params, n)
         )
         if args.mode == "simulate":
             report = mc_clonal(
-                config.params,
+                params,
                 n,
-                config.reps,
-                config.seed,
+                args.reps,
+                args.seed,
                 statistic=args.statistic,
                 workers=args.workers,
             )
             rows.append([n, analytic, report.mc_mean, report.mc_se])
         else:
             rows.append([n, analytic, None, None])
-    summary = clonal_summary(config.params)
+    summary = clonal_summary(params)
     pairs = config_pairs(
-        config,
+        args,
         mode=args.mode,
         statistic=args.statistic,
         e_r=summary.e_r,
         e_zcl=summary.e_zcl,
         cov_r_z0=summary.cov_r_z0,
     )
-    _emit_table(config, "clonal", pairs, ["n", "analytic", "mc_mean", "mc_se"], rows)
+    _emit_table(args, "clonal", pairs, ["n", "analytic", "mc_mean", "mc_se"], rows)
     return 0
 
 
-def cmd_verify(args) -> int:
-    config = make_run_config(args, "verify.txt")
+def cmd_verify(args, params: ModelParams) -> int:
     if args.suite != "all" and args.suite not in verify.SUITES:
         print(
             f"unknown suite {args.suite!r}; known: {', '.join(sorted(verify.SUITES))}, all",
             file=sys.stderr,
         )
         return 2
-    results = verify.run_suite(args.suite, config.params, config.reps, config.seed)
+    results = verify.run_suite(args.suite, params, args.reps, args.seed)
     lines = []
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -331,9 +286,17 @@ def main(argv=None) -> int:
             command.set_defaults(**values)
     args = parser.parse_args(argv)
     try:
+        # values from outside, checked once; a --config file bypasses choices
         if args.workers < 1:
             raise ValueError(f"workers must be >= 1, got {args.workers}")
-        return COMMANDS[args.command](args)
+        params = ModelParams(beta=args.beta, theta=args.theta, mu=args.mu)
+        if args.reps < 1:
+            raise ValueError(f"reps must be >= 1, got {args.reps}")
+        if args.n < 1:
+            raise ValueError(f"n must be >= 1, got {args.n}")
+        if args.format not in ("csv", "json"):
+            raise ValueError(f"format must be csv or json, got {args.format!r}")
+        return COMMANDS[args.command](args, params)
     except (ValueError, OSError) as exc:
         print(f"cbsfs: {exc}", file=sys.stderr)
         return 1

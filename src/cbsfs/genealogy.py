@@ -112,12 +112,15 @@ def zeta_vector_from_dict(data: dict) -> ZetaVector:
     return ZetaVector(zetas=tuple(float(z) for z in data["zetas"]))
 
 
+# Attempts at a replicate without a (probability-zero) position collision.
+_MAX_REDRAWS = 64
+
+
 def sample_population(
     params: ModelParams,
     n: int,
     rng: np.random.Generator,
     condition_z0: float | None = None,
-    max_retries: int = 64,
 ) -> LeafConfig:
     """Draw a population interval and n uniform sample leaves on it.
 
@@ -132,7 +135,7 @@ def sample_population(
     if condition_z0 is not None and not condition_z0 > 0:
         raise ValueError(f"condition_z0 must be positive, got {condition_z0}")
     scale = 1.0 / (2.0 * params.theta)
-    for _ in range(max_retries):
+    for _ in range(_MAX_REDRAWS):
         if condition_z0 is None:
             e_g = rng.exponential(scale)
             e_d = rng.exponential(scale)
@@ -159,7 +162,7 @@ def sample_population(
             spine_index=spine_index,
             labels=tuple(int(i) for i in order),
         )
-    raise RuntimeError(f"could not draw distinct positions in {max_retries} attempts")
+    raise RuntimeError(f"could not draw distinct positions in {_MAX_REDRAWS} attempts")
 
 
 def intervals(config: LeafConfig) -> np.ndarray:

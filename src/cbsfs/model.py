@@ -15,7 +15,7 @@ from typing import Callable
 
 from scipy import special
 
-from .specfun import DEFAULT_QUAD, QuadratureSpec, adaptive_quad
+from .specfun import adaptive_quad
 
 
 @dataclass(frozen=True)
@@ -114,12 +114,7 @@ def z0_moment(params: ModelParams, k: int) -> float:
         return math.inf
 
 
-def kesten_expectation(
-    params: ModelParams,
-    t: float,
-    h: Callable[[float], float],
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def kesten_expectation(params: ModelParams, t: float, h: Callable[[float], float]) -> float:
     """E[h(size at 0 of the spine subtree rooted at -t)], the size-biased law.
 
     Equals e^{2 beta theta t} * int r q_t(r) h(r) dr; the growth factor is
@@ -134,4 +129,4 @@ def kesten_expectation(
     def integrand(r: float) -> float:
         return amp * r * h(r) * math.exp(-r / scale)
 
-    return adaptive_quad(integrand, 0.0, math.inf, spec)
+    return adaptive_quad(integrand, 0.0, math.inf)

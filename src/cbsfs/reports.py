@@ -9,6 +9,7 @@ round-trip form, so re-runs with the same seed are byte-identical.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -31,10 +32,20 @@ def header_lines(command: str, pairs: list[tuple[str, object]]) -> list[str]:
 
 
 def _write(path: str | Path, text: str) -> None:
-    """Write a whole file, creating its parent directory if missing."""
+    """Write a whole file or none, creating its parent directory if missing.
+
+    The text goes to a temporary file beside ``path`` that replaces it only
+    once complete, so a failed write leaves any previous file as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(

@@ -9,7 +9,8 @@ form a matrix (built in blocks of l), the integrand is one vectorised H
 call over all nodes and z0, and each table is one matrix product.  The
 lengths take their second difference in l on the densities, node by node,
 rather than between rounded S_l.  :func:`s_ell` keeps the per-l adaptive
-quadrature as the reference the tests compare against.
+quadrature as the reference the tests compare against; it alone runs to a
+tighter, relative-only tolerance than the package's quadratures.
 
 The large-n shape of k * E[xi_k] is the Kingman constant plus the
 distortion g1, whose evaluation needs the first two derivatives of the h1
@@ -31,15 +32,7 @@ from scipy import special
 from ._mc import map_replicates, mean_and_se
 from .genealogy import Lk_all, sample_population, sample_zetas
 from .model import ModelParams, canonical_density
-from .specfun import (
-    DEFAULT_QUAD,
-    EULER_GAMMA,
-    H_closed,
-    QuadratureSpec,
-    adaptive_quad,
-    gamma_upper_zero,
-    h1_deriv,
-)
+from .specfun import EULER_GAMMA, H_closed, adaptive_quad, gamma_upper_zero, h1_deriv
 
 
 @dataclass(frozen=True)
@@ -77,18 +70,19 @@ class DensityCurve:
             raise ValueError("density must decrease along the grid")
 
 
-def s_ell(
-    params: ModelParams,
-    n: int,
-    ell: int,
-    z0: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+# Tolerances of the per-l reference: relative only, tight enough to resolve
+# 1e-12 in a tiny S_1 (the package's absolute 1e-13 would swamp it).
+_S_ELL_ABS_TOL = 1e-300
+_S_ELL_REL_TOL = 1e-13
+
+
+def s_ell(params: ModelParams, n: int, ell: int, z0: float) -> float:
     """Mean tallest-excursion height over the l-th of n ordered uniforms.
 
     S_0 = 0; otherwise the Beta(l, n-l+1) expectation of
     (z0 v / beta) * H(2 theta z0 v), by adaptive quadrature with
-    breakpoints at the Beta bulk (the density is a sharp spike for large n).
+    breakpoints at the Beta bulk (the density is a sharp spike for large n),
+    to the reference tolerances above.
     """
     if not (0 <= ell <= n):
         raise IndexError(f"need 0 <= ell <= n, got ell={ell}, n={n}")
@@ -106,7 +100,9 @@ def s_ell(
     mean = ell / (n + 1)
     sd = math.sqrt(mean * (1 - mean) / (n + 2))
     points = sorted({max(1e-12, mean - 8 * sd), mean, min(1 - 1e-12, mean + 8 * sd)})
-    return adaptive_quad(integrand, 0.0, 1.0, spec, points=points)
+    return adaptive_quad(
+        integrand, 0.0, 1.0, points, abs_tol=_S_ELL_ABS_TOL, rel_tol=_S_ELL_REL_TOL
+    )
 
 
 # Rows of Beta weights built at once: memory is O(block x nodes), not O(n x nodes).
@@ -199,12 +195,11 @@ def _z0_quad_nodes(params: ModelParams, nodes: int) -> tuple[np.ndarray, np.ndar
     return t / (2.0 * params.theta), w
 
 
-def expected_sfs(
-    params: ModelParams,
-    n: int,
-    z0: float | None = None,
-    z0_nodes: int = 40,
-) -> SfsTable:
+# Gauss-Laguerre nodes of the average over the stationary size law.
+_Z0_NODES = 40
+
+
+def expected_sfs(params: ModelParams, n: int, z0: float | None = None) -> SfsTable:
     """Expected L_k and xi_k for k = 1..n-1, conditioned on z0 or averaged
     over the stationary population-size law when z0 is None (one row of
     lengths per Gauss-Laguerre node, all from one pass)."""
@@ -214,7 +209,7 @@ def expected_sfs(
     if z0 is not None:
         lk = _expected_lengths(params, n, z0, ks)
     else:
-        zs, ws = _z0_quad_nodes(params, z0_nodes)
+        zs, ws = _z0_quad_nodes(params, _Z0_NODES)
         lk = ws @ _expected_lengths(params, n, zs, ks)
     rows = tuple(
         SfsRow(k=k, expected_L=float(lk[k - 1]), expected_xi=float(params.mu * lk[k - 1]))
@@ -223,7 +218,7 @@ def expected_sfs(
     return SfsTable(n=n, rows=rows)
 
 
-def g1(z: float, u: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def g1(z: float, u: float) -> float:
     """Distortion of the expected spectrum against the 1/k shape.
 
     Continuous on z > 0, 0 <= u <= 1 with g1(z, 0) = 0 (the u log u terms
@@ -246,21 +241,15 @@ def g1(z: float, u: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
         * z * z * u * u
         * (6.0 * (1.0 - 2.0 * u) * (log_u + log_2z) + 5.0 - 7.0 * u)
     )
-    term_h = 2.0 * u * h1_deriv(x, 1, spec) - 2.0 * z * u * (1.0 - u) * h1_deriv(x, 2, spec)
+    term_h = 2.0 * u * h1_deriv(x, 1) - 2.0 * z * u * (1.0 - u) * h1_deriv(x, 2)
     return term_const + term_z + term_z2 + term_h
 
 
-def g2_residual(
-    params: ModelParams,
-    n: int,
-    k: int,
-    z0: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def g2_residual(params: ModelParams, n: int, k: int, z0: float) -> float:
     """Scaled remainder after the 1/k and g1/k terms are removed:
     (n^2/sqrt(k)) * (beta E[L_k|Z0]/z0 - 1/k - g1(theta z0, k/n)/k)."""
     lk = expected_Lk(params, n, k, z0)
-    lead = 1.0 / k + g1(params.theta * z0, k / n, spec) / k
+    lead = 1.0 / k + g1(params.theta * z0, k / n) / k
     return (n * n / math.sqrt(k)) * (params.beta * lk / z0 - lead)
 
 
@@ -285,13 +274,11 @@ def simulate_sfs(
     z0: float | None = None,
     mode: str = "expected-lengths",
     workers: int = 1,
-    with_expected: bool = True,
 ) -> SfsTable:
-    """Monte-Carlo spectrum over seeded replicates.
+    """Monte-Carlo spectrum over seeded replicates, beside the analytic one.
 
     "expected-lengths" averages mu * L_k per replicate; "poisson-counts"
     draws the mutation counts themselves (same means, larger variance).
-    Analytic columns are filled alongside unless with_expected is False.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -299,20 +286,15 @@ def simulate_sfs(
         raise ValueError(f"mode must be one of {SIMULATE_MODES}, got {mode!r}")
     values = map_replicates(_sfs_replicate, (params, n, z0, mode), reps, seed, workers)
     mean, se = mean_and_se(values)
-    if with_expected:
-        analytic = expected_sfs(params, n, z0)
-        lk = [row.expected_L for row in analytic.rows]
-    else:
-        lk = [math.nan] * (n - 1)
     rows = tuple(
         SfsRow(
-            k=k,
-            expected_L=lk[k - 1],
-            expected_xi=params.mu * lk[k - 1],
-            mc_mean=float(mean[k - 1]),
-            mc_se=float(se[k - 1]),
+            k=row.k,
+            expected_L=row.expected_L,
+            expected_xi=row.expected_xi,
+            mc_mean=float(mean[row.k - 1]),
+            mc_se=float(se[row.k - 1]),
         )
-        for k in range(1, n)
+        for row in expected_sfs(params, n, z0).rows
     )
     return SfsTable(n=n, rows=rows)
 
@@ -334,22 +316,15 @@ def density_curve(params: ModelParams, grid) -> DensityCurve:
     return DensityCurve(points=tuple((r, mean_density(params, r)) for r in rs))
 
 
-def density_branch_check(
-    params: ModelParams, r: float, spec: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def density_branch_check(params: ModelParams, r: float) -> float:
     """Quadrature route to the non-spine part of the density (without mu):
     (1/theta) int_0^inf q_t(r) dt, to compare with e^{-2 theta r}/(beta theta r)."""
     if not r > 0:
         raise ValueError(f"density_branch_check requires r > 0, got {r}")
-    return (
-        adaptive_quad(lambda t: canonical_density(params, t, r), 0.0, math.inf, spec)
-        / params.theta
-    )
+    return adaptive_quad(lambda t: canonical_density(params, t, r), 0.0, math.inf) / params.theta
 
 
-def density_spine_check(
-    params: ModelParams, r: float, spec: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def density_spine_check(params: ModelParams, r: float) -> float:
     """Quadrature route to the spine part of the density (without mu):
     (2 theta/beta) r int_0^1 (1+u)/u^2 e^{-2 theta r/u} du, to compare with
     (1/beta)(e^{-2 theta r} + 2 theta r Gamma(0, 2 theta r))."""
@@ -360,14 +335,14 @@ def density_spine_check(
     def integrand(u: float) -> float:
         return (1.0 + u) / (u * u) * math.exp(-x / u)
 
-    return (x / params.beta) * adaptive_quad(integrand, 0.0, 1.0, spec)
+    return (x / params.beta) * adaptive_quad(integrand, 0.0, 1.0)
 
 
-def g1_curve(z_values, u_grid, spec: QuadratureSpec = DEFAULT_QUAD) -> list[list[float]]:
+def g1_curve(z_values, u_grid) -> list[list[float]]:
     """Rows (u, g1(z_1, u), ..., g1(z_m, u)) for export; u = 0 rows are exact 0."""
     zs = [float(z) for z in z_values]
     rows = []
     for u in u_grid:
         u = float(u)
-        rows.append([u] + [g1(z, u, spec) for z in zs])
+        rows.append([u] + [g1(z, u) for z in zs])
     return rows

@@ -6,7 +6,9 @@ pieces are the integral kernels ``H``, ``h0`` and ``h1`` that drive the
 expected branch-length expansion.  Their defining integrands contain the
 piecewise weight :func:`f_integrand`, which jumps at u = 1, so every
 quadrature here splits the axis there and lets QUADPACK handle the
-algebraic tail transform on [1, inf).
+algebraic tail transform on [1, inf).  Every quadrature runs to one fixed
+tolerance policy (``QUAD_ABS_TOL``, ``QUAD_REL_TOL``, ``QUAD_LIMIT``
+subdivisions); only the per-l reference :func:`cbsfs.sfs.s_ell` tightens it.
 
 Derivatives of ``h1`` are computed by differentiating under the integral
 sign rather than by finite differences: the derivative weights
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -32,26 +33,17 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the adaptive quadratures in this package."""
-
-    abs_tol: float = 1e-13
-    rel_tol: float = 1e-11
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+# The closed forms are checked against quadratures at this one accuracy.
+QUAD_ABS_TOL = 1e-13
+QUAD_REL_TOL = 1e-11
+QUAD_LIMIT = 200
 
 
-DEFAULT_QUAD = QuadratureSpec()
-
-
-def adaptive_quad(func, a, b, spec: QuadratureSpec = DEFAULT_QUAD, points=None) -> float:
-    """QUADPACK quadrature of ``func`` on [a, b] under ``spec``.
+def adaptive_quad(
+    func, a, b, points=None, *, abs_tol: float = QUAD_ABS_TOL, rel_tol: float = QUAD_REL_TOL
+) -> float:
+    """QUADPACK quadrature of ``func`` on [a, b] to the package tolerances
+    (``abs_tol``/``rel_tol`` are for the reference that needs tighter ones).
 
     Raises :class:`QuadratureError` when the reported error estimate is an
     order of magnitude beyond the requested tolerance.
@@ -65,14 +57,14 @@ def adaptive_quad(func, a, b, spec: QuadratureSpec = DEFAULT_QUAD, points=None) 
             func,
             a,
             b,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
+            epsabs=abs_tol,
+            epsrel=rel_tol,
+            limit=QUAD_LIMIT,
             points=points,
             full_output=1,
         )
     value, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > 10.0 * max(spec.abs_tol, spec.rel_tol * abs(value)):
+    if len(out) > 3 and abserr > 10.0 * max(abs_tol, rel_tol * abs(value)):
         raise QuadratureError(f"quadrature on [{a}, {b}] did not converge: {out[3]}")
     if not math.isfinite(value):
         raise QuadratureError(f"quadrature on [{a}, {b}] returned {value}")
@@ -123,13 +115,13 @@ def f_integrand(u: float) -> float:
     return total / (u * u)
 
 
-def _f_weighted(weight, spec: QuadratureSpec) -> float:
+def _f_weighted(weight) -> float:
     """Integral of f_integrand(u) * weight(u) over (0, inf), split at the jump."""
     g = lambda u: f_integrand(u) * weight(u)
-    return adaptive_quad(g, 0.0, 1.0, spec) + adaptive_quad(g, 1.0, math.inf, spec)
+    return adaptive_quad(g, 0.0, 1.0) + adaptive_quad(g, 1.0, math.inf)
 
 
-def H_scale(x: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def H_scale(x: float) -> float:
     """H(x) = int_0^inf (1-e^{-u})/u * du/(u+x) by adaptive quadrature.
 
     Strictly decreasing; diverges like -log(x) as x -> 0+, hence x > 0 is
@@ -139,7 +131,7 @@ def H_scale(x: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     if not x > 0:
         raise ValueError(f"H_scale requires x > 0 (H diverges at 0), got {x}")
     g = lambda u: -math.expm1(-u) / (u * (u + x))
-    return adaptive_quad(g, 0.0, 1.0, spec) + adaptive_quad(g, 1.0, math.inf, spec)
+    return adaptive_quad(g, 0.0, 1.0) + adaptive_quad(g, 1.0, math.inf)
 
 
 # Ein(x) = sum_{k>=1} (-1)^{k+1} x^k / (k k!), the entire part of E1:
@@ -199,24 +191,24 @@ def H_closed(x):
     return out
 
 
-def h0(x: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def h0(x: float) -> float:
     """h0(x) = (1 + x/2 + x^2/6) log(1+x) - int f(u) x/(u+x) du, x >= 0."""
     if x < 0:
         raise ValueError(f"h0 requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
     poly = 1.0 + x / 2.0 + x * x / 6.0
-    return poly * math.log1p(x) - _f_weighted(lambda u: x / (u + x), spec)
+    return poly * math.log1p(x) - _f_weighted(lambda u: x / (u + x))
 
 
-def h1(x: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def h1(x: float) -> float:
     """h1(x) = x * h0(x)."""
     if x < 0:
         raise ValueError(f"h1 requires x >= 0, got {x}")
-    return x * h0(x, spec)
+    return x * h0(x)
 
 
-def h1_deriv(x: float, order: int, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def h1_deriv(x: float, order: int) -> float:
     """First or second derivative of h1, by differentiation under the integral.
 
     With P(x) = x + x^2/2 + x^3/6, h1(x) = P(x) log(1+x) - int f(u) x^2/(u+x) du,
@@ -231,12 +223,12 @@ def h1_deriv(x: float, order: int, spec: QuadratureSpec = DEFAULT_QUAD) -> float
             return 0.0
         p = x + x * x / 2.0 + x ** 3 / 6.0
         p1 = 1.0 + x + x * x / 2.0
-        integral = _f_weighted(lambda u: x * (x + 2.0 * u) / (u + x) ** 2, spec)
+        integral = _f_weighted(lambda u: x * (x + 2.0 * u) / (u + x) ** 2)
         return p1 * math.log1p(x) + p / (1.0 + x) - integral
     if x == 0.0:
-        return 2.0 - _f_weighted(lambda u: 2.0 / u, spec)
+        return 2.0 - _f_weighted(lambda u: 2.0 / u)
     p = x + x * x / 2.0 + x ** 3 / 6.0
     p1 = 1.0 + x + x * x / 2.0
     p2 = 1.0 + x
-    integral = _f_weighted(lambda u: 2.0 * u * u / (u + x) ** 3, spec)
+    integral = _f_weighted(lambda u: 2.0 * u * u / (u + x) ** 3)
     return p2 * math.log1p(x) + 2.0 * p1 / (1.0 + x) - p / (1.0 + x) ** 2 - integral

@@ -12,6 +12,7 @@ import cbsfs
 from cbsfs.cli import main
 from cbsfs.clonal import e_zcl_pow_r
 from cbsfs.model import ModelParams
+from cbsfs.reports import write_text
 
 
 def run(*argv):
@@ -182,6 +183,17 @@ class TestBadFlags:
                    "--format", fmt, "--out", out) == 1
         assert "reps >= 2" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestWholeFiles:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        out = tmp_path / "report.txt"
+        write_text(out, ["previous"])
+        # a lone surrogate cannot be encoded: the write fails part way
+        with pytest.raises(UnicodeEncodeError):
+            write_text(out, ["partial", "\udcff"])
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():

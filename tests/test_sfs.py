@@ -1,5 +1,6 @@
 """Expected-spectrum, distortion and density tests."""
 
+import functools
 import math
 
 import mpmath
@@ -10,6 +11,8 @@ from cbsfs.genealogy import Lk_all, sample_population, sample_zetas
 from cbsfs.model import ModelParams
 from cbsfs.sfs import (
     DensityCurve,
+    _expected_lengths,
+    _z0_quad_nodes,
     density_branch_check,
     density_curve,
     density_spine_check,
@@ -23,7 +26,6 @@ from cbsfs.sfs import (
     s_table,
     simulate_sfs,
 )
-from cbsfs.specfun import QuadratureSpec
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 
@@ -56,10 +58,6 @@ class TestSEll:
             s_ell(UNIT, 5, 6, 1.0)
         with pytest.raises(ValueError):
             s_ell(UNIT, 5, 2, 0.0)
-
-
-# per-l reference tight enough (relative only) to resolve 1e-12 in tiny S_1
-TIGHT = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-13)
 
 
 def s_ell_mpmath(params, n, ell, z0, dps=40):
@@ -95,6 +93,22 @@ TABLE_CASES = [
 ]
 
 
+# the distinct theta z0 of TABLE_CASES: S(beta, theta, z0) = S(1, 1, theta z0)/(beta theta)
+THETA_Z0S = (1e-3, 2.0, 50.0, 50.0 * E3)
+
+
+@functools.cache
+def unit_s_reference(n, theta_z0):
+    """Per-l quadrature S_1..S_n at beta = theta = 1, shared by every case."""
+    return np.array([s_ell(UNIT, n, ell, theta_z0) for ell in range(1, n + 1)])
+
+
+def scaled_s_reference(params, n, z0):
+    """Per-l reference for (beta, theta, z0) from the unit one at theta z0."""
+    theta_z0 = next(x for x in THETA_Z0S if math.isclose(params.theta * z0, x, rel_tol=1e-14))
+    return unit_s_reference(n, theta_z0) / (params.beta * params.theta)
+
+
 class TestSTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 1000])
     @pytest.mark.parametrize("params, z0s", TABLE_CASES, ids=["unit", "beta_e3", "theta_e3"])
@@ -103,10 +117,18 @@ class TestSTable:
         assert table.shape == (len(z0s), n + 1)
         for row, z0 in zip(table, z0s):
             assert row[0] == 0.0
-            for ell in range(1, n + 1):
-                ref = s_ell(params, n, ell, z0, TIGHT)
-                assert abs(row[ell] / ref - 1.0) <= 1e-12, (z0, ell)
+            rel = np.abs(row[1:] / scaled_s_reference(params, n, z0) - 1.0)
+            assert rel.max() <= 1e-12, (z0, int(rel.argmax()) + 1)
             np.testing.assert_allclose(s_table(params, n, z0), row, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("params, z0s", TABLE_CASES[1:], ids=["beta_e3", "theta_e3"])
+    def test_per_ell_quadrature_scaling(self, params, z0s):
+        # the identity behind the shared unit references, checked on the
+        # per-l quadrature itself (the unit pair is the identity map)
+        n = 10
+        for z0 in z0s:
+            direct = np.array([s_ell(params, n, ell, z0) for ell in range(1, n + 1)])
+            np.testing.assert_allclose(direct, scaled_s_reference(params, n, z0), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize(
         "n, ell, z0",
@@ -118,7 +140,7 @@ class TestSTable:
         params = ModelParams(0.7, 1.3, 1.0)
         oracle = s_ell_mpmath(params, n, ell, z0)
         assert abs(mpmath.mpf(s_table(params, n, z0)[ell]) / oracle - 1) <= 1e-13
-        assert abs(mpmath.mpf(s_ell(params, n, ell, z0, TIGHT)) / oracle - 1) <= 1e-12
+        assert abs(mpmath.mpf(s_ell(params, n, ell, z0)) / oracle - 1) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -180,9 +202,10 @@ class TestExpectedLk:
         assert all(row.expected_L > 0 for row in table.rows)
         # numerical stability of the size-average: doubling the node count
         # moves nothing beyond the slow log-type convergence of the rule
-        fine = expected_sfs(UNIT, 6, z0=None, z0_nodes=80)
-        for a, b in zip(table.rows, fine.rows):
-            assert a.expected_L == pytest.approx(b.expected_L, rel=1e-4)
+        zs, ws = _z0_quad_nodes(UNIT, 80)
+        fine = ws @ _expected_lengths(UNIT, 6, zs, np.arange(1, 6))
+        for a, b in zip(table.rows, fine):
+            assert a.expected_L == pytest.approx(b, rel=1e-4)
 
 
 class TestG1:
@@ -257,8 +280,8 @@ class TestSimulateSfs:
         assert all(row.mc_mean == 0.0 for row in table.rows)
 
     def test_seed_determinism(self):
-        a = simulate_sfs(UNIT, 5, 300, seed=11, z0=1.0, with_expected=False)
-        b = simulate_sfs(UNIT, 5, 300, seed=11, z0=1.0, with_expected=False)
+        a = simulate_sfs(UNIT, 5, 300, seed=11, z0=1.0)
+        b = simulate_sfs(UNIT, 5, 300, seed=11, z0=1.0)
         assert [r.mc_mean for r in a.rows] == [r.mc_mean for r in b.rows]
 
     def test_bad_mode(self):

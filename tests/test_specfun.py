@@ -11,7 +11,6 @@ from cbsfs.specfun import (
     EULER_GAMMA,
     H_closed,
     H_scale,
-    QuadratureSpec,
     beta_fn,
     digamma,
     f_integrand,
@@ -257,10 +256,3 @@ class TestH1Kernels:
         with pytest.raises(ValueError):
             h1_deriv(1.0, 3)
 
-
-class TestQuadratureSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
