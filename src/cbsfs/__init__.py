@@ -75,7 +75,6 @@ from .tree import (
     edge_lengths_by_count,
     leafset_counts,
     newick_export,
-    parse_newick,
     tree_tmrca,
 )
 

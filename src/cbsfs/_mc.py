@@ -1,9 +1,12 @@
-"""Replicate scheduling: deterministic substreams and optional workers.
+"""Replicate scheduling: the one loop over replicate indices.
 
-Replicate i always draws from ``replicate_rng(seed, i)``, so estimates are
-a pure function of (seed, reps) no matter how replicates are distributed
-over workers; parallel runs just split the index range and reassemble in
-order.
+Every simulated quantity is built from independent replicates, and
+replicate i always draws from ``replicate_rng(seed, i)``.  ``map_replicates``
+is the only place that loops over those indices: it returns one result per
+replicate, in replicate order, so output is a pure function of
+(seed, reps) no matter how the index range is split over workers.  The
+results are whatever ``fn`` returns (numbers for the Monte-Carlo means,
+records for the sampled trees); ``mean_and_se`` reduces numeric ones.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _run_chunk(fn, args, seed, lo, hi):
-    return np.stack([np.atleast_1d(fn(args, replicate_rng(seed, i))) for i in range(lo, hi)])
+    return [fn(args, replicate_rng(seed, i)) for i in range(lo, hi)]
 
 
-def map_replicates(fn, args, reps: int, seed: int, workers: int = 1) -> np.ndarray:
-    """Evaluate ``fn(args, rng)`` for replicates 0..reps-1, shape (reps, d).
+def map_replicates(fn, args, reps: int, seed: int, workers: int = 1) -> list:
+    """``fn(args, replicate_rng(seed, i))`` for i = 0..reps-1, in that order.
 
     ``fn`` must be a module-level callable (it crosses process boundaries
-    when workers > 1) returning a scalar or fixed-length 1-D array.
+    when workers > 1), and its results must pickle.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -38,15 +41,20 @@ def map_replicates(fn, args, reps: int, seed: int, workers: int = 1) -> np.ndarr
     spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         futures = [pool.submit(_run_chunk, fn, args, seed, lo, hi) for lo, hi in spans]
-        chunks = [f.result() for f in futures]
-    return np.concatenate(chunks, axis=0)
+        return [value for future in futures for value in future.result()]
 
 
-def mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and their standard errors (needs at least 2 rows)."""
+def mean_and_se(values) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and their standard errors over per-replicate values.
+
+    ``values`` holds one scalar or one fixed-length 1-D array per replicate
+    (at least 2); they are laid out as a (reps, d) float array, a scalar
+    being one column.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape[0] < 2:
         raise ValueError(f"a standard error needs reps >= 2, got {values.shape[0]}")
+    values = values.reshape(values.shape[0], -1)
     mean = values.mean(axis=0)
     se = values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
     return mean, se

@@ -11,16 +11,18 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import verify
-from ._mc import replicate_rng
+from ._mc import map_replicates
 from .clonal import MC_STATISTICS, clonal_summary, e_zcl_pow, e_zcl_pow_r, mc_clonal
 from .genealogy import sample_population, sample_zetas
 from .model import ModelParams
 from .reports import fmt_value, write_csv, write_json_doc, write_text
 from .sfs import SIMULATE_MODES, density_curve, expected_sfs, g1_curve, simulate_sfs
+from .specfun import QuadratureError
 from .tree import RootMode, build_tree, drop_mutations, newick_export
 
 
@@ -118,31 +120,31 @@ def config_pairs(args, **extra) -> list[tuple[str, object]]:
     return pairs
 
 
+def _sample_replicate(args, rng) -> dict:
+    """One sampled genealogy as a replay record (without its index)."""
+    params, n, z0, mode = args
+    leaf_config = sample_population(params, n, rng, condition_z0=z0)
+    zetas = sample_zetas(params, leaf_config, rng)
+    tree = build_tree(leaf_config, zetas, mode)
+    overlay = drop_mutations(tree, params, rng)
+    return {
+        "leaf_config": leaf_config.to_dict(),
+        "zetas": zetas.to_dict(),
+        "tree": tree.to_dict(),
+        "mutations": overlay.to_dict(),
+        "newick": newick_export(tree),
+    }
+
+
 def cmd_sample(args, params: ModelParams) -> int:
     mode = RootMode(args.root_mode)
     base = Path(args.out or "sample")
-    newicks = []
-    records = []
-    for i in range(args.reps):
-        rng = replicate_rng(args.seed, i)
-        leaf_config = sample_population(params, args.n, rng, condition_z0=args.z0)
-        zetas = sample_zetas(params, leaf_config, rng)
-        tree = build_tree(leaf_config, zetas, mode)
-        overlay = drop_mutations(tree, params, rng)
-        newick = newick_export(tree)
-        newicks.append(newick)
-        records.append(
-            {
-                "replicate": i,
-                "leaf_config": leaf_config.to_dict(),
-                "zetas": zetas.to_dict(),
-                "tree": tree.to_dict(),
-                "mutations": overlay.to_dict(),
-                "newick": newick,
-            }
-        )
+    records = map_replicates(
+        _sample_replicate, (params, args.n, args.z0, mode), args.reps, args.seed, args.workers
+    )
+    records = [{"replicate": i, **record} for i, record in enumerate(records)]
     pairs = config_pairs(args, root_mode=mode.value)
-    write_text(base.with_suffix(".nwk"), newicks)
+    write_text(base.with_suffix(".nwk"), [record["newick"] for record in records])
     write_json_doc(base.with_suffix(".json"), "sample", pairs, records)
     print(f"wrote {args.reps} replicates to {base.with_suffix('.nwk')} and {base.with_suffix('.json')}")
     return 0
@@ -185,6 +187,8 @@ def cmd_density(args, params: ModelParams) -> int:
     if not (args.r_min > 0 and args.r_max > args.r_min and args.points >= 2):
         raise ValueError("need 0 < r-min < r-max and points >= 2")
     step = (args.r_max / args.r_min) ** (1.0 / (args.points - 1))
+    if not math.isfinite(step):
+        raise ValueError("r-max / r-min overflows a float")
     grid = [args.r_min * step**i for i in range(args.points)]
     curve = density_curve(params, grid)
     pairs = config_pairs(args, r_min=args.r_min, r_max=args.r_max, points=args.points)
@@ -194,8 +198,8 @@ def cmd_density(args, params: ModelParams) -> int:
 
 def cmd_g1(args, params: ModelParams) -> int:
     z_values = [float(z) for z in args.z.split(",") if z.strip()]
-    if not z_values or any(z <= 0 for z in z_values):
-        raise ValueError("--z needs a comma list of positive values")
+    if not z_values or not all(0 < z < math.inf for z in z_values):
+        raise ValueError("--z needs a comma list of positive finite values")
     if args.u_points < 2:
         raise ValueError("--u-points must be >= 2")
     u_grid = [i / (args.u_points - 1) for i in range(args.u_points)]
@@ -211,11 +215,6 @@ def cmd_clonal(args, params: ModelParams) -> int:
         raise ValueError("--n-max must be >= 1")
     rows = []
     for n in range(1, args.n_max + 1):
-        analytic = (
-            e_zcl_pow_r(params, n)
-            if args.statistic == "zpow_r"
-            else e_zcl_pow(params, n)
-        )
         if args.mode == "simulate":
             report = mc_clonal(
                 params,
@@ -225,9 +224,10 @@ def cmd_clonal(args, params: ModelParams) -> int:
                 statistic=args.statistic,
                 workers=args.workers,
             )
-            rows.append([n, analytic, report.mc_mean, report.mc_se])
+            rows.append([n, report.analytic, report.mc_mean, report.mc_se])
         else:
-            rows.append([n, analytic, None, None])
+            moment = e_zcl_pow_r if args.statistic == "zpow_r" else e_zcl_pow
+            rows.append([n, moment(params, n), None, None])
     summary = clonal_summary(params)
     pairs = config_pairs(
         args,
@@ -296,9 +296,16 @@ def main(argv=None) -> int:
             raise ValueError(f"n must be >= 1, got {args.n}")
         if args.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {args.format!r}")
+        for flag in ("z0", "r_min", "r_max"):
+            value = getattr(args, flag, None)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{flag.replace('_', '-')} must be finite, got {value}")
         return COMMANDS[args.command](args, params)
     except (ValueError, OSError) as exc:
         print(f"cbsfs: {exc}", file=sys.stderr)
+        return 1
+    except (OverflowError, QuadratureError) as exc:
+        print(f"cbsfs: no finite result at these values: {exc}", file=sys.stderr)
         return 1
 
 

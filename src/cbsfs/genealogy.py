@@ -79,18 +79,6 @@ class LeafConfig:
         }
 
 
-def leaf_config_from_dict(data: dict) -> LeafConfig:
-    return LeafConfig(
-        n=int(data["n"]),
-        e_g=float(data["e_g"]),
-        e_d=float(data["e_d"]),
-        z0=float(data["z0"]),
-        positions=tuple(float(x) for x in data["positions"]),
-        spine_index=int(data["spine_index"]),
-        labels=tuple(int(x) for x in data["labels"]),
-    )
-
-
 @dataclass(frozen=True)
 class ZetaVector:
     """Branch depths, one per rank 0..n+1; the spine rank has depth 0."""
@@ -106,10 +94,6 @@ class ZetaVector:
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, "zetas": list(self.zetas)}
-
-
-def zeta_vector_from_dict(data: dict) -> ZetaVector:
-    return ZetaVector(zetas=tuple(float(z) for z in data["zetas"]))
 
 
 # Attempts at a replicate without a (probability-zero) position collision.

@@ -71,7 +71,7 @@ def write_json_doc(
         "config": {key: value for key, value in pairs},
         "data": payload,
     }
-    _write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_text(path: str | Path, lines: list[str]) -> None:

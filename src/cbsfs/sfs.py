@@ -54,9 +54,6 @@ class SfsTable:
             if row.expected_L < 0:
                 raise ValueError(f"expected_L must be >= 0 at k={row.k}")
 
-    def expected_xi_array(self) -> np.ndarray:
-        return np.array([row.expected_xi for row in self.rows])
-
 
 @dataclass(frozen=True)
 class DensityCurve:
@@ -76,6 +73,19 @@ _S_ELL_ABS_TOL = 1e-300
 _S_ELL_REL_TOL = 1e-13
 
 
+def _log_beta_norm(n: int, ell):
+    """log of n!/((l-1)! (n-l)!), the Beta(l, n-l+1) normaliser, at l = ell
+    (an integer or integer array within 1..n).
+
+    Summed as log n + sum_{j<l} log((n-j)/j), whose terms are O(log n):
+    the difference of log-gammas of size n log n loses about 1e-16 n log n
+    to rounding (1e-12 relative on S_1 at n = 1000).
+    """
+    j = np.arange(1, n)
+    partial = np.concatenate([[0.0], np.cumsum(np.log((n - j) / j))])
+    return math.log(n) + partial[np.asarray(ell) - 1]
+
+
 def s_ell(params: ModelParams, n: int, ell: int, z0: float) -> float:
     """Mean tallest-excursion height over the l-th of n ordered uniforms.
 
@@ -90,7 +100,7 @@ def s_ell(params: ModelParams, n: int, ell: int, z0: float) -> float:
         raise ValueError(f"z0 must be positive, got {z0}")
     if ell == 0:
         return 0.0
-    log_norm = special.gammaln(n + 1) - special.gammaln(ell) - special.gammaln(n - ell + 1)
+    log_norm = float(_log_beta_norm(n, ell))
     two_theta_z0 = 2.0 * params.theta * z0
 
     def integrand(v: float) -> float:
@@ -132,8 +142,7 @@ def _s_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _beta_pdf(n: int, ell: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Beta(l, n-l+1) densities at v, one row per entry of the column ell."""
-    log_norm = special.gammaln(n + 1) - special.gammaln(ell) - special.gammaln(n - ell + 1)
-    return np.exp(log_norm + (ell - 1) * np.log(v) + (n - ell) * np.log1p(-v))
+    return np.exp(_log_beta_norm(n, ell) + (ell - 1) * np.log(v) + (n - ell) * np.log1p(-v))
 
 
 def _rule_sums(params: ModelParams, n: int, z0, ells: np.ndarray, kernel) -> np.ndarray:

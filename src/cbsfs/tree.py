@@ -130,24 +130,6 @@ class GenealogyTree:
         }
 
 
-def tree_from_dict(data: dict) -> GenealogyTree:
-    nodes = [
-        TreeNode(
-            id=int(item["id"]),
-            time=float(item["time"]),
-            parent=None if item["parent"] is None else int(item["parent"]),
-            leaf_label=None if item["leaf_label"] is None else int(item["leaf_label"]),
-        )
-        for item in data["nodes"]
-    ]
-    return GenealogyTree(
-        nodes=nodes,
-        root_mode=RootMode(data["root_mode"]),
-        root=int(data["root"]),
-        leaf_ids_by_rank=tuple(int(x) for x in data["leaf_ids_by_rank"]),
-    )
-
-
 def build_tree(config: LeafConfig, zetas: ZetaVector, root_mode: RootMode) -> GenealogyTree:
     """Assemble the explicit tree for one sampled replicate."""
     n, spine = config.n, config.spine_index
@@ -323,48 +305,3 @@ def newick_export(tree: GenealogyTree) -> str:
             length = node.time - tree.nodes[node.parent].time
             rendered[v] = inner + label(node) + f":{length!r}"
     return rendered[tree.root]
-
-
-def parse_newick(text: str):
-    """Parse Newick into nested (label, length, children) tuples.
-
-    Minimal grammar: tree -> subtree ';', subtree -> leaf | '(' list ')'
-    name? (':' length)?.  Used for round-trip checks of the exporter.
-    """
-    text = text.strip()
-    if not text.endswith(";"):
-        raise ValueError("Newick text must end with ';'")
-    body = text[:-1]
-    pos = 0
-
-    def parse_subtree():
-        nonlocal pos
-        children = []
-        if pos < len(body) and body[pos] == "(":
-            pos += 1
-            while True:
-                children.append(parse_subtree())
-                if body[pos] == ",":
-                    pos += 1
-                    continue
-                if body[pos] == ")":
-                    pos += 1
-                    break
-                raise ValueError(f"unexpected character {body[pos]!r} at {pos}")
-        start = pos
-        while pos < len(body) and body[pos] not in ",():;":
-            pos += 1
-        name = body[start:pos]
-        length = None
-        if pos < len(body) and body[pos] == ":":
-            pos += 1
-            start = pos
-            while pos < len(body) and body[pos] not in ",()":
-                pos += 1
-            length = float(body[start:pos])
-        return (name, length, tuple(children))
-
-    result = parse_subtree()
-    if pos != len(body):
-        raise ValueError(f"trailing characters after position {pos}")
-    return result

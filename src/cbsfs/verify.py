@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clonal, model, sfs, specfun
-from ._mc import replicate_rng
+from ._mc import map_replicates
 from .genealogy import sample_population, sample_zetas
 
 
@@ -131,17 +131,21 @@ def suite_quadrature_identities(
     return out
 
 
+def _tmrca_replicate(args, rng) -> float:
+    """Population TMRCA of one genealogy: its deepest branch."""
+    params, n, z0 = args
+    config = sample_population(params, n, rng, condition_z0=z0)
+    return max(sample_zetas(params, config, rng).zetas)
+
+
 def suite_tmrca_law(params: model.ModelParams, reps: int, seed: int) -> list[CheckResult]:
     from scipy import stats  # deferred: importing the CLI must not load it
 
     reps = max(reps, 5000)
     z0 = 2.0 / params.theta
     n = 5
-    maxima = np.empty(reps)
-    for i in range(reps):
-        rng = replicate_rng(seed, i)
-        config = sample_population(params, n, rng, condition_z0=z0)
-        maxima[i] = max(sample_zetas(params, config, rng).zetas)
+    maxima = map_replicates(_tmrca_replicate, (params, n, z0), reps, seed)
+
     def cdf(t):
         t = np.maximum(np.atleast_1d(t).astype(float), 1e-300)
         return np.array([math.exp(-model.extinction_tail(params, v) * z0) for v in t])

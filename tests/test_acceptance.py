@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from cbsfs._mc import replicate_rng
+from cbsfs._mc import map_replicates
 from cbsfs.cli import main as cli_main
 from cbsfs.clonal import mc_clonal, v_representation_check, zcl_moment_ratio_scaled
 from cbsfs.genealogy import (
@@ -36,10 +36,10 @@ from cbsfs.sfs import (
     density_branch_check,
     density_spine_check,
     expected_Lk,
-    expected_sfs,
     g1,
     g2_residual,
     mean_density,
+    simulate_sfs,
 )
 from cbsfs.specfun import (
     beta_fn,
@@ -49,6 +49,7 @@ from cbsfs.specfun import (
     h1_deriv,
 )
 from cbsfs.tree import RootMode, build_tree, edge_lengths_by_count, tree_tmrca
+from cbsfs.verify import _tmrca_replicate
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 ALPHA_ONE = ModelParams(beta=1.0, theta=1.0, mu=2.0)
@@ -95,17 +96,9 @@ def test_criterion_2_sfs_mean_vs_monte_carlo():
     n, reps = 10, 20_000
     worst = 0.0
     for z_index, z0 in enumerate((1.0 / UNIT.theta, 2.0 / UNIT.theta)):
-        table = expected_sfs(UNIT, n, z0)
-        values = np.empty((reps, n - 1))
-        for i in range(reps):
-            rng = replicate_rng(2000 + z_index, i)
-            config = sample_population(UNIT, n, rng, condition_z0=z0)
-            zetas = sample_zetas(UNIT, config, rng)
-            values[i] = UNIT.mu * Lk_all(config, zetas)
-        mean = values.mean(axis=0)
-        se = values.std(axis=0, ddof=1) / math.sqrt(reps)
-        z_scores = np.abs(mean - table.expected_xi_array()) / se
-        worst = max(worst, float(z_scores.max()))
+        table = simulate_sfs(UNIT, n, reps, 2000 + z_index, z0=z0)
+        for row in table.rows:
+            worst = max(worst, abs(row.mc_mean - row.expected_xi) / row.mc_se)
     elapsed = time.perf_counter() - start
     ok = worst < 3.0 and elapsed < 120.0
     assert report(
@@ -193,11 +186,7 @@ def test_criterion_4_density_identities():
 def test_criterion_5_population_tmrca_law():
     start = time.perf_counter()
     reps, n, z0 = 100_000, 5, 1.5
-    maxima = np.empty(reps)
-    for i in range(reps):
-        rng = replicate_rng(5000, i)
-        config = sample_population(UNIT, n, rng, condition_z0=z0)
-        maxima[i] = max(sample_zetas(UNIT, config, rng).zetas)
+    maxima = map_replicates(_tmrca_replicate, (UNIT, n, z0), reps, 5000)
 
     def cdf(t):
         t = np.maximum(np.atleast_1d(t).astype(float), 1e-300)

@@ -185,6 +185,26 @@ class TestBadFlags:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--r-max", "inf", "--format", "json"],
+            ["density", "--r-min", "1e-300", "--r-max", "1e300"],
+            ["g1", "--z", "inf"],
+            ["g1", "--z", "1e308"],
+            ["sfs", "--mode", "simulate", "--z0", "inf", "--reps", 10],
+            ["sample", "--z0", "inf", "--reps", 2],
+            ["clonal", "--mu", "1e300"],
+        ],
+        ids=["density-r-max-inf", "density-ratio-overflow", "g1-z-inf", "g1-z-1e308",
+             "sfs-z0-inf", "sample-z0-inf", "clonal-mu-1e300"],
+    )
+    def test_no_finite_result_writes_nothing(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err.startswith("cbsfs: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestWholeFiles:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         out = tmp_path / "report.txt"

@@ -11,16 +11,16 @@ from cbsfs.genealogy import (
     Lk_all,
     ZetaVector,
     intervals,
-    leaf_config_from_dict,
     population_tree_length,
     sample_population,
     sample_tree_length,
     sample_zetas,
     tmrca_consecutive,
-    zeta_vector_from_dict,
 )
 from cbsfs.model import ModelParams, extinction_tail
 from cbsfs.tree import RootMode, build_tree, edge_lengths_by_count, tree_tmrca
+
+from replay import leaf_config_from_dict, zeta_vector_from_dict
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 

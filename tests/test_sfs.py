@@ -132,11 +132,13 @@ class TestSTable:
 
     @pytest.mark.parametrize(
         "n, ell, z0",
-        [(1, 1, 2.0), (5, 3, 1e-7), (12, 1, 0.4), (12, 12, 9.0), (20, 7, 1e-7), (20, 19, 2.0)],
+        [(1, 1, 2.0), (5, 3, 1e-7), (12, 1, 0.4), (12, 12, 9.0), (20, 7, 1e-7), (20, 19, 2.0),
+         (1000, 1, 1e-3)],
     )
     def test_against_mpmath(self, n, ell, z0):
         # z0 = 1e-7 keeps every 2 theta z0 v below 3e-7, in H's small-x
-        # branch, where the direct closed form would cancel to ~1e-9
+        # branch, where the direct closed form would cancel to ~1e-9; at
+        # n = 1000 a log-gamma difference in the Beta normaliser costs 1e-12
         params = ModelParams(0.7, 1.3, 1.0)
         oracle = s_ell_mpmath(params, n, ell, z0)
         assert abs(mpmath.mpf(s_table(params, n, z0)[ell]) / oracle - 1) <= 1e-13

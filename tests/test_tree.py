@@ -15,9 +15,9 @@ from cbsfs.tree import (
     edge_lengths_by_count,
     leafset_counts,
     newick_export,
-    parse_newick,
-    tree_from_dict,
 )
+
+from replay import parse_newick, tree_from_dict
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 HOT = ModelParams(beta=1.0, theta=1.0, mu=1.5)
