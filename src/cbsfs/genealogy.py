@@ -13,6 +13,9 @@ for the population root.  :func:`tmrca_consecutive` and :func:`Lk_all`
 read the gap depths directly; the explicit tree in :mod:`cbsfs.tree`,
 built by a separate attach walk, is the geometric oracle they are
 tested against.
+
+Each record stores only what it cannot derive: a :class:`LeafConfig` is
+its ordered positions and leaf labels, a :class:`ZetaVector` its depths.
 """
 
 from __future__ import annotations
@@ -37,15 +40,11 @@ class LeafConfig:
     ranks 0 and n+1 and the n sample leaves in between, strictly
     increasing, with the spine leaf at position exactly 0.0 at rank
     ``spine_index``.  ``labels[i]`` is the original sample index (0 for the
-    spine individual) of the leaf at rank i+1.
+    spine individual) of the leaf at rank i+1.  The other fields are
+    read off these two.
     """
 
-    n: int
-    e_g: float
-    e_d: float
-    z0: float
     positions: tuple[float, ...]
-    spine_index: int
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -53,18 +52,30 @@ class LeafConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if len(self.positions) != self.n + 2:
             raise ValueError("positions must have length n + 2")
-        if len(self.labels) != self.n:
-            raise ValueError("labels must have length n")
-        if self.positions[0] != -self.e_g or self.positions[-1] != self.e_d:
-            raise ValueError("positions must start at -e_g and end at e_d")
-        if abs(self.z0 - (self.e_g + self.e_d)) > 1e-12 * max(1.0, self.z0):
-            raise ValueError("z0 must equal e_g + e_d")
         if any(a >= b for a, b in zip(self.positions, self.positions[1:])):
             raise ValueError("positions must be strictly increasing")
-        if not (1 <= self.spine_index <= self.n):
-            raise ValueError("spine_index must lie in [1, n]")
-        if self.positions[self.spine_index] != 0.0:
-            raise ValueError("positions[spine_index] must be exactly 0.0")
+        if 0.0 not in self.positions[1:-1]:
+            raise ValueError("the spine leaf must sit at position 0.0 inside the interval")
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    @property
+    def e_g(self) -> float:
+        return -self.positions[0]
+
+    @property
+    def e_d(self) -> float:
+        return self.positions[-1]
+
+    @property
+    def z0(self) -> float:
+        return self.e_g + self.e_d
+
+    @property
+    def spine_index(self) -> int:
+        return self.positions.index(0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -136,17 +147,11 @@ def sample_population(
         if np.any(np.diff(positions) <= 0.0):
             logger.warning("position collision (probability-zero); redrawing replicate")
             continue
-        spine_index = 1 + int(np.nonzero(leaves[order] == 0.0)[0][0])
-        return LeafConfig(
-            n=n,
-            e_g=float(e_g),
-            e_d=float(e_d),
-            z0=float(z0),
-            positions=tuple(float(x) for x in positions),
-            spine_index=spine_index,
-            labels=tuple(int(i) for i in order),
-        )
-    raise RuntimeError(f"could not draw distinct positions in {_MAX_REDRAWS} attempts")
+        return LeafConfig(positions=tuple(positions.tolist()), labels=tuple(order.tolist()))
+    raise ValueError(
+        f"could not draw {n} distinct leaf positions on an interval of size "
+        f"z0={z0!r} in {_MAX_REDRAWS} attempts"
+    )
 
 
 def intervals(config: LeafConfig) -> np.ndarray:
@@ -157,14 +162,11 @@ def intervals(config: LeafConfig) -> np.ndarray:
     the zero-length singleton; the lengths tile the interval, summing to z0.
     """
     pos = np.asarray(config.positions)
+    s = config.spine_index
     out = np.empty(config.n + 2)
-    for k in range(config.n + 2):
-        if pos[k] < 0.0:
-            out[k] = pos[k + 1] - pos[k]
-        elif pos[k] > 0.0:
-            out[k] = pos[k] - pos[k - 1]
-        else:
-            out[k] = 0.0
+    out[:s] = pos[1 : s + 1] - pos[:s]
+    out[s] = 0.0
+    out[s + 1 :] = pos[s + 1 :] - pos[s:-1]
     return out
 
 
@@ -179,7 +181,7 @@ def sample_zetas(params: ModelParams, config: LeafConfig, rng: np.random.Generat
     while np.any(e == 0.0):  # probability-zero underflow guard
         e = rng.exponential(1.0, size=config.n + 2)
     zetas = np.log1p(2.0 * params.theta * lengths / e) / (2.0 * params.beta * params.theta)
-    return ZetaVector(zetas=tuple(float(z) for z in zetas))
+    return ZetaVector(zetas=tuple(zetas.tolist()))
 
 
 def _gap_depths(config: LeafConfig, zetas: ZetaVector) -> tuple[float, ...]:

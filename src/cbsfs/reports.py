@@ -3,12 +3,14 @@
 Every data file starts with comment lines recording the scientific
 configuration that produced it (never the worker count, which must not
 change the bytes).  Floats are written with repr, the shortest exact
-round-trip form, so re-runs with the same seed are byte-identical.
+round-trip form, so re-runs with the same seed are byte-identical.  Both
+formats refuse non-finite floats, so an overflowed result writes no file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -21,6 +23,8 @@ def fmt_value(x) -> str:
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"Out of range float values are not CSV compliant: {x!r}")
         return repr(x)
     return str(x)
 

@@ -8,14 +8,17 @@ including the interval endpoints (population root).
 
 Trees are parent-pointer node lists with times (0 at the leaves, negative
 below), which makes TMRCA queries an upward walk and length accounting a
-single pass over edges.  The mutation overlay is a Poisson sprinkling on
-edges; a mutation's carrier set is the leaf set under its edge, so carrier
-counts are per-edge quantities.
+single pass over edges.  A node's id is its index in the list, the leaves
+are nodes 0..n-1 in position-rank order and the root is the one node
+without a parent; the walk reads only ranks and depths, never positions.
+The mutation overlay is a Poisson sprinkling on edges; a mutation's
+carrier set is the leaf set under its edge, so carrier counts are
+per-edge quantities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -36,7 +39,8 @@ class RootMode(str, Enum):
 
 @dataclass
 class TreeNode:
-    id: int
+    """One node; its id is its index in ``GenealogyTree.nodes``."""
+
     time: float  # 0.0 at leaves, strictly negative below
     parent: int | None
     leaf_label: int | None = None
@@ -46,27 +50,29 @@ class TreeNode:
 class GenealogyTree:
     """Rooted tree over the n sample leaves.
 
-    ``leaf_ids_by_rank[r - 1]`` is the node id of the leaf at position rank
-    r (1..n); ``leaf_label`` on leaf nodes is the original sample index.
+    The leaves are nodes 0..n-1 in position-rank order and ``leaf_label``
+    on each is its original sample index.  ``root`` is the one node without
+    a parent.
     """
 
     nodes: list[TreeNode]
     root_mode: RootMode
-    root: int
-    leaf_ids_by_rank: tuple[int, ...]
-    _children: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        self._children = {}
-        for node in self.nodes:
-            if node.parent is not None:
-                self._children.setdefault(node.parent, []).append(node.id)
-        for kids in self._children.values():
-            kids.sort()
+        self._children: dict[int, list[int]] = {}
+        roots = []
+        for i, node in enumerate(self.nodes):
+            if node.parent is None:
+                roots.append(i)
+            else:
+                self._children.setdefault(node.parent, []).append(i)
+        if len(roots) != 1:
+            raise StructuralError(f"expected a single root, found {roots}")
+        self.root = roots[0]
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaf_ids_by_rank)
+        return sum(node.leaf_label is not None for node in self.nodes)
 
     def children(self, node_id: int) -> list[int]:
         return self._children.get(node_id, [])
@@ -75,32 +81,29 @@ class GenealogyTree:
         return -self.nodes[node_id].time
 
     def edges(self):
-        """Yield (child_id, parent_id, length) for every edge."""
-        for node in self.nodes:
+        """Yield (child_id, parent_id, length) for every edge, by child id."""
+        for i, node in enumerate(self.nodes):
             if node.parent is not None:
-                yield node.id, node.parent, node.time - self.nodes[node.parent].time
+                yield i, node.parent, node.time - self.nodes[node.parent].time
 
     def total_length(self) -> float:
         return sum(length for _, _, length in self.edges())
 
     def validate(self) -> None:
-        roots = [node.id for node in self.nodes if node.parent is None]
-        if roots != [self.root]:
-            raise StructuralError(f"expected single root {self.root}, found {roots}")
-        for rank_id in self.leaf_ids_by_rank:
-            if self.nodes[rank_id].time != 0.0:
-                raise StructuralError("leaf times must be exactly 0")
+        labelled = [i for i, node in enumerate(self.nodes) if node.leaf_label is not None]
+        if labelled != list(range(len(labelled))):
+            raise StructuralError(f"leaves must be nodes 0..n-1, found {labelled}")
+        if any(self.nodes[i].time != 0.0 for i in labelled):
+            raise StructuralError("leaf times must be exactly 0")
         for child, parent, length in self.edges():
             if not length > 0.0:
                 raise StructuralError(f"edge {child}->{parent} has length {length}")
 
     def leaf_counts(self) -> dict[int, int]:
         """Sample leaves under each node (a leaf counts itself)."""
-        counts = {node.id: 0 for node in self.nodes}
-        for leaf_id in self.leaf_ids_by_rank:
-            counts[leaf_id] = 1
-        # nodes are created parents-after-children except the leaves, so a
-        # reverse topological pass is easiest via explicit stack
+        counts = {i: int(node.leaf_label is not None) for i, node in enumerate(self.nodes)}
+        # internal nodes are not created in topological order, so walk down
+        # from the root and accumulate in reverse
         order: list[int] = []
         stack = [self.root]
         while stack:
@@ -117,15 +120,15 @@ class GenealogyTree:
             "schema_version": SCHEMA_VERSION,
             "root_mode": self.root_mode.value,
             "root": self.root,
-            "leaf_ids_by_rank": list(self.leaf_ids_by_rank),
+            "leaf_ids_by_rank": list(range(self.n_leaves)),
             "nodes": [
                 {
-                    "id": node.id,
+                    "id": i,
                     "time": node.time,
                     "parent": node.parent,
                     "leaf_label": node.leaf_label,
                 }
-                for node in self.nodes
+                for i, node in enumerate(self.nodes)
             ],
         }
 
@@ -133,7 +136,6 @@ class GenealogyTree:
 def build_tree(config: LeafConfig, zetas: ZetaVector, root_mode: RootMode) -> GenealogyTree:
     """Assemble the explicit tree for one sampled replicate."""
     n, spine = config.n, config.spine_index
-    x = config.positions
     z = zetas.zetas
 
     # Attachment target of each non-spine leaf branch: first strictly
@@ -142,7 +144,7 @@ def build_tree(config: LeafConfig, zetas: ZetaVector, root_mode: RootMode) -> Ge
     for k in range(1, n + 1):
         if k == spine:
             continue
-        step = 1 if x[k] < 0.0 else -1
+        step = 1 if k < spine else -1
         m = k + step
         while m != spine and z[m] <= z[k]:
             if z[m] == z[k]:
@@ -150,11 +152,8 @@ def build_tree(config: LeafConfig, zetas: ZetaVector, root_mode: RootMode) -> Ge
             m += step
         attach[k] = m
 
-    nodes = [
-        TreeNode(id=rank - 1, time=0.0, parent=None, leaf_label=config.labels[rank - 1])
-        for rank in range(1, n + 1)
-    ]
-    leaf_ids_by_rank = tuple(range(n))
+    # Leaf of rank r is node r-1.
+    nodes = [TreeNode(time=0.0, parent=None, leaf_label=label) for label in config.labels]
 
     # One internal node per attachment, at the branch's own depth on its
     # target lineage; it is simultaneously the bottom of branch k and a
@@ -162,9 +161,8 @@ def build_tree(config: LeafConfig, zetas: ZetaVector, root_mode: RootMode) -> Ge
     branch_node: dict[int, int] = {}
     events: dict[int, list[tuple[float, int]]] = {}
     for k in sorted(attach):
-        node = TreeNode(id=len(nodes), time=-z[k], parent=None)
-        nodes.append(node)
-        branch_node[k] = node.id
+        branch_node[k] = len(nodes)
+        nodes.append(TreeNode(time=-z[k], parent=None))
         events.setdefault(attach[k], []).append((z[k], k))
 
     # Chain each lineage's branching points by depth; the deepest element
@@ -188,21 +186,10 @@ def build_tree(config: LeafConfig, zetas: ZetaVector, root_mode: RootMode) -> Ge
     if root_mode is RootMode.POPULATION_MRCA:
         root_depth = max(z)
         if root_depth > -nodes[deepest_on_spine].time:
-            root = TreeNode(id=len(nodes), time=-root_depth, parent=None)
-            nodes.append(root)
-            nodes[deepest_on_spine].parent = root.id
-            root_id = root.id
-        else:
-            root_id = deepest_on_spine
-    else:
-        root_id = deepest_on_spine
+            nodes[deepest_on_spine].parent = len(nodes)
+            nodes.append(TreeNode(time=-root_depth, parent=None))
 
-    tree = GenealogyTree(
-        nodes=nodes,
-        root_mode=root_mode,
-        root=root_id,
-        leaf_ids_by_rank=leaf_ids_by_rank,
-    )
+    tree = GenealogyTree(nodes=nodes, root_mode=root_mode)
     tree.validate()
     return tree
 
@@ -262,7 +249,7 @@ def drop_mutations(
     function of (tree, seed).
     """
     atoms: list[tuple[int, float]] = []
-    for child, _, length in sorted(tree.edges()):
+    for child, _, length in tree.edges():
         count = int(rng.poisson(params.mu * length))
         if count:
             for depth in rng.uniform(0.0, length, size=count):

@@ -2,6 +2,8 @@
 
 The package only writes these forms (``to_dict`` records and Newick text);
 reading them back is needed only to check that the writers lose nothing.
+The readers take only the keys the records cannot derive (node ids are
+list positions); the round-trip tests compare the derived keys.
 """
 
 from cbsfs.genealogy import LeafConfig, ZetaVector
@@ -10,12 +12,7 @@ from cbsfs.tree import GenealogyTree, RootMode, TreeNode
 
 def leaf_config_from_dict(data: dict) -> LeafConfig:
     return LeafConfig(
-        n=int(data["n"]),
-        e_g=float(data["e_g"]),
-        e_d=float(data["e_d"]),
-        z0=float(data["z0"]),
         positions=tuple(float(x) for x in data["positions"]),
-        spine_index=int(data["spine_index"]),
         labels=tuple(int(x) for x in data["labels"]),
     )
 
@@ -27,19 +24,13 @@ def zeta_vector_from_dict(data: dict) -> ZetaVector:
 def tree_from_dict(data: dict) -> GenealogyTree:
     nodes = [
         TreeNode(
-            id=int(item["id"]),
             time=float(item["time"]),
             parent=None if item["parent"] is None else int(item["parent"]),
             leaf_label=None if item["leaf_label"] is None else int(item["leaf_label"]),
         )
         for item in data["nodes"]
     ]
-    return GenealogyTree(
-        nodes=nodes,
-        root_mode=RootMode(data["root_mode"]),
-        root=int(data["root"]),
-        leaf_ids_by_rank=tuple(int(x) for x in data["leaf_ids_by_rank"]),
-    )
+    return GenealogyTree(nodes=nodes, root_mode=RootMode(data["root_mode"]))
 
 
 def parse_newick(text: str):

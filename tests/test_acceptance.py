@@ -71,7 +71,7 @@ def test_criterion_1_tree_oracle_equivalence():
         tree = build_tree(config, zetas, RootMode.SAMPLE_MRCA)
         for j in range(1, n + 1):
             for l in range(j + 1, n + 1):
-                leaf_ids = [tree.leaf_ids_by_rank[i - 1] for i in range(j, l + 1)]
+                leaf_ids = list(range(j - 1, l))  # ranks j..l
                 dev = abs(
                     tmrca_consecutive(config, zetas, j, l) - tree_tmrca(tree, leaf_ids)
                 )

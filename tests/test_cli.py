@@ -195,9 +195,13 @@ class TestBadFlags:
             ["sfs", "--mode", "simulate", "--z0", "inf", "--reps", 10],
             ["sample", "--z0", "inf", "--reps", 2],
             ["clonal", "--mu", "1e300"],
+            ["clonal", "--n-max", "400"],
+            ["sample", "--n", "200", "--z0", "1e-320", "--reps", "1"],
+            ["sfs", "--mode", "simulate", "--n", "200", "--z0", "1e-320", "--reps", "2"],
         ],
         ids=["density-r-max-inf", "density-ratio-overflow", "g1-z-inf", "g1-z-1e308",
-             "sfs-z0-inf", "sample-z0-inf", "clonal-mu-1e300"],
+             "sfs-z0-inf", "sample-z0-inf", "clonal-mu-1e300", "clonal-n-max-400",
+             "sample-z0-subnormal", "sfs-z0-subnormal"],
     )
     def test_no_finite_result_writes_nothing(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", tmp_path / "x") == 1

@@ -88,12 +88,29 @@ class TestSamplePopulation:
             sample_population(UNIT, 0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             sample_population(UNIT, 2, np.random.default_rng(0), condition_z0=-1.0)
+
+    @pytest.mark.parametrize(
+        "positions,labels",
+        [
+            ((), ()),  # no leaf
+            ((-1.0, 0.0, 1.0), (0, 1)),  # two labels, one leaf position
+            ((-1.0, 0.0, 0.5, 1.0), (0,)),  # one label, two leaf positions
+            ((-1.0, 0.0, -0.5, 1.0), (0, 1)),  # decreasing
+            ((-1.0, 0.0, 0.0, 1.0), (0, 1)),  # tied
+            ((-1.0, 0.5, 1.0), (0,)),  # spine leaf not at 0
+            ((0.0, 0.5, 1.0), (0,)),  # 0.0 only at an interval endpoint
+        ],
+        ids=["empty", "short-positions", "long-positions", "decreasing", "tied",
+             "no-spine", "spine-at-endpoint"],
+    )
+    def test_config_invariants(self, positions, labels):
         with pytest.raises(ValueError):
-            LeafConfig(
-                n=1, e_g=1.0, e_d=1.0, z0=2.0,
-                positions=(-1.0, 0.5, 1.0),  # spine leaf not at 0
-                spine_index=1, labels=(0,),
-            )
+            LeafConfig(positions=positions, labels=labels)
+
+    def test_derived_fields(self):
+        config = LeafConfig(positions=(-0.7, -0.2, 0.0, 1.1), labels=(1, 0))
+        assert (config.n, config.e_g, config.e_d, config.spine_index) == (2, 0.7, 1.1, 2)
+        assert config.z0 == 0.7 + 1.1
 
 
 class TestIntervals:
@@ -127,10 +144,7 @@ class TestIntervals:
 
 def _single_leaf_config(e_g, e_d):
     """Hand-set n = 1 interval: rank 0 governs e_g and rank 2 governs e_d."""
-    return LeafConfig(
-        n=1, e_g=e_g, e_d=e_d, z0=e_g + e_d,
-        positions=(-e_g, 0.0, e_d), spine_index=1, labels=(0,),
-    )
+    return LeafConfig(positions=(-e_g, 0.0, e_d), labels=(0,))
 
 
 class TestZetaStar:
@@ -189,12 +203,7 @@ class TestSampleZetas:
 def _fig_config():
     """Hand-set five-leaf instance mirroring the worked attachment diagram."""
     config = LeafConfig(
-        n=5,
-        e_g=2.0,
-        e_d=1.8,
-        z0=3.8,
         positions=(-2.0, -1.4, -0.6, 0.0, 0.4, 1.2, 1.8),
-        spine_index=3,
         labels=(1, 2, 0, 3, 4),
     )
     zetas = ZetaVector(zetas=(0.3, 1.0, 2.5, 0.0, 1.3, 3.5, 0.2))
@@ -202,8 +211,8 @@ def _fig_config():
 
 
 def _leaf_edges(tree):
-    """Length of each leaf's own edge, by position rank."""
-    return [-tree.nodes[tree.nodes[i].parent].time for i in tree.leaf_ids_by_rank]
+    """Length of each leaf's own edge, by position rank (leaf ids are ranks - 1)."""
+    return [-tree.nodes[tree.nodes[i].parent].time for i in range(tree.n_leaves)]
 
 
 def _spine_at_end_config(params, n, rng, at_left):
@@ -212,14 +221,11 @@ def _spine_at_end_config(params, n, rng, at_left):
     others = sorted(float(u) for u in rng.uniform(size=n - 1))
     if at_left:
         inner = (0.0, *(e_d * u for u in others))
-        spine_index, labels = 1, tuple(range(n))
+        labels = tuple(range(n))
     else:
         inner = (*(-e_g * u for u in reversed(others)), 0.0)
-        spine_index, labels = n, (*range(1, n), 0)
-    return LeafConfig(
-        n=n, e_g=e_g, e_d=e_d, z0=e_g + e_d,
-        positions=(-e_g, *inner, e_d), spine_index=spine_index, labels=labels,
-    )
+        labels = (*range(1, n), 0)
+    return LeafConfig(positions=(-e_g, *inner, e_d), labels=labels)
 
 
 class TestBuildTree:
@@ -237,7 +243,7 @@ class TestBuildTree:
     def test_worked_attachment_pattern(self):
         config, zetas = _fig_config()
         tree = build_tree(config, zetas, RootMode.SAMPLE_MRCA)
-        leaf = {rank: tree.leaf_ids_by_rank[rank - 1] for rank in range(1, 6)}
+        leaf = {rank: rank - 1 for rank in range(1, 6)}  # leaf ids are ranks - 1
         # rank 1 (depth 1.0) merges into rank 2's branch: the two leaves
         # share the node at depth 1.0, and rank 2's branch carries on to the
         # spine at 2.5; ranks 4 and 5 merge straight into the spine
@@ -289,10 +295,9 @@ class TestBuildTree:
             t_pop = build_tree(config, zetas, RootMode.POPULATION_MRCA)
             n = config.n
             for j in range(1, n):
-                pair_s = [t_sample.leaf_ids_by_rank[j - 1], t_sample.leaf_ids_by_rank[j]]
-                pair_p = [t_pop.leaf_ids_by_rank[j - 1], t_pop.leaf_ids_by_rank[j]]
-                assert tree_tmrca(t_sample, pair_s) == pytest.approx(
-                    tree_tmrca(t_pop, pair_p), abs=1e-15
+                pair = [j - 1, j]  # the leaves at ranks j and j+1
+                assert tree_tmrca(t_sample, pair) == pytest.approx(
+                    tree_tmrca(t_pop, pair), abs=1e-15
                 )
             extra = t_pop.total_length() - t_sample.total_length()
             interior = zetas.zetas[1 : n + 1]
@@ -309,7 +314,7 @@ class TestClosedFormsAgainstTreeOracle:
             for j in range(1, n + 1):
                 assert tmrca_consecutive(config, zetas, j, j) == 0.0
                 for l in range(j + 1, n + 1):
-                    leaf_ids = [tree.leaf_ids_by_rank[i - 1] for i in range(j, l + 1)]
+                    leaf_ids = list(range(j - 1, l))  # ranks j..l
                     assert tmrca_consecutive(config, zetas, j, l) == pytest.approx(
                         tree_tmrca(tree, leaf_ids), abs=1e-12
                     )

@@ -1,0 +1,109 @@
+"""Property tests of the gap-depth statistics against the explicit tree.
+
+Configurations are built by hand from the two fields a ``LeafConfig``
+keeps, with the spine at every rank and arm lengths and branch depths
+spread over e^-3..e^3, so the attach walk in ``build_tree`` is checked on
+shapes the sampler reaches only rarely.  The examples are derandomized so
+the suite stays seeded.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cbsfs.genealogy import (
+    LeafConfig,
+    Lk_all,
+    ZetaVector,
+    intervals,
+    population_tree_length,
+    sample_tree_length,
+    tmrca_consecutive,
+)
+from cbsfs.tree import (
+    RootMode,
+    StructuralError,
+    build_tree,
+    edge_lengths_by_count,
+    tree_tmrca,
+)
+
+SEEDED = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+def _arm(draw, count: int, length: float) -> list[float]:
+    """``count`` distinct leaf offsets strictly inside (0, length), sorted."""
+    grid = draw(st.lists(st.integers(1, 999), min_size=count, max_size=count, unique=True))
+    return sorted(length * g / 1000 for g in grid)
+
+
+@st.composite
+def replicates(draw, min_n: int = 1):
+    """A hand-built (config, zetas) pair with distinct nonzero depths."""
+    n = draw(st.integers(min_n, 12))
+    spine = draw(st.integers(1, n))
+    e_g, e_d = (math.exp(draw(st.floats(-3.0, 3.0))) for _ in range(2))
+    left = [-x for x in reversed(_arm(draw, spine - 1, e_g))]
+    right = _arm(draw, n - spine, e_d)
+    labels = draw(st.permutations(range(n)))
+    config = LeafConfig(positions=(-e_g, *left, 0.0, *right, e_d), labels=tuple(labels))
+    # one depth per rank on a log scale, in disjoint slots so none tie
+    slots = draw(st.permutations(range(n + 2)))
+    jitter = draw(st.lists(st.floats(0.1, 0.9), min_size=n + 2, max_size=n + 2))
+    depths = [math.exp(-3.0 + 6.0 * (slot + u) / (n + 2)) for slot, u in zip(slots, jitter)]
+    depths[spine] = 0.0
+    return config, ZetaVector(zetas=tuple(depths)), spine
+
+
+@SEEDED
+@given(replicates())
+def test_config_reads_its_fields(case):
+    config, _, spine = case
+    assert config.spine_index == spine
+    assert intervals(config).sum() == pytest.approx(config.z0, rel=1e-12)
+
+
+@SEEDED
+@given(replicates())
+def test_gap_statistics_match_the_tree(case):
+    config, zetas, _ = case
+    n = config.n
+    tree = build_tree(config, zetas, RootMode.SAMPLE_MRCA)
+    by_count = edge_lengths_by_count(tree)
+    assert set(by_count) <= set(range(1, n))
+    assert Lk_all(config, zetas) == pytest.approx(
+        [by_count.get(k, 0.0) for k in range(1, n)], rel=1e-12, abs=1e-12
+    )
+    for j in range(1, n + 1):
+        for l in range(j, n + 1):
+            leaf_ids = list(range(j - 1, l))  # ranks j..l
+            assert tmrca_consecutive(config, zetas, j, l) == tree_tmrca(tree, leaf_ids)
+
+
+@SEEDED
+@given(replicates())
+def test_tree_lengths_match_the_tree(case):
+    config, zetas, _ = case
+    sample = build_tree(config, zetas, RootMode.SAMPLE_MRCA)
+    population = build_tree(config, zetas, RootMode.POPULATION_MRCA)
+    assert sample_tree_length(config, zetas) == pytest.approx(sample.total_length(), rel=1e-12)
+    assert population_tree_length(config, zetas) == pytest.approx(
+        population.total_length(), rel=1e-12
+    )
+
+
+@SEEDED
+@given(replicates(min_n=3), st.data(), st.sampled_from(RootMode))
+def test_tied_depths_met_by_the_walk_raise(case, data, mode):
+    # two sample branches of equal depth with only shallower branches
+    # between them meet on the walk toward the spine: either one reaches
+    # the other, or both land on the spine at the same depth
+    config, zetas, spine = case
+    others = [k for k in range(1, config.n + 1) if k != spine]
+    a, b = sorted(data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True)))
+    z = list(zetas.zetas)
+    z[a] = z[b] = 2.0 * max(z[a : b + 1])
+    with pytest.raises(StructuralError):
+        build_tree(config, ZetaVector(zetas=tuple(z)), mode)

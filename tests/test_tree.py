@@ -9,7 +9,10 @@ from scipy import stats
 from cbsfs.genealogy import Lk_all, sample_population, sample_zetas
 from cbsfs.model import ModelParams
 from cbsfs.tree import (
+    GenealogyTree,
     RootMode,
+    StructuralError,
+    TreeNode,
     build_tree,
     drop_mutations,
     edge_lengths_by_count,
@@ -155,3 +158,45 @@ class TestTreeSerialization:
         clone = tree_from_dict(tree.to_dict())
         assert clone.to_dict() == tree.to_dict()
         assert clone.total_length() == pytest.approx(tree.total_length(), abs=1e-15)
+
+
+class TestTreeInvariants:
+    """The root and the leaf ids are read off the node list; these are the
+    checks that remain."""
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            [],
+            [TreeNode(0.0, None, 0), TreeNode(0.0, None, 1)],  # two roots
+            [TreeNode(0.0, 1, 0), TreeNode(-1.0, 0)],  # a cycle, no root
+        ],
+        ids=["empty", "two-roots", "no-root"],
+    )
+    def test_exactly_one_root(self, nodes):
+        with pytest.raises(StructuralError):
+            GenealogyTree(nodes=nodes, root_mode=RootMode.SAMPLE_MRCA)
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            # a leaf after an internal node
+            [TreeNode(-1.0, None), TreeNode(0.0, 0, 0), TreeNode(0.0, 0, 1)],
+            # an unlabelled node among the first n
+            [TreeNode(0.0, 2, 0), TreeNode(-0.5, 2), TreeNode(-1.0, None), TreeNode(0.0, 1, 1)],
+        ],
+        ids=["leaf-after-internal", "unlabelled-among-leaves"],
+    )
+    def test_leaves_are_the_first_nodes(self, nodes):
+        tree = GenealogyTree(nodes=nodes, root_mode=RootMode.SAMPLE_MRCA)
+        with pytest.raises(StructuralError):
+            tree.validate()
+
+    def test_derived_keys(self):
+        cherry = [TreeNode(0.0, 2, 1), TreeNode(0.0, 2, 0), TreeNode(-1.0, None)]
+        tree = GenealogyTree(nodes=cherry, root_mode=RootMode.SAMPLE_MRCA)
+        tree.validate()
+        data = tree.to_dict()
+        assert (tree.root, tree.n_leaves, tree.children(2)) == (2, 2, [0, 1])
+        assert data["root"] == 2 and data["leaf_ids_by_rank"] == [0, 1]
+        assert [node["id"] for node in data["nodes"]] == [0, 1, 2]
