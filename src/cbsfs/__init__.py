@@ -1,6 +1,11 @@
 """Exact sampled genealogies, site frequency spectra and clonal statistics
 for a stationary population driven by a quadratic branching mechanism."""
 
+import logging
+
+# Library logging: the application decides whether warnings are shown.
+logging.getLogger("cbsfs").addHandler(logging.NullHandler())
+
 from .clonal import (
     ClonalSummary,
     MomentReport,

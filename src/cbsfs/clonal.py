@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._mc import map_replicates, mean_and_se
 from .genealogy import population_tree_length, sample_population, sample_zetas
@@ -95,9 +94,7 @@ def _scaled_brackets(alpha: float, n: int) -> dict[str, float]:
     b_q1 = beta_fn(n, q1)
     b_q0 = beta_fn(n, q0)
     # (n-1) beta(n-1, q0) continued through Gamma(n)Gamma(q0)/Gamma(n-1+q0)
-    nm1_beta = math.exp(
-        special.gammaln(n) + special.gammaln(q0) - special.gammaln(n - 1 + q0)
-    )
+    nm1_beta = math.exp(math.lgamma(n) + math.lgamma(q0) - math.lgamma(n - 1 + q0))
     return {
         "A": 1.0 / n - b_q2,
         "A0": 1.0 / n - 2.0 * b_q2 + b_q3,

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import special
-
 from .specfun import adaptive_quad
 
 
@@ -107,7 +105,7 @@ def z0_moment(params: ModelParams, k: int) -> float:
     k = int(k)
     if k <= 150:
         return math.factorial(k + 1) / (2.0 * params.theta) ** k
-    log_m = float(special.gammaln(k + 2)) - k * math.log(2.0 * params.theta)
+    log_m = math.lgamma(k + 2) - k * math.log(2.0 * params.theta)
     try:
         return math.exp(log_m)
     except OverflowError:

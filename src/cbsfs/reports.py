@@ -75,7 +75,9 @@ def write_json_doc(
         "config": {key: value for key, value in pairs},
         "data": payload,
     }
-    _write(path, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    # compact separators keep json on its C encoder (indent forces pure Python)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    _write(path, text + "\n")
 
 
 def write_text(path: str | Path, lines: list[str]) -> None:

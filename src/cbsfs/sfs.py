@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._mc import map_replicates, mean_and_se
 from .genealogy import Lk_all, sample_population, sample_zetas
@@ -200,6 +199,8 @@ def expected_Lk(params: ModelParams, n: int, k: int, z0: float) -> float:
 def _z0_quad_nodes(params: ModelParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     # Gauss-Laguerre with weight t e^{-t} integrates the Gamma(2, 2 theta)
     # law exactly after t = 2 theta z
+    from scipy import special  # deferred: importing the package must not load scipy
+
     t, w = special.roots_genlaguerre(nodes, 1.0)
     return t / (2.0 * params.theta), w
 

@@ -1,7 +1,9 @@
 """Special functions and quadrature behind the closed-form expectations.
 
-The standard pieces (digamma, Euler Beta, the incomplete gamma tail
-``Gamma(0, r)``) are thin wrappers over scipy.special.  The nonstandard
+The standard pieces are thin wrappers: the Euler Beta goes through
+``math.lgamma``, while digamma and the incomplete gamma tail ``Gamma(0, r)``
+wrap scipy.special, which they import when called, so importing the
+package loads no scipy module.  The nonstandard
 pieces are the integral kernels ``H``, ``h0`` and ``h1`` that drive the
 expected branch-length expansion.  Their defining integrands contain the
 piecewise weight :func:`f_integrand`, which jumps at u = 1, so every
@@ -23,7 +25,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import special
 
 # Euler-Mascheroni constant, 20 digits.
 EULER_GAMMA = 0.57721566490153286061
@@ -75,6 +76,8 @@ def digamma(x: float) -> float:
     """Digamma Psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
     if not x > 0:
         raise ValueError(f"digamma requires x > 0, got {x}")
+    from scipy import special  # deferred: importing the package must not load scipy
+
     return float(special.psi(x))
 
 
@@ -82,13 +85,15 @@ def beta_fn(a: float, b: float) -> float:
     """Euler Beta B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), via log-Gamma."""
     if not (a > 0 and b > 0):
         raise ValueError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    return math.exp(special.gammaln(a) + special.gammaln(b) - special.gammaln(a + b))
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def gamma_upper_zero(r: float) -> float:
     """Incomplete gamma tail Gamma(0, r) = int_r^inf e^{-v}/v dv, r > 0."""
     if not r > 0:
         raise ValueError(f"gamma_upper_zero requires r > 0, got {r}")
+    from scipy import special  # deferred: importing the package must not load scipy
+
     return float(special.exp1(r))
 
 
@@ -152,6 +157,8 @@ def _H_small(x, xp):
 
 
 def _H_mid(x, xp):
+    from scipy import special  # deferred: importing the package must not load scipy
+
     return (EULER_GAMMA + xp.log(x) + xp.exp(x) * special.exp1(x)) / x
 
 

@@ -272,23 +272,18 @@ def newick_export(tree: GenealogyTree) -> str:
     def label(node: TreeNode) -> str:
         return f"X{node.leaf_label}" if node.leaf_label is not None else ""
 
-    root = tree.nodes[tree.root]
-    if not tree.children(tree.root):
-        return f"({label(root)}:0.0);"
-    rendered: dict[int, str] = {}
-    stack: list[tuple[int, bool]] = [(tree.root, False)]
-    while stack:
-        v, expanded = stack.pop()
-        kids = tree.children(v)
-        if kids and not expanded:
-            stack.append((v, True))
-            stack.extend((c, False) for c in kids)
-            continue
-        node = tree.nodes[v]
-        inner = "(" + ",".join(rendered[c] for c in kids) + ")" if kids else ""
-        if v == tree.root:
-            rendered[v] = inner + label(node) + ";"
-        else:
-            length = node.time - tree.nodes[node.parent].time
-            rendered[v] = inner + label(node) + f":{length!r}"
-    return rendered[tree.root]
+    nodes, root = tree.nodes, tree.root
+    if not tree.children(root):
+        return f"({label(nodes[root])}:0.0);"
+    # every parent precedes its children in ``order``, so in reverse each
+    # node's children are rendered before it
+    order = [root]
+    for v in order:
+        order.extend(tree.children(v))
+    rendered = [""] * len(nodes)
+    for v in reversed(order):
+        node, kids = nodes[v], tree.children(v)
+        inner = "(" + ",".join([rendered[c] for c in kids]) + ")" if kids else ""
+        length = "" if v == root else f":{node.time - nodes[node.parent].time!r}"
+        rendered[v] = inner + label(node) + length
+    return rendered[root] + ";"

@@ -13,10 +13,22 @@ from cbsfs.cli import main
 from cbsfs.clonal import e_zcl_pow_r
 from cbsfs.model import ModelParams
 from cbsfs.reports import write_text
+from cbsfs.tree import RootMode, build_tree, newick_export
+from replay import leaf_config_from_dict, tree_from_dict, zeta_vector_from_dict
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_python(*args, cwd=None):
+    """A fresh interpreter with the package on its path (module state such
+    as sys.modules and logging handlers starts clean)."""
+    src = str(Path(cbsfs.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
 
 
 class TestSampleCommand:
@@ -43,6 +55,38 @@ class TestSampleCommand:
         assert run("sample", "--n", 1, "--reps", 1, "--seed", 5, "--root-mode", "sample",
                    "--out", out) == 0
         assert out.with_suffix(".nwk").read_text().strip() == "(X0:0.0);"
+
+    @pytest.mark.parametrize("root_mode", ["sample", "population"])
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_records_replay(self, tmp_path, n, root_mode):
+        # every record rebuilds its tree and Newick line from its own draw
+        out = tmp_path / "run"
+        assert run("sample", "--n", n, "--reps", 4, "--seed", 9, "--root-mode", root_mode,
+                   "--out", out) == 0
+        doc = json.loads(out.with_suffix(".json").read_text())
+        lines = out.with_suffix(".nwk").read_text().splitlines()
+        assert len(doc["data"]) == len(lines) == 4
+        mode = RootMode(doc["config"]["root_mode"])
+        for record, line in zip(doc["data"], lines):
+            tree = build_tree(
+                leaf_config_from_dict(record["leaf_config"]),
+                zeta_vector_from_dict(record["zetas"]),
+                mode,
+            )
+            assert tree == tree_from_dict(record["tree"])
+            assert newick_export(tree) == record["newick"] == line
+
+    def test_collision_warnings_stay_silent(self, tmp_path):
+        # the redraw warnings go to the package logger, which shows nothing
+        # unless the application configures logging
+        proc = run_python("-m", "cbsfs.cli", "sample", "--n", "200", "--z0", "1e-320",
+                          "--reps", "1", "--out", str(tmp_path / "x"))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "cbsfs: could not draw 200 distinct leaf positions on an interval "
+            "of size z0=1e-320 in 64 attempts"
+        ]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSfsCommand:
@@ -221,15 +265,27 @@ class TestWholeFiles:
 
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():
-    # together they roughly doubled the CLI's start-up time; only `verify`
-    # and the quadrature routes use them, and they import them when called
+    # scipy.special, .stats and .integrate together more than doubled the
+    # CLI's start-up time; the routes that use them import them when called
+    code = "import sys, cbsfs.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "20", "--reps", "3"],
+        ["clonal", "--mode", "simulate", "--n-max", "3", "--reps", "100", "--workers", "2"],
+    ],
+    ids=["sample", "clonal-simulate"],
+)
+def test_commands_leave_scipy_special_unloaded(tmp_path, argv):
     code = (
-        "import sys, cbsfs.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        "import sys; from cbsfs.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, 'scipy.special' in sys.modules)"
     )
-    src = str(Path(cbsfs.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert out.stdout.strip() == "[]"
+    proc = run_python("-c", code, *argv, "--out", str(tmp_path / "out"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -78,9 +79,35 @@ class TestJointMoment:
                 z0_moment(tiny, n - 1), rel=1e-7
             )
 
+    @pytest.mark.parametrize(
+        "params", [ALPHA_ONE, ALPHA_HALF, ModelParams(beta=0.7, theta=1.3, mu=0.05)]
+    )
+    def test_mpmath_oracle(self, params):
+        # the same formula with 40-digit Beta factors and factorials
+        with mpmath.workdps(40):
+            a = mpmath.mpf(params.alpha)
+            for n in range(1, 11):
+                bracket = mpmath.beta(n, (2 + a) / (1 + a)) + mpmath.beta(n, a / (1 + a))
+                bracket -= 2 / mpmath.mpf(n)
+                size = mpmath.factorial(n) / (2 * mpmath.mpf(params.theta)) ** (n - 1)
+                ref = a / (1 + a) ** n * bracket * size
+                assert float(abs(e_zcl_pow_r(params, n) - ref) / ref) < 1e-13
+
     def test_monte_carlo_tree_route(self):
         report = mc_clonal(ALPHA_ONE, 2, reps=200_000, seed=61, statistic="zpow_r")
         assert abs(report.mc_mean - report.analytic) < 3.0 * report.mc_se
+
+
+class TestSizeMomentLogGamma:
+    @pytest.mark.parametrize("k", [151, 300])
+    def test_mpmath_oracle(self, k):
+        # beyond k = 150 z0_moment goes through lgamma(k + 2); theta = 50
+        # keeps (k+1)!/(2 theta)^k finite at k = 300.  Its logarithm is ~1400,
+        # so each rounding costs ~1.5e-13 relative
+        params = ModelParams(beta=1.0, theta=50.0, mu=1.0)
+        with mpmath.workdps(40):
+            ref = mpmath.factorial(k + 1) / (2 * mpmath.mpf(params.theta)) ** k
+            assert float(abs(z0_moment(params, k) - ref) / ref) < 1e-12
 
 
 class TestClonalMassMoment:

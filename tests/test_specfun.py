@@ -72,6 +72,19 @@ class TestBetaFn:
         for a, b in rng.uniform(0.1, 30.0, size=(100, 2)):
             assert beta_fn(a, b) == pytest.approx(beta_fn(b, a), rel=1e-13)
 
+    def test_mpmath_oracle(self):
+        # B(n, q) = exp(lgamma(n) + lgamma(q) - lgamma(n + q)): near n = 1000
+        # each log-Gamma is ~5900, whose half-ulp is 4.5e-13, so the route's
+        # floor is a few 1e-12 (worst seen 2.3e-12; scipy's gammaln 2.7e-12)
+        qs = [1e-3, 0.01, 0.1, 1 / 3, 0.5, 2 / 3, 0.9, 1.0, 1.5, 5 / 3, 2.0, 7 / 3, 2.5, 2.9, 3.0]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for n in range(1, 1001):
+                for q in qs:
+                    ref = mpmath.beta(n, q)
+                    worst = max(worst, float(abs(beta_fn(n, q) - ref) / ref))
+        assert worst < 3e-12
+
     def test_domain(self):
         with pytest.raises(ValueError):
             beta_fn(0.0, 1.0)
