@@ -7,8 +7,6 @@ import logging
 logging.getLogger("cbsfs").addHandler(logging.NullHandler())
 
 from .clonal import (
-    ClonalSummary,
-    MomentReport,
     clonal_summary,
     e_zcl_pow,
     e_zcl_pow_r,
@@ -40,16 +38,10 @@ from .model import (
     z0_moment,
 )
 from .sfs import (
-    DensityCurve,
-    SfsRow,
-    SfsTable,
     density_branch_check,
-    density_curve,
     density_spine_check,
-    expected_Lk,
     expected_sfs,
     g1,
-    g1_curve,
     g2_residual,
     mean_density,
     s_ell,

@@ -21,7 +21,7 @@ from .clonal import MC_STATISTICS, clonal_summary, e_zcl_pow, e_zcl_pow_r, mc_cl
 from .genealogy import sample_population, sample_zetas
 from .model import ModelParams
 from .reports import fmt_value, write_csv, write_json_doc, write_text
-from .sfs import SIMULATE_MODES, density_curve, expected_sfs, g1_curve, simulate_sfs
+from .sfs import SIMULATE_MODES, expected_sfs, g1, mean_density, simulate_sfs
 from .specfun import QuadratureError
 from .tree import RootMode, build_tree, drop_mutations, newick_export
 
@@ -161,10 +161,9 @@ def _emit_table(args, command: str, pairs, columns, rows) -> None:
 
 
 def cmd_sfs(args, params: ModelParams) -> int:
-    if args.mode == "expected":
-        table = expected_sfs(params, args.n, args.z0)
-    else:
-        table = simulate_sfs(
+    mc_mean = mc_se = [None] * (args.n - 1)
+    if args.mode == "simulate":
+        mean, se = simulate_sfs(
             params,
             args.n,
             args.reps,
@@ -173,11 +172,13 @@ def cmd_sfs(args, params: ModelParams) -> int:
             mode=args.sim_mode,
             workers=args.workers,
         )
+        mc_mean, mc_se = mean.tolist(), se.tolist()
+    lk = expected_sfs(params, args.n, args.z0).tolist()
     pairs = config_pairs(args, mode=args.mode)
     columns = ["k", "expected_L", "expected_xi", "mc_mean", "mc_se"]
     rows = [
-        [row.k, row.expected_L, row.expected_xi, row.mc_mean, row.mc_se]
-        for row in table.rows
+        [k, length, params.mu * length, m, s]
+        for k, length, m, s in zip(range(1, args.n), lk, mc_mean, mc_se)
     ]
     _emit_table(args, "sfs", pairs, columns, rows)
     return 0
@@ -190,9 +191,13 @@ def cmd_density(args, params: ModelParams) -> int:
     if not math.isfinite(step):
         raise ValueError("r-max / r-min overflows a float")
     grid = [args.r_min * step**i for i in range(args.points)]
-    curve = density_curve(params, grid)
+    fs = [mean_density(params, r) for r in grid]
+    if any(f <= 0 for f in fs):
+        raise ValueError("density values must be positive")
+    if any(a <= b for a, b in zip(fs, fs[1:])):
+        raise ValueError("density must decrease along the grid")
     pairs = config_pairs(args, r_min=args.r_min, r_max=args.r_max, points=args.points)
-    _emit_table(args, "density", pairs, ["r", "f"], [[r, f] for r, f in curve.points])
+    _emit_table(args, "density", pairs, ["r", "f"], [[r, f] for r, f in zip(grid, fs)])
     return 0
 
 
@@ -203,7 +208,7 @@ def cmd_g1(args, params: ModelParams) -> int:
     if args.u_points < 2:
         raise ValueError("--u-points must be >= 2")
     u_grid = [i / (args.u_points - 1) for i in range(args.u_points)]
-    rows = g1_curve(z_values, u_grid)
+    rows = [[u] + [g1(z, u) for z in z_values] for u in u_grid]
     pairs = config_pairs(args, z=args.z, u_points=args.u_points)
     columns = ["u"] + [f"g1[z={fmt_value(z)}]" for z in z_values]
     _emit_table(args, "g1", pairs, columns, rows)
@@ -213,10 +218,12 @@ def cmd_g1(args, params: ModelParams) -> int:
 def cmd_clonal(args, params: ModelParams) -> int:
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
+    moment = e_zcl_pow_r if args.statistic == "zpow_r" else e_zcl_pow
     rows = []
     for n in range(1, args.n_max + 1):
+        mc = [None, None]
         if args.mode == "simulate":
-            report = mc_clonal(
+            mc = mc_clonal(
                 params,
                 n,
                 args.reps,
@@ -224,18 +231,15 @@ def cmd_clonal(args, params: ModelParams) -> int:
                 statistic=args.statistic,
                 workers=args.workers,
             )
-            rows.append([n, report.analytic, report.mc_mean, report.mc_se])
-        else:
-            moment = e_zcl_pow_r if args.statistic == "zpow_r" else e_zcl_pow
-            rows.append([n, moment(params, n), None, None])
+        rows.append([n, moment(params, n), *mc])
     summary = clonal_summary(params)
     pairs = config_pairs(
         args,
         mode=args.mode,
         statistic=args.statistic,
-        e_r=summary.e_r,
-        e_zcl=summary.e_zcl,
-        cov_r_z0=summary.cov_r_z0,
+        e_r=summary["e_r"],
+        e_zcl=summary["e_zcl"],
+        cov_r_z0=summary["cov_r_z0"],
     )
     _emit_table(args, "clonal", pairs, ["n", "analytic", "mc_mean", "mc_se"], rows)
     return 0
@@ -249,17 +253,15 @@ def cmd_verify(args, params: ModelParams) -> int:
         )
         return 2
     results = verify.run_suite(args.suite, params, args.reps, args.seed)
-    lines = []
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        lines.append(f"[{status}] {result.name} — {result.detail}")
-    lines.append(
-        f"{sum(r.passed for r in results)}/{len(results)} checks passed in suite {args.suite!r}"
-    )
+    lines = [
+        f"[{'PASS' if passed else 'FAIL'}] {name} — {detail}" for name, passed, detail in results
+    ]
+    passes = sum(passed for _, passed, _ in results)
+    lines.append(f"{passes}/{len(results)} checks passed in suite {args.suite!r}")
     print("\n".join(lines))
     if args.out:
         write_text(args.out, lines)
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if passes == len(results) else 1
 
 
 COMMANDS = {

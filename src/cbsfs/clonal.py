@@ -17,7 +17,6 @@ uniform product representation over n+1 independent uniforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,30 +24,6 @@ from ._mc import map_replicates, mean_and_se
 from .genealogy import population_tree_length, sample_population, sample_zetas
 from .model import ModelParams, z0_moment
 from .specfun import beta_fn
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    n: int
-    analytic: float
-    mc_mean: float | None = None
-    mc_se: float | None = None
-    reps: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.mc_se is not None and self.mc_se < 0:
-            raise ValueError("mc_se must be nonnegative")
-        if not math.isfinite(self.analytic):
-            raise ValueError("analytic moment must be finite")
-
-
-@dataclass(frozen=True)
-class ClonalSummary:
-    e_r: float
-    e_zcl: float
-    cov_r_z0: float
-    normalized_cov: float
-    note: str
 
 
 def u_moment(alpha: float, k: int, a: float) -> float:
@@ -147,8 +122,9 @@ def e_zcl_pow(params: ModelParams, n: int) -> float:
     return zcl_moment_ratio_scaled(params, n) * (1.0 + a) ** (-n) * z0_moment(params, n)
 
 
-def clonal_summary(params: ModelParams) -> ClonalSummary:
-    """First moments of the clonal fraction R and mass Z_cl.
+def clonal_summary(params: ModelParams) -> dict[str, float]:
+    """First moments of the clonal fraction R and mass Z_cl: ``e_r``,
+    ``e_zcl``, ``cov_r_z0`` and ``normalized_cov``.
 
     ``normalized_cov`` is Cov(R, Z0)/(E[R] E[Z0]) = -1 + 3/(alpha+3), an
     exact identity of the closed forms.  The Pearson coefficient is a
@@ -157,20 +133,12 @@ def clonal_summary(params: ModelParams) -> ClonalSummary:
     """
     a = params.alpha
     e_z0 = 1.0 / params.theta
-    e_r = 2.0 / ((a + 1.0) * (a + 2.0))
-    e_zcl = 6.0 / ((a + 1.0) * (a + 2.0) * (a + 3.0)) * e_z0
-    cov = -2.0 * a / ((a + 1.0) * (a + 2.0) * (a + 3.0)) * e_z0
-    return ClonalSummary(
-        e_r=e_r,
-        e_zcl=e_zcl,
-        cov_r_z0=cov,
-        normalized_cov=-1.0 + 3.0 / (a + 3.0),
-        note=(
-            "normalized_cov = Cov(R,Z0)/(E[R]E[Z0]); the Pearson "
-            "coefficient requires Var(R), closed form unavailable, "
-            "Monte-Carlo estimable via E[R^n] = E[e^(-mu L_n)]"
-        ),
-    )
+    return {
+        "e_r": 2.0 / ((a + 1.0) * (a + 2.0)),
+        "e_zcl": 6.0 / ((a + 1.0) * (a + 2.0) * (a + 3.0)) * e_z0,
+        "cov_r_z0": -2.0 * a / ((a + 1.0) * (a + 2.0) * (a + 3.0)) * e_z0,
+        "normalized_cov": -1.0 + 3.0 / (a + 3.0),
+    }
 
 
 MC_STATISTICS = ("zpow_r", "zpow")
@@ -192,8 +160,9 @@ def mc_clonal(
     seed: int,
     statistic: str = "zpow_r",
     workers: int = 1,
-) -> MomentReport:
-    """Genealogy-route Monte Carlo for E[Z_cl^{n-1} R] or E[Z_cl^n].
+) -> tuple[float, float]:
+    """Genealogy-route Monte Carlo for E[Z_cl^{n-1} R] or E[Z_cl^n]: the
+    mean over replicates and its standard error.
 
     Each replicate samples an unconditioned population-rooted genealogy
     and evaluates Z0^p e^{-mu L_n}; the total length L_n comes from the
@@ -206,18 +175,15 @@ def mc_clonal(
         raise ValueError(f"need reps >= 100, got {reps}")
     values = map_replicates(_clonal_replicate, (params, n, statistic), reps, seed, workers)
     mean, se = mean_and_se(values)
-    analytic = e_zcl_pow_r(params, n) if statistic == "zpow_r" else e_zcl_pow(params, n)
-    return MomentReport(
-        n=n, analytic=analytic, mc_mean=float(mean[0]), mc_se=float(se[0]), reps=reps
-    )
+    return float(mean[0]), float(se[0])
 
 
 def v_representation_check(
     params: ModelParams, n: int, reps: int, seed: int
-) -> MomentReport:
+) -> tuple[float, float]:
     """Second, tree-free Monte-Carlo route to E[Z_cl^{n-1} R]:
     E[Z0^{n-1}] * E[min(V_1..V_{n+1})^alpha * prod_{j=2}^n V_j^alpha]
-    over independent uniforms V."""
+    over independent uniforms V; the mean and its standard error."""
     if reps < 100:
         raise ValueError(f"need reps >= 100, got {reps}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
@@ -228,8 +194,4 @@ def v_representation_check(
     if n >= 2:
         stat = stat * np.prod(v[:, 1:n] ** a, axis=1)
     values = scale * stat
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(reps))
-    return MomentReport(
-        n=n, analytic=e_zcl_pow_r(params, n), mc_mean=mean, mc_se=se, reps=reps
-    )
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(reps))

@@ -24,7 +24,6 @@ mu * L_k directly or draws Poisson counts with those means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,38 +31,6 @@ from ._mc import map_replicates, mean_and_se
 from .genealogy import Lk_all, sample_population, sample_zetas
 from .model import ModelParams, canonical_density
 from .specfun import EULER_GAMMA, H_closed, adaptive_quad, gamma_upper_zero, h1_deriv
-
-
-@dataclass(frozen=True)
-class SfsRow:
-    k: int
-    expected_L: float
-    expected_xi: float
-    mc_mean: float | None = None
-    mc_se: float | None = None
-
-
-@dataclass(frozen=True)
-class SfsTable:
-    n: int
-    rows: tuple[SfsRow, ...]
-
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if row.expected_L < 0:
-                raise ValueError(f"expected_L must be >= 0 at k={row.k}")
-
-
-@dataclass(frozen=True)
-class DensityCurve:
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        fs = [f for _, f in self.points]
-        if any(f <= 0 for f in fs):
-            raise ValueError("density values must be positive")
-        if any(a <= b for a, b in zip(fs, fs[1:])):
-            raise ValueError("density must decrease along the grid")
 
 
 # Tolerances of the per-l reference: relative only, tight enough to resolve
@@ -151,6 +118,12 @@ def _rule_sums(params: ModelParams, n: int, z0, ells: np.ndarray, kernel) -> np.
     if not np.all((z0 > 0) & np.isfinite(z0)):
         raise ValueError(f"z0 must be positive and finite, got {z0}")
     v, w = _s_rule(n)
+    # 2 theta z0 v is smallest at the smallest z0 and the first node
+    if not 2.0 * params.theta * z0.min() * v[0] > 0:
+        raise ValueError(
+            f"z0 = {z0} is too small: 2 theta z0 v underflows to 0 at the smallest "
+            f"quadrature node v = {v[0]:.3g}"
+        )
     z = z0.reshape(-1, 1)
     f = (z * v / params.beta) * H_closed(2.0 * params.theta * z * v) * w
     out = np.empty((z.shape[0], ells.size))
@@ -187,15 +160,6 @@ def _expected_lengths(params: ModelParams, n: int, z0, ks: np.ndarray) -> np.nda
     return _rule_sums(params, n, z0, ks, kernel)
 
 
-def expected_Lk(params: ModelParams, n: int, k: int, z0: float) -> float:
-    """E[L_k | Z0 = z0] = (n-k)(2 S_k - S_{k-1} - S_{k+1}) + S_{k+1} - S_{k-1}."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not (1 <= k <= n - 1):
-        raise IndexError(f"need 1 <= k <= n-1, got k={k}")
-    return float(_expected_lengths(params, n, z0, np.array([k]))[0])
-
-
 def _z0_quad_nodes(params: ModelParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     # Gauss-Laguerre with weight t e^{-t} integrates the Gamma(2, 2 theta)
     # law exactly after t = 2 theta z
@@ -209,10 +173,11 @@ def _z0_quad_nodes(params: ModelParams, nodes: int) -> tuple[np.ndarray, np.ndar
 _Z0_NODES = 40
 
 
-def expected_sfs(params: ModelParams, n: int, z0: float | None = None) -> SfsTable:
-    """Expected L_k and xi_k for k = 1..n-1, conditioned on z0 or averaged
+def expected_sfs(params: ModelParams, n: int, z0: float | None = None) -> np.ndarray:
+    """E[L_k] for k = 1..n-1 (entry k-1), conditioned on z0 or averaged
     over the stationary population-size law when z0 is None (one row of
-    lengths per Gauss-Laguerre node, all from one pass)."""
+    lengths per Gauss-Laguerre node, all from one pass).  E[xi_k] is mu
+    times it."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     ks = np.arange(1, n)
@@ -221,11 +186,10 @@ def expected_sfs(params: ModelParams, n: int, z0: float | None = None) -> SfsTab
     else:
         zs, ws = _z0_quad_nodes(params, _Z0_NODES)
         lk = ws @ _expected_lengths(params, n, zs, ks)
-    rows = tuple(
-        SfsRow(k=k, expected_L=float(lk[k - 1]), expected_xi=float(params.mu * lk[k - 1]))
-        for k in range(1, n)
-    )
-    return SfsTable(n=n, rows=rows)
+    negative = np.flatnonzero(lk < 0)
+    if negative.size:
+        raise ValueError(f"expected_L must be >= 0 at k={negative[0] + 1}")
+    return lk
 
 
 def g1(z: float, u: float) -> float:
@@ -258,7 +222,9 @@ def g1(z: float, u: float) -> float:
 def g2_residual(params: ModelParams, n: int, k: int, z0: float) -> float:
     """Scaled remainder after the 1/k and g1/k terms are removed:
     (n^2/sqrt(k)) * (beta E[L_k|Z0]/z0 - 1/k - g1(theta z0, k/n)/k)."""
-    lk = expected_Lk(params, n, k, z0)
+    if not (1 <= k <= n - 1):
+        raise IndexError(f"need 1 <= k <= n-1, got k={k}")
+    lk = float(_expected_lengths(params, n, z0, np.array([k]))[0])
     lead = 1.0 / k + g1(params.theta * z0, k / n) / k
     return (n * n / math.sqrt(k)) * (params.beta * lk / z0 - lead)
 
@@ -284,8 +250,9 @@ def simulate_sfs(
     z0: float | None = None,
     mode: str = "expected-lengths",
     workers: int = 1,
-) -> SfsTable:
-    """Monte-Carlo spectrum over seeded replicates, beside the analytic one.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo spectrum over seeded replicates: the mean of the
+    per-replicate values for k = 1..n-1 and its standard error.
 
     "expected-lengths" averages mu * L_k per replicate; "poisson-counts"
     draws the mutation counts themselves (same means, larger variance).
@@ -295,18 +262,7 @@ def simulate_sfs(
     if mode not in SIMULATE_MODES:
         raise ValueError(f"mode must be one of {SIMULATE_MODES}, got {mode!r}")
     values = map_replicates(_sfs_replicate, (params, n, z0, mode), reps, seed, workers)
-    mean, se = mean_and_se(values)
-    rows = tuple(
-        SfsRow(
-            k=row.k,
-            expected_L=row.expected_L,
-            expected_xi=row.expected_xi,
-            mc_mean=float(mean[row.k - 1]),
-            mc_se=float(se[row.k - 1]),
-        )
-        for row in expected_sfs(params, n, z0).rows
-    )
-    return SfsTable(n=n, rows=rows)
+    return mean_and_se(values)
 
 
 def mean_density(params: ModelParams, r: float) -> float:
@@ -319,11 +275,6 @@ def mean_density(params: ModelParams, r: float) -> float:
     return (params.mu / params.beta) * (
         decay / (params.theta * r) + decay + x * gamma_upper_zero(x)
     )
-
-
-def density_curve(params: ModelParams, grid) -> DensityCurve:
-    rs = sorted(float(r) for r in grid)
-    return DensityCurve(points=tuple((r, mean_density(params, r)) for r in rs))
 
 
 def density_branch_check(params: ModelParams, r: float) -> float:
@@ -346,13 +297,3 @@ def density_spine_check(params: ModelParams, r: float) -> float:
         return (1.0 + u) / (u * u) * math.exp(-x / u)
 
     return (x / params.beta) * adaptive_quad(integrand, 0.0, 1.0)
-
-
-def g1_curve(z_values, u_grid) -> list[list[float]]:
-    """Rows (u, g1(z_1, u), ..., g1(z_m, u)) for export; u = 0 rows are exact 0."""
-    zs = [float(z) for z in z_values]
-    rows = []
-    for u in u_grid:
-        u = float(u)
-        rows.append([u] + [g1(z, u) for z in zs])
-    return rows

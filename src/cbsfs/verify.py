@@ -1,6 +1,7 @@
 """Self-check suites behind `cbsfs verify`.
 
-Each suite is a list of named checks returning (name, passed, detail).
+Each suite returns a list of checks, each a (name, passed, detail) tuple
+with ``passed`` a bool.
 Analytic identities are held to their quadrature tolerances; Monte-Carlo
 comparisons use a 4-standard-error margin so the suites stay robust under
 user-chosen seeds (the pytest acceptance suite pins seeds and uses the
@@ -10,7 +11,6 @@ stricter 3 SE).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +18,7 @@ from . import clonal, model, sfs, specfun
 from ._mc import map_replicates
 from .genealogy import sample_population, sample_zetas
 
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _check(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
+Check = tuple[str, bool, str]  # (name, passed, detail)
 
 
 def _z_score(mean: float, target: float, se: float) -> float:
@@ -36,27 +27,27 @@ def _z_score(mean: float, target: float, se: float) -> float:
     return 0.0 if mean == target else math.inf
 
 
-def suite_specfun(params: model.ModelParams, reps: int, seed: int) -> list[CheckResult]:
+def suite_specfun(params: model.ModelParams, reps: int, seed: int) -> list[Check]:
     out = []
     worst = max(
         abs(specfun.digamma(x + 1.0) - specfun.digamma(x) - 1.0 / x)
         for x in (0.5, 3.7, 42.0, 1e-3, 250.0)
     )
-    out.append(_check("digamma recurrence", worst < 1e-12, f"max dev {worst:.2e}"))
+    out.append(("digamma recurrence", worst < 1e-12, f"max dev {worst:.2e}"))
     bounds_ok = all(
         math.log(x) - 1.0 / x <= specfun.digamma(x) <= math.log(x) - 1.0 / (2.0 * x)
         for x in (0.1, 1.0, 7.3, 100.0)
     )
-    out.append(_check("digamma log bounds", bounds_ok, "log x - 1/x <= psi <= log x - 1/2x"))
+    out.append(("digamma log bounds", bounds_ok, "log x - 1/x <= psi <= log x - 1/2x"))
     shift = abs(specfun.beta_fn(4.0, 1.7) - (0.7 / 4.0) * specfun.beta_fn(5.0, 0.7))
-    out.append(_check("beta shift identity", shift < 1e-14, f"dev {shift:.2e}"))
+    out.append(("beta shift identity", shift < 1e-14, f"dev {shift:.2e}"))
     from scipy import integrate  # deferred: importing the CLI must not load it
 
     oracle, _ = integrate.quad(lambda v: math.exp(-v) / v, 1.0, np.inf, epsabs=1e-14)
     dev = abs(specfun.gamma_upper_zero(1.0) - oracle)
-    out.append(_check("incomplete gamma at 1 vs quadrature", dev < 1e-12, f"dev {dev:.2e}"))
+    out.append(("incomplete gamma at 1 vs quadrature", dev < 1e-12, f"dev {dev:.2e}"))
     out.append(
-        _check(
+        (
             "incomplete gamma tail",
             specfun.gamma_upper_zero(50.0) < 1e-20,
             f"Gamma(0,50) = {specfun.gamma_upper_zero(50.0):.3e}",
@@ -72,7 +63,7 @@ def suite_specfun(params: model.ModelParams, reps: int, seed: int) -> list[Check
             - specfun.EULER_GAMMA
         )
         worst = max(worst, abs(specfun.H_scale(x) / decomp - 1.0))
-    out.append(_check("H decomposition identity", worst < 1e-9, f"max rel dev {worst:.2e}"))
+    out.append(("H decomposition identity", worst < 1e-9, f"max rel dev {worst:.2e}"))
     worst = 0.0
     for x in (0.5, 2.0, 20.0):
         step = 1e-5
@@ -83,13 +74,13 @@ def suite_specfun(params: model.ModelParams, reps: int, seed: int) -> list[Check
             abs(specfun.h1_deriv(x, 1) - fd1),
             abs(specfun.h1_deriv(x, 2) - fd2),
         )
-    out.append(_check("h1 derivatives vs finite differences", worst < 1e-5, f"max dev {worst:.2e}"))
+    out.append(("h1 derivatives vs finite differences", worst < 1e-5, f"max dev {worst:.2e}"))
     return out
 
 
 def suite_quadrature_identities(
     params: model.ModelParams, reps: int, seed: int
-) -> list[CheckResult]:
+) -> list[Check]:
     out = []
     worst = 0.0
     for r in (0.1, 1.0, 5.0):
@@ -97,7 +88,7 @@ def suite_quadrature_identities(
             sfs.density_branch_check(params, r) + sfs.density_spine_check(params, r)
         )
         worst = max(worst, abs(sfs.mean_density(params, r) - combined))
-    out.append(_check("density = branch + spine quadratures", worst < 1e-8, f"max dev {worst:.2e}"))
+    out.append(("density = branch + spine quadratures", worst < 1e-8, f"max dev {worst:.2e}"))
     r0 = 1e-6
     small = abs(sfs.mean_density(params, r0) * params.beta * params.theta * r0 / params.mu - 1.0)
     r1 = 50.0 / params.theta  # scaled tail deviates by exactly 1/(2x) + O(1/x^2)
@@ -108,7 +99,7 @@ def suite_quadrature_identities(
         / (2.0 * params.mu)
         - 1.0
     )
-    out.append(_check("density asymptotes", small < 1e-4 and big < 1e-2, f"r->0 {small:.1e}, r->inf {big:.1e}"))
+    out.append(("density asymptotes", small < 1e-4 and big < 1e-2, f"r->0 {small:.1e}, r->inf {big:.1e}"))
     worst_mass = worst_mean = 0.0
     for t in (0.5, 1.0, 3.0):
         mass = specfun.adaptive_quad(
@@ -120,14 +111,14 @@ def suite_quadrature_identities(
         )
         decay = math.exp(-2.0 * params.beta * params.theta * t)
         worst_mean = max(worst_mean, abs(mean - decay))
-    out.append(_check("surviving-mass density total = c(t)", worst_mass < 1e-9, f"max dev {worst_mass:.2e}"))
-    out.append(_check("surviving-mass density mean = decay", worst_mean < 1e-9, f"max dev {worst_mean:.2e}"))
+    out.append(("surviving-mass density total = c(t)", worst_mass < 1e-9, f"max dev {worst_mass:.2e}"))
+    out.append(("surviving-mass density mean = decay", worst_mean < 1e-9, f"max dev {worst_mean:.2e}"))
     dev = abs(model.kesten_expectation(params, 1.0, lambda r: 1.0) - 1.0)
-    out.append(_check("size-biased law is a probability", dev < 1e-9, f"dev {dev:.2e}"))
+    out.append(("size-biased law is a probability", dev < 1e-9, f"dev {dev:.2e}"))
     worst = max(
         abs(specfun.H_closed(x) / specfun.H_scale(x) - 1.0) for x in (0.05, 0.7, 3.0, 40.0)
     )
-    out.append(_check("H closed form vs quadrature", worst < 1e-10, f"max rel dev {worst:.2e}"))
+    out.append(("H closed form vs quadrature", worst < 1e-10, f"max rel dev {worst:.2e}"))
     return out
 
 
@@ -138,7 +129,7 @@ def _tmrca_replicate(args, rng) -> float:
     return max(sample_zetas(params, config, rng).zetas)
 
 
-def suite_tmrca_law(params: model.ModelParams, reps: int, seed: int) -> list[CheckResult]:
+def suite_tmrca_law(params: model.ModelParams, reps: int, seed: int) -> list[Check]:
     from scipy import stats  # deferred: importing the CLI must not load it
 
     reps = max(reps, 5000)
@@ -148,27 +139,28 @@ def suite_tmrca_law(params: model.ModelParams, reps: int, seed: int) -> list[Che
 
     def cdf(t):
         t = np.maximum(np.atleast_1d(t).astype(float), 1e-300)
-        return np.array([math.exp(-model.extinction_tail(params, v) * z0) for v in t])
+        return np.array([model.tmrca_cdf(params, v, z0) for v in t])
 
     ks = stats.kstest(maxima, cdf)
     threshold = 1.63 / math.sqrt(reps)
     return [
-        _check(
+        (
             "population TMRCA law (KS, alpha=0.01)",
-            ks.statistic < threshold,
+            bool(ks.statistic < threshold),
             f"KS {ks.statistic:.5f} < {threshold:.5f} at {reps} reps",
         )
     ]
 
 
-def suite_sfs_mc(params: model.ModelParams, reps: int, seed: int) -> list[CheckResult]:
+def suite_sfs_mc(params: model.ModelParams, reps: int, seed: int) -> list[Check]:
     n = 10
     reps = max(reps, 2000)
     z0 = 2.0 / params.theta
-    table = sfs.simulate_sfs(params, n, reps, seed, z0=z0)
-    worst = max(_z_score(row.mc_mean, row.expected_xi, row.mc_se) for row in table.rows)
+    mean, se = sfs.simulate_sfs(params, n, reps, seed, z0=z0)
+    xi = params.mu * sfs.expected_sfs(params, n, z0)
+    worst = max(map(_z_score, mean.tolist(), xi.tolist(), se.tolist()))
     return [
-        _check(
+        (
             "simulated spectrum vs expected (4 SE)",
             worst < 4.0,
             f"max |z| = {worst:.2f} over k=1..{n - 1} at {reps} reps",
@@ -176,18 +168,18 @@ def suite_sfs_mc(params: model.ModelParams, reps: int, seed: int) -> list[CheckR
     ]
 
 
-def suite_clonal(params: model.ModelParams, reps: int, seed: int) -> list[CheckResult]:
+def suite_clonal(params: model.ModelParams, reps: int, seed: int) -> list[Check]:
     out = []
     reps = max(reps, 5000)
     lhs = clonal.u_moment(1.0, 3, 2.0)
     rhs = (2.0 / 3.0) * specfun.beta_fn(4.0, 1.0) / 4.0
-    out.append(_check("uniform-moment recursion", abs(lhs - rhs) < 1e-14, f"dev {abs(lhs - rhs):.2e}"))
-    report = clonal.mc_clonal(params, 1, reps, seed, statistic="zpow_r")
-    z = _z_score(report.mc_mean, report.analytic, report.mc_se)
-    out.append(_check("clonal fraction mean vs MC (4 SE)", z < 4.0, f"|z| = {z:.2f} at {reps} reps"))
-    report = clonal.v_representation_check(params, 3, reps, seed)
-    z = _z_score(report.mc_mean, report.analytic, report.mc_se)
-    out.append(_check("uniform-product route vs closed form (4 SE)", z < 4.0, f"|z| = {z:.2f}"))
+    out.append(("uniform-moment recursion", abs(lhs - rhs) < 1e-14, f"dev {abs(lhs - rhs):.2e}"))
+    mean, se = clonal.mc_clonal(params, 1, reps, seed, statistic="zpow_r")
+    z = _z_score(mean, clonal.e_zcl_pow_r(params, 1), se)
+    out.append(("clonal fraction mean vs MC (4 SE)", z < 4.0, f"|z| = {z:.2f} at {reps} reps"))
+    mean, se = clonal.v_representation_check(params, 3, reps, seed)
+    z = _z_score(mean, clonal.e_zcl_pow_r(params, 3), se)
+    out.append(("uniform-product route vs closed form (4 SE)", z < 4.0, f"|z| = {z:.2f}"))
     return out
 
 
@@ -200,7 +192,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, params: model.ModelParams, reps: int, seed: int) -> list[CheckResult]:
+def run_suite(name: str, params: model.ModelParams, reps: int, seed: int) -> list[Check]:
     if name == "all":
         results = []
         for suite in SUITES.values():

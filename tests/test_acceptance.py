@@ -24,7 +24,13 @@ from scipy import integrate, stats
 
 from cbsfs._mc import map_replicates
 from cbsfs.cli import main as cli_main
-from cbsfs.clonal import mc_clonal, v_representation_check, zcl_moment_ratio_scaled
+from cbsfs.clonal import (
+    e_zcl_pow,
+    e_zcl_pow_r,
+    mc_clonal,
+    v_representation_check,
+    zcl_moment_ratio_scaled,
+)
 from cbsfs.genealogy import (
     Lk_all,
     sample_population,
@@ -35,7 +41,7 @@ from cbsfs.model import ModelParams, extinction_tail
 from cbsfs.sfs import (
     density_branch_check,
     density_spine_check,
-    expected_Lk,
+    expected_sfs,
     g1,
     g2_residual,
     mean_density,
@@ -96,9 +102,9 @@ def test_criterion_2_sfs_mean_vs_monte_carlo():
     n, reps = 10, 20_000
     worst = 0.0
     for z_index, z0 in enumerate((1.0 / UNIT.theta, 2.0 / UNIT.theta)):
-        table = simulate_sfs(UNIT, n, reps, 2000 + z_index, z0=z0)
-        for row in table.rows:
-            worst = max(worst, abs(row.mc_mean - row.expected_xi) / row.mc_se)
+        mean, se = simulate_sfs(UNIT, n, reps, 2000 + z_index, z0=z0)
+        xi = UNIT.mu * expected_sfs(UNIT, n, z0)
+        worst = max(worst, float(np.max(np.abs(mean - xi) / se)))
     elapsed = time.perf_counter() - start
     ok = worst < 3.0 and elapsed < 120.0
     assert report(
@@ -142,7 +148,7 @@ def test_criterion_3_limit_convergence():
         for n in (20, 80, 320):
             k = int(round(u * n))
             limit = (UNIT.mu * z0 / UNIT.beta) * (1.0 + g1(z, u))
-            errors.append(abs(k * UNIT.mu * expected_Lk(UNIT, n, k, z0) - limit))
+            errors.append(abs(k * UNIT.mu * expected_sfs(UNIT, n, z0)[k - 1] - limit))
         ok = ok and errors[0] > errors[1] > errors[2]
         details.append(f"u={u}: " + "->".join(f"{e:.1e}" for e in errors))
     elapsed = time.perf_counter() - start
@@ -208,22 +214,21 @@ def test_criterion_6_clonal_moments_three_way():
     start = time.perf_counter()
     ok = True
     details = []
-    r_report = mc_clonal(ALPHA_ONE, 1, reps=100_000, seed=6001, statistic="zpow_r")
-    z_r = abs(r_report.mc_mean - 1.0 / 3.0) / r_report.mc_se
-    ok &= r_report.analytic == pytest.approx(1.0 / 3.0, rel=1e-12) and z_r < 3.0
+    mean, se = mc_clonal(ALPHA_ONE, 1, reps=100_000, seed=6001, statistic="zpow_r")
+    z_r = abs(mean - 1.0 / 3.0) / se
+    ok &= e_zcl_pow_r(ALPHA_ONE, 1) == pytest.approx(1.0 / 3.0, rel=1e-12) and z_r < 3.0
     details.append(f"E[R]: |z|={z_r:.2f}")
-    zcl_report = mc_clonal(ALPHA_ONE, 1, reps=100_000, seed=6002, statistic="zpow")
-    z_z = abs(zcl_report.mc_mean - 0.25) / zcl_report.mc_se
-    ok &= zcl_report.analytic == pytest.approx(0.25, rel=1e-12) and z_z < 3.0
+    mean, se = mc_clonal(ALPHA_ONE, 1, reps=100_000, seed=6002, statistic="zpow")
+    z_z = abs(mean - 0.25) / se
+    ok &= e_zcl_pow(ALPHA_ONE, 1) == pytest.approx(0.25, rel=1e-12) and z_z < 3.0
     details.append(f"E[Zcl]: |z|={z_z:.2f}")
     for n in (2, 3, 5):
-        tree_route = mc_clonal(ALPHA_ONE, n, reps=100_000, seed=6010 + n)
-        v_route = v_representation_check(ALPHA_ONE, n, reps=400_000, seed=6020 + n)
-        z_tree = abs(tree_route.mc_mean - tree_route.analytic) / tree_route.mc_se
-        z_v = abs(v_route.mc_mean - v_route.analytic) / v_route.mc_se
-        z_cross = abs(tree_route.mc_mean - v_route.mc_mean) / math.hypot(
-            tree_route.mc_se, v_route.mc_se
-        )
+        tree_mean, tree_se = mc_clonal(ALPHA_ONE, n, reps=100_000, seed=6010 + n)
+        v_mean, v_se = v_representation_check(ALPHA_ONE, n, reps=400_000, seed=6020 + n)
+        analytic = e_zcl_pow_r(ALPHA_ONE, n)
+        z_tree = abs(tree_mean - analytic) / tree_se
+        z_v = abs(v_mean - analytic) / v_se
+        z_cross = abs(tree_mean - v_mean) / math.hypot(tree_se, v_se)
         ok &= z_tree < 3.0 and z_v < 3.0 and z_cross < 3.0
         details.append(f"n={n}: |z| tree {z_tree:.2f}, V {z_v:.2f}, cross {z_cross:.2f}")
     elapsed = time.perf_counter() - start

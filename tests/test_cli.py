@@ -13,6 +13,7 @@ from cbsfs.cli import main
 from cbsfs.clonal import e_zcl_pow_r
 from cbsfs.model import ModelParams
 from cbsfs.reports import write_text
+from cbsfs.sfs import g1
 from cbsfs.tree import RootMode, build_tree, newick_export
 from replay import leaf_config_from_dict, tree_from_dict, zeta_vector_from_dict
 
@@ -121,6 +122,22 @@ class TestSfsCommand:
         assert doc["schema_version"] == 1
         assert [row["k"] for row in doc["data"]] == [1, 2, 3]
 
+    def test_simulate_keeps_expected_columns(self, tmp_path):
+        # simulate mode writes the same analytic columns as expected mode,
+        # and expected_xi is mu times expected_L
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ["sfs", "--n", 8, "--z0", 1.5, "--mu", 0.7, "--out"]
+        assert run(*base, a, "--mode", "expected") == 0
+        assert run(*base, b, "--mode", "simulate", "--reps", 50) == 0
+        rows = [
+            [line.split(",")[:3] for line in path.read_text().splitlines()
+             if not line.startswith("#")][1:]
+            for path in (a, b)
+        ]
+        assert rows[0] == rows[1] and len(rows[0]) == 7
+        for _, length, xi in rows[0]:
+            assert xi == repr(0.7 * float(length))
+
 
 class TestDensityCommand:
     def test_monotone_output(self, tmp_path):
@@ -141,6 +158,12 @@ class TestG1Command:
         assert lines[0] == "u,g1[z=0.5],g1[z=2.0]"
         assert lines[1] == "0.0,0.0,0.0"
         assert len(lines) == 6
+
+    def test_cell_is_g1(self, tmp_path):
+        out = tmp_path / "g1.csv"
+        assert run("g1", "--z", "0.5,2", "--u-points", 5, "--out", out) == 0
+        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert lines[2].split(",") == ["0.25", repr(g1(0.5, 0.25)), repr(g1(2.0, 0.25))]
 
 
 class TestClonalCommand:
@@ -230,26 +253,35 @@ class TestBadFlags:
 
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["density", "--r-max", "inf", "--format", "json"],
-            ["density", "--r-min", "1e-300", "--r-max", "1e300"],
-            ["g1", "--z", "inf"],
-            ["g1", "--z", "1e308"],
-            ["sfs", "--mode", "simulate", "--z0", "inf", "--reps", 10],
-            ["sample", "--z0", "inf", "--reps", 2],
-            ["clonal", "--mu", "1e300"],
-            ["clonal", "--n-max", "400"],
-            ["sample", "--n", "200", "--z0", "1e-320", "--reps", "1"],
-            ["sfs", "--mode", "simulate", "--n", "200", "--z0", "1e-320", "--reps", "2"],
+            (["density", "--r-max", "inf", "--format", "json"], ""),
+            (["density", "--r-min", "1e-300", "--r-max", "1e300"], ""),
+            (["g1", "--z", "inf"], ""),
+            (["g1", "--z", "1e308"], ""),
+            (["sfs", "--mode", "simulate", "--z0", "inf", "--reps", 10], ""),
+            (["sample", "--z0", "inf", "--reps", 2], ""),
+            (["clonal", "--mu", "1e300"], ""),
+            (["clonal", "--n-max", "400"], ""),
+            (["sample", "--n", "200", "--z0", "1e-320", "--reps", "1"], ""),
+            (["sfs", "--mode", "simulate", "--n", "200", "--z0", "1e-320", "--reps", "2"], ""),
+            # 2 theta z0 v underflows to 0 at the smallest quadrature node
+            (["sfs", "--n", "5", "--z0", "1e-310"], "z0 = 1e-310"),
+            # the density underflows to 0 at the end of the grid
+            (["density", "--r-max", "400"], "density values must be positive"),
+            # the grid points coincide
+            (["density", "--r-min", "1", "--r-max", "1.0000000000000002", "--points", "3"],
+             "density must decrease along the grid"),
         ],
         ids=["density-r-max-inf", "density-ratio-overflow", "g1-z-inf", "g1-z-1e308",
              "sfs-z0-inf", "sample-z0-inf", "clonal-mu-1e300", "clonal-n-max-400",
-             "sample-z0-subnormal", "sfs-z0-subnormal"],
+             "sample-z0-subnormal", "sfs-z0-subnormal", "sfs-z0-underflow",
+             "density-underflow", "density-grid-coincident"],
     )
-    def test_no_finite_result_writes_nothing(self, tmp_path, capsys, argv):
+    def test_no_finite_result_writes_nothing(self, tmp_path, capsys, argv, message):
         assert run(*argv, "--out", tmp_path / "x") == 1
-        assert capsys.readouterr().err.startswith("cbsfs: ")
+        err = capsys.readouterr().err
+        assert err.startswith("cbsfs: ") and message in err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -10,16 +10,12 @@ import pytest
 from cbsfs.genealogy import Lk_all, sample_population, sample_zetas
 from cbsfs.model import ModelParams
 from cbsfs.sfs import (
-    DensityCurve,
     _expected_lengths,
     _z0_quad_nodes,
     density_branch_check,
-    density_curve,
     density_spine_check,
-    expected_Lk,
     expected_sfs,
     g1,
-    g1_curve,
     g2_residual,
     mean_density,
     s_ell,
@@ -156,15 +152,14 @@ class TestSTable:
 class TestExpectedLk:
     def test_top_class_reduces_to_two_terms(self):
         n, z0 = 9, 1.7
-        lhs = expected_Lk(UNIT, n, n - 1, z0)
+        lhs = expected_sfs(UNIT, n, z0)[n - 2]
         rhs = 2.0 * (s_ell(UNIT, n, n - 1, z0) - s_ell(UNIT, n, n - 2, z0))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_nonnegative_across_parameters(self):
         for params in (UNIT, ModelParams(0.5, 2.0, 1.0), ModelParams(2.0, 0.5, 1.0)):
             for z0 in (0.5 / params.theta, 2.0 / params.theta):
-                for k in range(1, 8):
-                    assert expected_Lk(params, 8, k, z0) >= 0.0
+                assert np.all(expected_sfs(params, 8, z0) >= 0.0)
 
     def test_monte_carlo_agreement_light(self):
         # light version of the acceptance check: n = 6, one z0
@@ -177,19 +172,18 @@ class TestExpectedLk:
             totals[i] = Lk_all(config, zetas)
         mean = totals.mean(axis=0)
         se = totals.std(axis=0, ddof=1) / math.sqrt(reps)
-        for k in range(1, n):
-            assert abs(mean[k - 1] - expected_Lk(UNIT, n, k, z0)) < 4.0 * se[k - 1]
+        assert np.all(np.abs(mean - expected_sfs(UNIT, n, z0)) < 4.0 * se)
 
     def test_table_matches_scalar_route(self):
         # the table against the second difference of per-l adaptive quadratures
-        table = expected_sfs(UNIT, 6, 1.5)
+        # and against the single-k route that g2_residual reads
+        lk = expected_sfs(UNIT, 6, 1.5)
         s = [s_ell(UNIT, 6, ell, 1.5) for ell in range(7)]
-        for row in table.rows:
-            k = row.k
+        for k in range(1, 6):
             scalar = (6 - k) * (2.0 * s[k] - s[k - 1] - s[k + 1]) + s[k + 1] - s[k - 1]
-            assert row.expected_L == pytest.approx(scalar, rel=1e-9)
-            assert row.expected_L == pytest.approx(expected_Lk(UNIT, 6, k, 1.5), rel=1e-14)
-            assert row.expected_xi == pytest.approx(UNIT.mu * row.expected_L, rel=1e-15)
+            assert lk[k - 1] == pytest.approx(scalar, rel=1e-9)
+            single = _expected_lengths(UNIT, 6, 1.5, np.array([k]))[0]
+            assert lk[k - 1] == pytest.approx(single, rel=1e-14)
 
     @pytest.mark.parametrize("n, k, z0", [(8, 1, 1e-7), (20, 9, 2.0), (200, 50, 2.0), (200, 150, 2.0)])
     def test_against_mpmath(self, n, k, z0):
@@ -197,17 +191,16 @@ class TestExpectedLk:
         # 4 (n-k) S_k / E[L_k] in relative accuracy (1e-9 at n = 200); the
         # lengths difference the Beta densities before integrating instead
         oracle = lk_mpmath(UNIT, n, k, z0)
-        assert abs(mpmath.mpf(expected_Lk(UNIT, n, k, z0)) / oracle - 1) <= 1e-11
+        assert abs(mpmath.mpf(expected_sfs(UNIT, n, z0)[k - 1]) / oracle - 1) <= 1e-11
 
     def test_averaged_over_stationary_size(self):
-        table = expected_sfs(UNIT, 6, z0=None)
-        assert all(row.expected_L > 0 for row in table.rows)
+        lk = expected_sfs(UNIT, 6, z0=None)
+        assert np.all(lk > 0)
         # numerical stability of the size-average: doubling the node count
         # moves nothing beyond the slow log-type convergence of the rule
         zs, ws = _z0_quad_nodes(UNIT, 80)
         fine = ws @ _expected_lengths(UNIT, 6, zs, np.arange(1, 6))
-        for a, b in zip(table.rows, fine):
-            assert a.expected_L == pytest.approx(b, rel=1e-4)
+        assert lk == pytest.approx(fine, rel=1e-4)
 
 
 class TestG1:
@@ -257,7 +250,14 @@ class TestG2Residual:
             + g1(UNIT.theta * z0, k / n) / k
             + math.sqrt(k) / n**2 * residual
         )
-        assert recon == pytest.approx(UNIT.beta * expected_Lk(UNIT, n, k, z0) / z0, rel=1e-9)
+        lk = expected_sfs(UNIT, n, z0)[k - 1]
+        assert recon == pytest.approx(UNIT.beta * lk / z0, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [-1, 0, 12])
+    def test_k_outside_classes(self, k):
+        # a negative k must not wrap round to the top classes
+        with pytest.raises(IndexError):
+            g2_residual(UNIT, 12, k, 2.0)
 
 
 class TestSimulateSfs:
@@ -265,26 +265,24 @@ class TestSimulateSfs:
         # identical substreams mean the poisson mode's conditional means are
         # exactly the expected-lengths values replicate by replicate, so the
         # two mode means must agree within combined error
-        a = simulate_sfs(UNIT, 6, 4000, seed=7, z0=1.5, mode="expected-lengths")
-        b = simulate_sfs(UNIT, 6, 4000, seed=7, z0=1.5, mode="poisson-counts")
-        for ra, rb in zip(a.rows, b.rows):
-            combined = math.hypot(ra.mc_se, rb.mc_se)
-            assert abs(ra.mc_mean - rb.mc_mean) < 3.0 * combined
+        mean_a, se_a = simulate_sfs(UNIT, 6, 4000, seed=7, z0=1.5, mode="expected-lengths")
+        mean_b, se_b = simulate_sfs(UNIT, 6, 4000, seed=7, z0=1.5, mode="poisson-counts")
+        assert np.all(np.abs(mean_a - mean_b) < 3.0 * np.hypot(se_a, se_b))
 
     def test_matches_analytic(self):
-        table = simulate_sfs(UNIT, 6, 4000, seed=8, z0=1.5)
-        for row in table.rows:
-            assert abs(row.mc_mean - row.expected_xi) < 4.0 * row.mc_se
+        mean, se = simulate_sfs(UNIT, 6, 4000, seed=8, z0=1.5)
+        xi = UNIT.mu * expected_sfs(UNIT, 6, 1.5)
+        assert np.all(np.abs(mean - xi) < 4.0 * se)
 
     def test_zero_rate_all_zero(self):
         cold = ModelParams(1.0, 1.0, 0.0)
-        table = simulate_sfs(cold, 5, 500, seed=9, z0=1.0, mode="poisson-counts")
-        assert all(row.mc_mean == 0.0 for row in table.rows)
+        mean, _ = simulate_sfs(cold, 5, 500, seed=9, z0=1.0, mode="poisson-counts")
+        assert np.all(mean == 0.0)
 
     def test_seed_determinism(self):
         a = simulate_sfs(UNIT, 5, 300, seed=11, z0=1.0)
         b = simulate_sfs(UNIT, 5, 300, seed=11, z0=1.0)
-        assert [r.mc_mean for r in a.rows] == [r.mc_mean for r in b.rows]
+        assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -337,23 +335,7 @@ class TestMeanDensity:
         parts = UNIT.mu * (density_branch_check(UNIT, r) + density_spine_check(UNIT, r))
         assert mean_density(UNIT, r) == pytest.approx(parts, abs=1e-8)
 
-    def test_curve_validates_shape(self):
-        curve = density_curve(UNIT, np.logspace(-2, 1, 30))
-        assert len(curve.points) == 30
-        with pytest.raises(ValueError):
-            DensityCurve(points=((1.0, 2.0), (2.0, 3.0)))  # increasing is invalid
-
     def test_domain(self):
         with pytest.raises(ValueError):
             mean_density(UNIT, 0.0)
 
-
-class TestG1Curve:
-    def test_zero_row_exact(self):
-        rows = g1_curve([0.5, 1.0], [0.0, 0.5, 1.0])
-        assert rows[0] == [0.0, 0.0, 0.0]
-        assert len(rows) == 3 and len(rows[0]) == 3
-
-    def test_matches_pointwise(self):
-        rows = g1_curve([2.0], [0.25])
-        assert rows[0][1] == pytest.approx(g1(2.0, 0.25), rel=1e-12)
