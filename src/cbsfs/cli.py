@@ -1,7 +1,7 @@
 """Command-line front end: seeded runs, result persistence, verification.
 
-Every command is reproducible from (config file, flags, seed); the
-scientific configuration is echoed into each output file header.  The
+Every command is reproducible from (config file, flags, seed); each
+output file header echoes the settings that command takes.  The
 --workers flag only distributes replicates and never changes output bytes.
 
 Exit codes: 0 ok, 1 failed verification check or rejected value, 2 usage
@@ -26,22 +26,34 @@ from .specfun import QuadratureError
 from .tree import RootMode, build_tree, drop_mutations, newick_export
 
 
-CONFIG_KEYS = {
-    "beta": float,
-    "theta": float,
-    "mu": float,
-    "seed": int,
-    "reps": int,
-    "n": int,
-    "z0": float,
-    "out": str,
-    "format": str,
-    "workers": int,
+# The shared flags, in header order: name -> (type, default, choices, help).
+# Each command takes the ones it reads (TAKES); its parser, the keys and
+# values a --config file may set, and its file header all derive from these.
+FLAGS = {
+    "beta": (float, 1.0, None, "time-scale coefficient"),
+    "theta": (float, 1.0, None, "inverse population-size scale"),
+    "mu": (float, 1.0, None, "per-lineage mutation rate"),
+    "seed": (int, 1, None, "base RNG seed"),
+    "reps": (int, 1000, None, "number of replicates"),
+    "n": (int, 10, None, "sample size"),
+    "z0": (float, None, None, "condition on population size z0"),
+    "out": (str, None, None, "output path (base path for `sample`)"),
+    "format": (str, "csv", ("csv", "json"), "data file format"),
+    "workers": (int, 1, None, "parallel workers (output-invariant)"),
+}
+TAKES = {
+    "sample": {"beta", "theta", "mu", "seed", "reps", "n", "z0", "out", "workers"},
+    "sfs": set(FLAGS),
+    "density": {"beta", "theta", "mu", "format", "out"},
+    "g1": {"format", "out"},
+    "clonal": {"beta", "theta", "mu", "seed", "reps", "format", "out", "workers"},
+    "verify": {"beta", "theta", "mu", "seed", "reps", "out"},
 }
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment; flags override these."""
+    """Flat key=value file of shared flags; '#' starts a comment; flags
+    override these.  Each value is typed and choice-checked here."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -49,17 +61,22 @@ def load_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in FLAGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = CONFIG_KEYS[key](value.strip())
+        kind, _, choices, _ = FLAGS[key]
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} must be of type {kind.__name__}, got {value!r}") from None
+        if choices and values[key] not in choices:
+            raise ValueError(f"{path}:{lineno}: {key} must be one of {', '.join(choices)}, got {value!r}")
     return values
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    """The top-level parser and its command parsers, which hold the defaults
-    a --config file replaces."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its command parsers by name, which hold the
+    defaults a --config file replaces."""
     parser = argparse.ArgumentParser(
         prog="cbsfs",
         description=(
@@ -68,56 +85,50 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
         ),
     )
     parser.add_argument("--config", help="flat key=value config file (flags override)")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--beta", type=float, default=1.0, help="time-scale coefficient")
-    common.add_argument("--theta", type=float, default=1.0, help="inverse population-size scale")
-    common.add_argument("--mu", type=float, default=1.0, help="per-lineage mutation rate")
-    common.add_argument("--seed", type=int, default=1, help="base RNG seed")
-    common.add_argument("--reps", type=int, default=1000, help="number of replicates")
-    common.add_argument("--n", type=int, default=10, help="sample size")
-    common.add_argument("--z0", type=float, default=None, help="condition on population size z0")
-    common.add_argument("--out", default=None, help="output path (base path for `sample`)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--workers", type=int, default=1, help="parallel workers (output-invariant)")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", parents=[common], help="sample genealogies to Newick + JSON replay")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # no abbreviations: `clonal --n` must not become `--n-max`
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag, (kind, default, choices, text) in FLAGS.items():
+            if flag in TAKES[name]:
+                p.add_argument(f"--{flag}", type=kind, default=default, choices=choices, help=text)
+        return p
+
+    p = command("sample", "sample genealogies to Newick + JSON replay")
     p.add_argument("--root-mode", choices=[m.value for m in RootMode], default=RootMode.POPULATION_MRCA.value)
 
-    p = sub.add_parser("sfs", parents=[common], help="expected or simulated site frequency spectrum")
+    p = command("sfs", "expected or simulated site frequency spectrum")
     p.add_argument("--mode", choices=("expected", "simulate"), default="expected")
     p.add_argument("--sim-mode", choices=SIMULATE_MODES, default="expected-lengths",
                    help="per-replicate statistic in simulate mode")
 
-    p = sub.add_parser("density", parents=[common], help="continuum mean-spectrum density on a grid")
+    p = command("density", "continuum mean-spectrum density on a grid")
     p.add_argument("--r-min", type=float, default=0.01)
     p.add_argument("--r-max", type=float, default=5.0)
     p.add_argument("--points", type=int, default=100)
 
-    p = sub.add_parser("g1", parents=[common], help="distortion curves g1(z, u) on a u grid")
+    p = command("g1", "distortion curves g1(z, u) on a u grid")
     p.add_argument("--z", default="0.5,1,2,4", help="comma list of z values")
     p.add_argument("--u-points", type=int, default=101, help="grid size on [0, 1]")
 
-    p = sub.add_parser("clonal", parents=[common], help="clonal moments, analytic and simulated")
+    p = command("clonal", "clonal moments, analytic and simulated")
     p.add_argument("--mode", choices=("analytic", "simulate"), default="analytic")
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--statistic", choices=MC_STATISTICS, default="zpow_r")
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = command("verify", "run a verification suite")
     p.add_argument("--suite", required=True,
                    help="one of: " + ", ".join(sorted(verify.SUITES)) + ", all")
-    return parser, list(sub.choices.values())
+    return parser, sub.choices
 
 
-# Header keys every data file echoes, in order, from the parsed flags.
-HEADER_KEYS = ("beta", "theta", "mu", "seed", "reps", "n", "z0", "format")
-
-
-def config_pairs(args, **extra) -> list[tuple[str, object]]:
-    pairs = [(key, getattr(args, key)) for key in HEADER_KEYS]
-    pairs.extend(extra.items())
-    return pairs
+def settings(args) -> list[tuple[str, object]]:
+    """The command's settings for its file header: every option it takes, in
+    the order its parser added them (argparse fills the namespace that way),
+    except --out and --workers, which never change the data."""
+    return [(key, value) for key, value in vars(args).items()
+            if key not in ("config", "command", "out", "workers")]
 
 
 def _sample_replicate(args, rng) -> dict:
@@ -143,14 +154,16 @@ def cmd_sample(args, params: ModelParams) -> int:
         _sample_replicate, (params, args.n, args.z0, mode), args.reps, args.seed, args.workers
     )
     records = [{"replicate": i, **record} for i, record in enumerate(records)]
-    pairs = config_pairs(args, root_mode=mode.value)
     write_text(base.with_suffix(".nwk"), [record["newick"] for record in records])
-    write_json_doc(base.with_suffix(".json"), "sample", pairs, records)
+    write_json_doc(base.with_suffix(".json"), "sample", settings(args), records)
     print(f"wrote {args.reps} replicates to {base.with_suffix('.nwk')} and {base.with_suffix('.json')}")
     return 0
 
 
-def _emit_table(args, command: str, pairs, columns, rows) -> None:
+def _emit_table(args, columns, rows, **extra) -> None:
+    """Write ``rows`` under the command's settings and any computed ``extra``."""
+    command = args.command
+    pairs = settings(args) + list(extra.items())
     path = args.out or f"{command}.{args.format}"
     if args.format == "csv":
         write_csv(path, command, pairs, columns, rows)
@@ -174,13 +187,12 @@ def cmd_sfs(args, params: ModelParams) -> int:
         )
         mc_mean, mc_se = mean.tolist(), se.tolist()
     lk = expected_sfs(params, args.n, args.z0).tolist()
-    pairs = config_pairs(args, mode=args.mode)
     columns = ["k", "expected_L", "expected_xi", "mc_mean", "mc_se"]
     rows = [
         [k, length, params.mu * length, m, s]
         for k, length, m, s in zip(range(1, args.n), lk, mc_mean, mc_se)
     ]
-    _emit_table(args, "sfs", pairs, columns, rows)
+    _emit_table(args, columns, rows)
     return 0
 
 
@@ -196,12 +208,11 @@ def cmd_density(args, params: ModelParams) -> int:
         raise ValueError("density values must be positive")
     if any(a <= b for a, b in zip(fs, fs[1:])):
         raise ValueError("density must decrease along the grid")
-    pairs = config_pairs(args, r_min=args.r_min, r_max=args.r_max, points=args.points)
-    _emit_table(args, "density", pairs, ["r", "f"], [[r, f] for r, f in zip(grid, fs)])
+    _emit_table(args, ["r", "f"], [[r, f] for r, f in zip(grid, fs)])
     return 0
 
 
-def cmd_g1(args, params: ModelParams) -> int:
+def cmd_g1(args, _: None) -> int:
     z_values = [float(z) for z in args.z.split(",") if z.strip()]
     if not z_values or not all(0 < z < math.inf for z in z_values):
         raise ValueError("--z needs a comma list of positive finite values")
@@ -209,9 +220,8 @@ def cmd_g1(args, params: ModelParams) -> int:
         raise ValueError("--u-points must be >= 2")
     u_grid = [i / (args.u_points - 1) for i in range(args.u_points)]
     rows = [[u] + [g1(z, u) for z in z_values] for u in u_grid]
-    pairs = config_pairs(args, z=args.z, u_points=args.u_points)
     columns = ["u"] + [f"g1[z={fmt_value(z)}]" for z in z_values]
-    _emit_table(args, "g1", pairs, columns, rows)
+    _emit_table(args, columns, rows)
     return 0
 
 
@@ -233,15 +243,8 @@ def cmd_clonal(args, params: ModelParams) -> int:
             )
         rows.append([n, moment(params, n), *mc])
     summary = clonal_summary(params)
-    pairs = config_pairs(
-        args,
-        mode=args.mode,
-        statistic=args.statistic,
-        e_r=summary["e_r"],
-        e_zcl=summary["e_zcl"],
-        cov_r_z0=summary["cov_r_z0"],
-    )
-    _emit_table(args, "clonal", pairs, ["n", "analytic", "mc_mean", "mc_se"], rows)
+    extra = {key: summary[key] for key in ("e_r", "e_zcl", "cov_r_z0")}
+    _emit_table(args, ["n", "analytic", "mc_mean", "mc_se"], rows, **extra)
     return 0
 
 
@@ -284,20 +287,17 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"cbsfs: bad config file: {exc}", file=sys.stderr)
             return 2
-        for command in commands:
-            command.set_defaults(**values)
+        # one file serves every command: each takes only its own keys
+        taken = TAKES[probe.command]
+        commands[probe.command].set_defaults(**{k: v for k, v in values.items() if k in taken})
     args = parser.parse_args(argv)
+    taken = TAKES[args.command]
     try:
-        # values from outside, checked once; a --config file bypasses choices
-        if args.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {args.workers}")
-        params = ModelParams(beta=args.beta, theta=args.theta, mu=args.mu)
-        if args.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {args.reps}")
-        if args.n < 1:
-            raise ValueError(f"n must be >= 1, got {args.n}")
-        if args.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {args.format!r}")
+        # values from outside, checked once
+        for flag, low in (("workers", 1), ("seed", 0), ("reps", 1), ("n", 1)):
+            if flag in taken and getattr(args, flag) < low:
+                raise ValueError(f"{flag} must be >= {low}, got {getattr(args, flag)}")
+        params = ModelParams(beta=args.beta, theta=args.theta, mu=args.mu) if "beta" in taken else None
         for flag in ("z0", "r_min", "r_max"):
             value = getattr(args, flag, None)
             if value is not None and not math.isfinite(value):

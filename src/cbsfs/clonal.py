@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ._mc import map_replicates, mean_and_se
+from ._mc import map_replicates, mean_and_se, replicate_rng
 from .genealogy import population_tree_length, sample_population, sample_zetas
 from .model import ModelParams, z0_moment
 from .specfun import beta_fn
@@ -186,7 +186,7 @@ def v_representation_check(
     over independent uniforms V; the mean and its standard error."""
     if reps < 100:
         raise ValueError(f"need reps >= 100, got {reps}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    rng = replicate_rng(seed, 0)
     a = params.alpha
     scale = z0_moment(params, n - 1)
     v = rng.uniform(size=(reps, n + 1))

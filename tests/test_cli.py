@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cbsfs
-from cbsfs.cli import main
+from cbsfs.cli import build_parser, main
 from cbsfs.clonal import e_zcl_pow_r
 from cbsfs.model import ModelParams
 from cbsfs.reports import write_text
@@ -211,6 +211,95 @@ class TestConfigFile:
         cfg.write_text("nonsense=1\n")
         assert run("--config", cfg, "verify", "--suite", "specfun") == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("seed=1.5", "seed must be of type int, got '1.5'"),
+         ("format=xml", "format must be one of csv, json, got 'xml'")],
+        ids=["type", "choice"],
+    )
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run("--config", cfg, "g1", "--out", tmp_path / "g1.csv") == 2
+        err = capsys.readouterr().err
+        assert "run.cfg:1: " + message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_key_the_command_does_not_take_is_skipped(self, tmp_path):
+        # one file serves every command; g1 reads no sample size
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=4\n")
+        out = tmp_path / "g1.csv"
+        assert run("--config", cfg, "g1", "--u-points", 2, "--out", out) == 0
+        assert not any(line.startswith("# n=") for line in out.read_text().splitlines())
+
+    def test_flag_overrides_file_choice(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=json\n")
+        out = tmp_path / "g1.csv"
+        assert run("--config", cfg, "g1", "--u-points", 2, "--format", "csv", "--out", out) == 0
+        assert out.read_text().startswith("# cbsfs g1\n")
+        assert "# format=csv" in out.read_text().splitlines()
+
+    def test_negative_seed_from_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n")
+        assert run("--config", cfg, "sample", "--reps", 2, "--out", tmp_path / "trees") == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def _settings(command):
+    """The options of a command's parser that its file header should echo."""
+    _, commands = build_parser()
+    return [action.dest for action in commands[command]._actions
+            if action.dest not in ("help", "out", "workers")]
+
+
+class TestHeaderProvenance:
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["sfs", "--n", 3], []),
+            (["density", "--points", 3], []),
+            (["g1", "--u-points", 2], []),
+            (["clonal", "--n-max", 1], ["e_r", "e_zcl", "cov_r_z0"]),
+        ],
+        ids=["sfs", "density", "g1", "clonal"],
+    )
+    def test_csv_header_echoes_the_command_settings(self, tmp_path, argv, extra):
+        out = tmp_path / "x.csv"
+        assert run(*argv, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        assert lines[:2] == [f"# cbsfs {argv[0]}", "# schema_version=1"]
+        keys = [line[2:].split("=", 1)[0] for line in lines[2:] if line.startswith("#")]
+        assert keys == _settings(argv[0]) + extra
+
+    def test_sample_config_echoes_the_command_settings(self, tmp_path):
+        base = tmp_path / "trees"
+        assert run("sample", "--n", 3, "--reps", 1, "--out", base) == 0
+        doc = json.loads(base.with_suffix(".json").read_text())
+        assert sorted(doc["config"]) == sorted(_settings("sample"))
+
+    def test_sim_mode_is_echoed(self, tmp_path):
+        out = tmp_path / "sfs.csv"
+        assert run("sfs", "--mode", "simulate", "--sim-mode", "poisson-counts", "--n", 3,
+                   "--reps", 10, "--out", out) == 0
+        assert "# sim_mode=poisson-counts" in out.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["g1", "--theta", "2"], ["clonal", "--z0", "3"], ["density", "--n", "5"],
+         ["clonal", "--n", "3"]],
+        ids=["g1-theta", "clonal-z0", "density-n", "clonal-n-not-n-max"],
+    )
+    def test_untaken_flag_is_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBadFlags:
     def test_invalid_grid(self, tmp_path):
@@ -229,7 +318,8 @@ class TestBadFlags:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_workers(self, tmp_path, capsys, workers):
-        # rejected by every command, including those that never start workers
+        # rejected by every command that takes --workers, also in a mode that
+        # starts none
         out = tmp_path / "x.csv"
         assert run("sfs", "--mode", "simulate", "--n", 3, "--reps", 10,
                    "--workers", workers, "--out", out) == 1
@@ -242,6 +332,13 @@ class TestBadFlags:
         assert run("sample", "--n", 3, "--reps", 2, "--workers", workers, "--out", base) == 1
         assert "workers must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("sfs", "--mode", "simulate", "--n", 3, "--reps", 10, "--seed", -1,
+                   "--out", out) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_single_replicate_has_no_standard_error(self, tmp_path, capsys, fmt):

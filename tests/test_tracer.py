@@ -1,8 +1,13 @@
-"""The benchmark tools reach package functions by name; each must exist."""
+"""The benchmark tools reach package functions and CLI flags by name; each must exist."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
+
+from cbsfs.cli import build_parser
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -10,6 +15,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -26,3 +32,18 @@ def test_reference_tool_imports():
     # _sfs_replicate, _clonal_replicate or e_zcl_pow_r fails here
     reference = _load("make_reference")
     assert callable(reference.main)
+
+
+def test_workload_commands_parse(capsys):
+    # every benchmark command, and the `<command> --help` set-up probe timed
+    # before it, must stay valid under the CLI's flags
+    run = _load("run")
+    parser, _ = build_parser()
+    for name, workload in run.WORKLOADS.items():
+        for size in (workload.full, workload.smoke):
+            argv = workload.command(size) + ["--seed", "1"]
+            assert parser.parse_args(argv).command == argv[0], name
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([argv[0], "--help"])
+        assert exc.value.code == 0, name
+    capsys.readouterr()
