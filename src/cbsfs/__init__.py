@@ -32,7 +32,6 @@ from .model import (
     extinction_tail,
     kesten_expectation,
     laplace_u,
-    mean_ancestor_count,
     tmrca_cdf,
     z0_density,
     z0_moment,
@@ -70,7 +69,6 @@ from .tree import (
     build_tree,
     drop_mutations,
     edge_lengths_by_count,
-    leafset_counts,
     newick_export,
     tree_tmrca,
 )

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
-from .reports import SCHEMA_VERSION
 
 logger = logging.getLogger(__name__)
 
@@ -78,16 +77,7 @@ class LeafConfig:
         return self.positions.index(0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n": self.n,
-            "e_g": self.e_g,
-            "e_d": self.e_d,
-            "z0": self.z0,
-            "positions": list(self.positions),
-            "spine_index": self.spine_index,
-            "labels": list(self.labels),
-        }
+        return {"positions": list(self.positions), "labels": list(self.labels)}
 
 
 @dataclass(frozen=True)
@@ -104,7 +94,7 @@ class ZetaVector:
         return len(self.zetas)
 
     def to_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, "zetas": list(self.zetas)}
+        return {"zetas": list(self.zetas)}
 
 
 # Attempts at a replicate without a (probability-zero) position collision.

@@ -2,9 +2,9 @@
 
 Everything here is a pure closed form (or a quadrature of one) in the
 branching parameters: the extinction-time tail c(t), the transform
-u(t, lambda), the surviving-excursion density q_t, the ancestor-count mean,
-the TMRCA law of the whole extant population, the stationary marginal of
-the population size, and expectations under the size-biased (spine) law.
+u(t, lambda), the surviving-excursion density q_t, the TMRCA law of the
+whole extant population, the stationary marginal of the population size,
+and expectations under the size-biased (spine) law.
 """
 
 from __future__ import annotations
@@ -77,11 +77,6 @@ def canonical_density(params: ModelParams, t: float, r: float) -> float:
     if exponent < -745.0:
         return 0.0
     return 4.0 * params.theta ** 2 / (denom * denom) * math.exp(exponent)
-
-
-def mean_ancestor_count(params: ModelParams, t: float) -> float:
-    """Expected number of non-spine ancestors at time t back: c(t)/theta."""
-    return extinction_tail(params, t) / params.theta
 
 
 def tmrca_cdf(params: ModelParams, t: float, z: float) -> float:

@@ -14,7 +14,7 @@ import math
 import os
 from pathlib import Path
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def fmt_value(x) -> str:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .genealogy import LeafConfig, ZetaVector
 from .model import ModelParams
-from .reports import SCHEMA_VERSION
 
 
 class StructuralError(RuntimeError):
@@ -116,19 +115,13 @@ class GenealogyTree:
         return counts
 
     def to_dict(self) -> dict:
+        """The node list; no output file holds it, as ``build_tree`` replays
+        the tree from a ``sample`` record's draw."""
         return {
-            "schema_version": SCHEMA_VERSION,
             "root_mode": self.root_mode.value,
-            "root": self.root,
-            "leaf_ids_by_rank": list(range(self.n_leaves)),
             "nodes": [
-                {
-                    "id": i,
-                    "time": node.time,
-                    "parent": node.parent,
-                    "leaf_label": node.leaf_label,
-                }
-                for i, node in enumerate(self.nodes)
+                {"time": node.time, "parent": node.parent, "leaf_label": node.leaf_label}
+                for node in self.nodes
             ],
         }
 
@@ -234,10 +227,7 @@ class MutationOverlay:
     atoms: tuple[tuple[int, float], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "atoms": [[edge, depth] for edge, depth in self.atoms],
-        }
+        return {"atoms": [[edge, depth] for edge, depth in self.atoms]}
 
 
 def drop_mutations(
@@ -255,12 +245,6 @@ def drop_mutations(
             for depth in rng.uniform(0.0, length, size=count):
                 atoms.append((child, float(depth)))
     return MutationOverlay(atoms=tuple(atoms))
-
-
-def leafset_counts(tree: GenealogyTree, overlay: MutationOverlay) -> list[int]:
-    """Number of sample leaves carrying each mutation of the overlay."""
-    counts = tree.leaf_counts()
-    return [counts[edge] for edge, _ in overlay.atoms]
 
 
 def newick_export(tree: GenealogyTree) -> str:

@@ -2,8 +2,8 @@
 
 The package only writes these forms (``to_dict`` records and Newick text);
 reading them back is needed only to check that the writers lose nothing.
-The readers take only the keys the records cannot derive (node ids are
-list positions); the round-trip tests compare the derived keys.
+The records hold only what cannot be derived (node ids are list
+positions), and the readers take every key they hold.
 """
 
 from cbsfs.genealogy import LeafConfig, ZetaVector

@@ -15,7 +15,7 @@ from cbsfs.model import ModelParams
 from cbsfs.reports import write_text
 from cbsfs.sfs import g1
 from cbsfs.tree import RootMode, build_tree, newick_export
-from replay import leaf_config_from_dict, tree_from_dict, zeta_vector_from_dict
+from replay import leaf_config_from_dict, zeta_vector_from_dict
 
 
 def run(*argv):
@@ -46,10 +46,15 @@ class TestSampleCommand:
         lines = out.with_suffix(".nwk").read_text().strip().splitlines()
         assert len(lines) == 3
         doc = json.loads(out.with_suffix(".json").read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert len(doc["data"]) == 3
-        record = doc["data"][0]
-        assert {"leaf_config", "zetas", "tree", "mutations", "newick"} <= set(record)
+        for i, record in enumerate(doc["data"]):
+            # each record holds its draw once: no tree, no derived key
+            assert record["replicate"] == i
+            assert set(record) == {"replicate", "leaf_config", "zetas", "mutations", "newick"}
+            assert set(record["leaf_config"]) == {"positions", "labels"}
+            assert set(record["zetas"]) == {"zetas"}
+            assert set(record["mutations"]) == {"atoms"}
 
     def test_single_leaf_degenerate(self, tmp_path):
         out = tmp_path / "one"
@@ -60,7 +65,8 @@ class TestSampleCommand:
     @pytest.mark.parametrize("root_mode", ["sample", "population"])
     @pytest.mark.parametrize("n", [1, 7, 50])
     def test_records_replay(self, tmp_path, n, root_mode):
-        # every record rebuilds its tree and Newick line from its own draw
+        # every record rebuilds its tree and Newick line from its own draw,
+        # and each mutation atom names an edge of that tree
         out = tmp_path / "run"
         assert run("sample", "--n", n, "--reps", 4, "--seed", 9, "--root-mode", root_mode,
                    "--out", out) == 0
@@ -68,14 +74,19 @@ class TestSampleCommand:
         lines = out.with_suffix(".nwk").read_text().splitlines()
         assert len(doc["data"]) == len(lines) == 4
         mode = RootMode(doc["config"]["root_mode"])
+        atoms = 0
         for record, line in zip(doc["data"], lines):
             tree = build_tree(
                 leaf_config_from_dict(record["leaf_config"]),
                 zeta_vector_from_dict(record["zetas"]),
                 mode,
             )
-            assert tree == tree_from_dict(record["tree"])
             assert newick_export(tree) == record["newick"] == line
+            lengths = {child: length for child, _, length in tree.edges()}
+            for edge, depth in record["mutations"]["atoms"]:
+                assert edge != tree.root and 0.0 <= depth < lengths[edge]
+            atoms += len(record["mutations"]["atoms"])
+        assert atoms or (n, root_mode) == (1, "sample")  # that tree has no edge
 
     def test_collision_warnings_stay_silent(self, tmp_path):
         # the redraw warnings go to the package logger, which shows nothing
@@ -119,7 +130,7 @@ class TestSfsCommand:
         assert run("sfs", "--mode", "expected", "--n", 4, "--z0", 1.0,
                    "--format", "json", "--out", out) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert [row["k"] for row in doc["data"]] == [1, 2, 3]
 
     def test_simulate_keeps_expected_columns(self, tmp_path):
@@ -185,8 +196,11 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
-    def test_unknown_suite_usage_error(self):
-        assert run("verify", "--suite", "not-a-suite") == 2
+    def test_unknown_suite_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "--suite", "not-a-suite")
+        assert exc.value.code == 2
+        assert "invalid choice: 'not-a-suite'" in capsys.readouterr().err
 
     def test_specfun_suite(self, tmp_path):
         report = tmp_path / "report.txt"
@@ -271,7 +285,7 @@ class TestHeaderProvenance:
         out = tmp_path / "x.csv"
         assert run(*argv, "--out", out) == 0
         lines = out.read_text().splitlines()
-        assert lines[:2] == [f"# cbsfs {argv[0]}", "# schema_version=1"]
+        assert lines[:2] == [f"# cbsfs {argv[0]}", "# schema_version=2"]
         keys = [line[2:].split("=", 1)[0] for line in lines[2:] if line.startswith("#")]
         assert keys == _settings(argv[0]) + extra
 
@@ -297,7 +311,10 @@ class TestHeaderProvenance:
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--out", tmp_path / "x.csv")
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # reported against the command's own usage, which lists its flags
+        assert err.startswith(f"usage: cbsfs {argv[0]} [-h]")
+        assert f"cbsfs {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}" in err
         assert list(tmp_path.iterdir()) == []
 
 

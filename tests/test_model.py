@@ -12,7 +12,6 @@ from cbsfs.model import (
     extinction_tail,
     kesten_expectation,
     laplace_u,
-    mean_ancestor_count,
     tmrca_cdf,
     z0_density,
     z0_moment,
@@ -20,6 +19,11 @@ from cbsfs.model import (
 from cbsfs.specfun import adaptive_quad
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
+
+
+def mean_ancestor_count(params, t):
+    """Expected number of non-spine ancestors at time t back: c(t)/theta."""
+    return extinction_tail(params, t) / params.theta
 
 
 class TestModelParams:

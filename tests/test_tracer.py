@@ -1,4 +1,5 @@
-"""The benchmark tools reach package functions and CLI flags by name; each must exist."""
+"""The benchmark tools reach package functions and CLI flags by name, and
+check the files the CLI writes; each name must exist and each output pass."""
 
 import importlib
 import importlib.util
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cbsfs.cli import build_parser
+from cbsfs.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,4 +47,15 @@ def test_workload_commands_parse(capsys):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([argv[0], "--help"])
         assert exc.value.code == 0, name
+    capsys.readouterr()
+
+
+def test_workload_outputs_pass_their_checks(tmp_path, monkeypatch, capsys):
+    # the benchmark's output checks read the files' formats (the `sample`
+    # record keys among them), so a format change that breaks one fails here
+    run = _load("run")
+    monkeypatch.chdir(tmp_path)
+    for name, workload in run.WORKLOADS.items():
+        assert main(workload.command(workload.smoke) + ["--seed", "1"]) == 0, name
+        assert workload.check(tmp_path, workload.smoke) == [], name
     capsys.readouterr()
