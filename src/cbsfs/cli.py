@@ -248,7 +248,7 @@ def cmd_clonal(args, params: ModelParams) -> int:
 
 
 def cmd_verify(args, params: ModelParams) -> int:
-    results = verify.run_suite(args.suite, params, args.reps, args.seed)
+    results = verify.run_suite(args.suite, params, args.reps, args.seed, verify.CLI_MARGIN)
     lines = [
         f"[{'PASS' if passed else 'FAIL'}] {name} — {detail}" for name, passed, detail in results
     ]

@@ -193,5 +193,6 @@ def v_representation_check(
     stat = v.min(axis=1) ** a
     if n >= 2:
         stat = stat * np.prod(v[:, 1:n] ** a, axis=1)
-    values = scale * stat
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(reps))
+    # scaled after the reduction: at alpha = 0 every stat is exactly 1, so
+    # the mean is exactly E[Z0^{n-1}] and the standard error exactly 0
+    return float(scale * stat.mean()), float(scale * stat.std(ddof=1) / math.sqrt(reps))

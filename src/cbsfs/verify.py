@@ -1,15 +1,21 @@
-"""Self-check suites behind `cbsfs verify`.
+"""Self-check suites: the one implementation of the paper's checks.
 
-Each suite returns a list of checks, each a (name, passed, detail) tuple
-with ``passed`` a bool.
-Analytic identities are held to their quadrature tolerances; Monte-Carlo
-comparisons use a 4-standard-error margin so the suites stay robust under
-user-chosen seeds (the pytest acceptance suite pins seeds and uses the
-stricter 3 SE).
+Each suite takes ``(params, reps, seed, margin)`` and returns a list of
+checks, each a (name, passed, detail) tuple with ``passed`` a bool.
+Analytic identities are held to their quadrature tolerances; a Monte-Carlo
+estimate passes when it lies within ``margin`` standard errors of its
+target.  The Monte-Carlo suites raise ``reps`` to a floor of their own,
+and sub-runs draw from fixed offsets of ``seed``.
+
+Two margins are in use.  ``cbsfs verify`` runs the suites at
+:data:`CLI_MARGIN` (4 SE), so they stay robust under user-chosen seeds.
+Acceptance criteria 2, 4, 5, 6 and 8 (``tests/test_acceptance.py``) run
+them at 3 SE, with pinned parameters, replicate counts and seeds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +26,8 @@ from .genealogy import sample_population, sample_zetas
 
 Check = tuple[str, bool, str]  # (name, passed, detail)
 
+CLI_MARGIN = 4.0
+
 
 def _z_score(mean: float, target: float, se: float) -> float:
     if se > 0.0:
@@ -27,13 +35,11 @@ def _z_score(mean: float, target: float, se: float) -> float:
     return 0.0 if mean == target else math.inf
 
 
-def suite_specfun(params: model.ModelParams, reps: int, seed: int) -> list[Check]:
+def suite_specfun(params: model.ModelParams, reps: int, seed: int, margin: float) -> list[Check]:
     out = []
-    worst = max(
-        abs(specfun.digamma(x + 1.0) - specfun.digamma(x) - 1.0 / x)
-        for x in (0.5, 3.7, 42.0, 1e-3, 250.0)
-    )
-    out.append(("digamma recurrence", worst < 1e-12, f"max dev {worst:.2e}"))
+    points = [0.5, 3.7, 42.0, 1e-3, 250.0, *np.random.default_rng(8001).uniform(1e-3, 100.0, 1000)]
+    worst = max(abs(specfun.digamma(x + 1.0) - specfun.digamma(x) - 1.0 / x) for x in points)
+    out.append(("digamma recurrence", worst < 1e-12, f"max dev {worst:.2e} over {len(points)} points"))
     bounds_ok = all(
         math.log(x) - 1.0 / x <= specfun.digamma(x) <= math.log(x) - 1.0 / (2.0 * x)
         for x in (0.1, 1.0, 7.3, 100.0)
@@ -66,6 +72,8 @@ def suite_specfun(params: model.ModelParams, reps: int, seed: int) -> list[Check
     out.append(("H decomposition identity", worst < 1e-9, f"max rel dev {worst:.2e}"))
     worst = 0.0
     for x in (0.5, 2.0, 20.0):
+        # order 2 differences the first derivative: the twice-differenced h1
+        # sits on a ~1e-3 roundoff floor at x = 20 and cannot resolve 1e-5
         step = 1e-5
         fd1 = (specfun.h1(x + step) - specfun.h1(x - step)) / (2.0 * step)
         fd2 = (specfun.h1_deriv(x + step, 1) - specfun.h1_deriv(x - step, 1)) / (2.0 * step)
@@ -79,7 +87,7 @@ def suite_specfun(params: model.ModelParams, reps: int, seed: int) -> list[Check
 
 
 def suite_quadrature_identities(
-    params: model.ModelParams, reps: int, seed: int
+    params: model.ModelParams, reps: int, seed: int, margin: float
 ) -> list[Check]:
     out = []
     worst = 0.0
@@ -89,16 +97,12 @@ def suite_quadrature_identities(
         )
         worst = max(worst, abs(sfs.mean_density(params, r) - combined))
     out.append(("density = branch + spine quadratures", worst < 1e-8, f"max dev {worst:.2e}"))
-    r0 = 1e-6
-    small = abs(sfs.mean_density(params, r0) * params.beta * params.theta * r0 / params.mu - 1.0)
+    # the density is linear in mu: the asymptotes hold per unit mu, also at mu = 0
+    unit = dataclasses.replace(params, mu=1.0)
+    r0 = 1e-6 / params.theta  # the deviation is about theta r0
+    small = abs(sfs.mean_density(unit, r0) * params.beta * params.theta * r0 - 1.0)
     r1 = 50.0 / params.theta  # scaled tail deviates by exactly 1/(2x) + O(1/x^2)
-    big = abs(
-        sfs.mean_density(params, r1)
-        * params.beta
-        * math.exp(2.0 * params.theta * r1)
-        / (2.0 * params.mu)
-        - 1.0
-    )
+    big = abs(sfs.mean_density(unit, r1) * params.beta * math.exp(2.0 * params.theta * r1) / 2.0 - 1.0)
     out.append(("density asymptotes", small < 1e-4 and big < 1e-2, f"r->0 {small:.1e}, r->inf {big:.1e}"))
     worst_mass = worst_mean = 0.0
     for t in (0.5, 1.0, 3.0):
@@ -129,11 +133,11 @@ def _tmrca_replicate(args, rng) -> float:
     return max(sample_zetas(params, config, rng).zetas)
 
 
-def suite_tmrca_law(params: model.ModelParams, reps: int, seed: int) -> list[Check]:
+def suite_tmrca_law(params: model.ModelParams, reps: int, seed: int, margin: float) -> list[Check]:
     from scipy import stats  # deferred: importing the CLI must not load it
 
     reps = max(reps, 5000)
-    z0 = 2.0 / params.theta
+    z0 = 1.5 / params.theta
     n = 5
     maxima = map_replicates(_tmrca_replicate, (params, n, z0), reps, seed)
 
@@ -152,34 +156,58 @@ def suite_tmrca_law(params: model.ModelParams, reps: int, seed: int) -> list[Che
     ]
 
 
-def suite_sfs_mc(params: model.ModelParams, reps: int, seed: int) -> list[Check]:
+def suite_sfs_mc(params: model.ModelParams, reps: int, seed: int, margin: float) -> list[Check]:
+    out = []
     n = 10
     reps = max(reps, 2000)
-    z0 = 2.0 / params.theta
-    mean, se = sfs.simulate_sfs(params, n, reps, seed, z0=z0)
-    xi = params.mu * sfs.expected_sfs(params, n, z0)
-    worst = max(map(_z_score, mean.tolist(), xi.tolist(), se.tolist()))
-    return [
-        (
-            "simulated spectrum vs expected (4 SE)",
-            worst < 4.0,
-            f"max |z| = {worst:.2f} over k=1..{n - 1} at {reps} reps",
+    for i, scale in enumerate((1.0, 2.0)):
+        z0 = scale / params.theta
+        mean, se = sfs.simulate_sfs(params, n, reps, seed + i, z0=z0)
+        xi = params.mu * sfs.expected_sfs(params, n, z0)
+        worst = max(map(_z_score, mean.tolist(), xi.tolist(), se.tolist()))
+        out.append(
+            (
+                f"simulated spectrum vs expected at z0 = {scale:g}/theta ({margin:g} SE)",
+                worst < margin,
+                f"max |z| = {worst:.2f} over k=1..{n - 1} at {reps} reps",
+            )
         )
-    ]
+    return out
 
 
-def suite_clonal(params: model.ModelParams, reps: int, seed: int) -> list[Check]:
+def suite_clonal(params: model.ModelParams, reps: int, seed: int, margin: float) -> list[Check]:
     out = []
     reps = max(reps, 5000)
     lhs = clonal.u_moment(1.0, 3, 2.0)
     rhs = (2.0 / 3.0) * specfun.beta_fn(4.0, 1.0) / 4.0
     out.append(("uniform-moment recursion", abs(lhs - rhs) < 1e-14, f"dev {abs(lhs - rhs):.2e}"))
-    mean, se = clonal.mc_clonal(params, 1, reps, seed, statistic="zpow_r")
-    z = _z_score(mean, clonal.e_zcl_pow_r(params, 1), se)
-    out.append(("clonal fraction mean vs MC (4 SE)", z < 4.0, f"|z| = {z:.2f} at {reps} reps"))
-    mean, se = clonal.v_representation_check(params, 3, reps, seed)
-    z = _z_score(mean, clonal.e_zcl_pow_r(params, 3), se)
-    out.append(("uniform-product route vs closed form (4 SE)", z < 4.0, f"|z| = {z:.2f}"))
+    summary = clonal.clonal_summary(params)
+    for offset, label, statistic, moment, rational in (
+        (1, "E[R]", "zpow_r", clonal.e_zcl_pow_r, summary["e_r"]),
+        (2, "E[Z_cl]", "zpow", clonal.e_zcl_pow, summary["e_zcl"]),
+    ):
+        dev = abs(moment(params, 1) - rational)
+        out.append(
+            (f"{label} closed form vs rational", dev <= 1e-12 * rational, f"{rational:.6g}, dev {dev:.1e}")
+        )
+        mean, se = clonal.mc_clonal(params, 1, reps, seed + offset, statistic=statistic)
+        z = _z_score(mean, rational, se)
+        out.append((f"{label} vs tree-route MC ({margin:g} SE)", z < margin, f"|z| = {z:.2f} at {reps} reps"))
+    for n in (2, 3, 5):
+        analytic = clonal.e_zcl_pow_r(params, n)
+        tree_mean, tree_se = clonal.mc_clonal(params, n, reps, seed + 10 + n)
+        v_mean, v_se = clonal.v_representation_check(params, n, 4 * reps, seed + 20 + n)
+        z_tree = _z_score(tree_mean, analytic, tree_se)
+        z_v = _z_score(v_mean, analytic, v_se)
+        z_cross = _z_score(tree_mean, v_mean, math.hypot(tree_se, v_se))
+        out.append(
+            (
+                f"E[Z_cl^{n - 1} R]: tree MC, uniform-product MC, closed form ({margin:g} SE)",
+                max(z_tree, z_v, z_cross) < margin,
+                f"|z| tree {z_tree:.2f}, V {z_v:.2f}, cross {z_cross:.2f}"
+                f" at {reps}/{4 * reps} reps",
+            )
+        )
     return out
 
 
@@ -192,10 +220,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, params: model.ModelParams, reps: int, seed: int) -> list[Check]:
-    if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite(params, reps, seed))
-        return results
-    return SUITES[name](params, reps, seed)
+def run_suite(
+    name: str, params: model.ModelParams, reps: int, seed: int, margin: float
+) -> list[Check]:
+    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    return [check for suite in suites for check in suite(params, reps, seed, margin)]

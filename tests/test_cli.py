@@ -191,10 +191,19 @@ class TestClonalCommand:
 
 
 class TestVerifyCommand:
-    def test_quadrature_suite_passes(self, capsys):
-        assert run("verify", "--suite", "quadrature-identities") == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
+    @pytest.mark.parametrize(
+        "flags",
+        [("--suite", "all"),
+         ("--suite", "all", "--mu", 0),
+         ("--suite", "quadrature-identities", "--theta", 1000)],
+        ids=["all", "all-mu0", "quadrature-theta1000"],
+    )
+    def test_suite_passes(self, capsys, flags):
+        # at the command's 4 SE margin and its replicate floors
+        assert run("verify", *flags) == 0
+        captured = capsys.readouterr()
+        assert "[PASS]" in captured.out and "[FAIL]" not in captured.out
+        assert captured.err == ""
 
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -232,17 +232,6 @@ class TestH1Kernels:
         assert h1(0.0) == 0.0
         assert h1_deriv(0.0, 1) == 0.0
 
-    def test_derivatives_vs_finite_differences(self):
-        # order 2 differences the (already fd-verified) first derivative:
-        # the twice-differenced h1 sits on a ~1e-3 float64 roundoff floor
-        # at x = 20 and cannot resolve 1e-5
-        step = 1e-5
-        for x in (0.5, 2.0, 20.0):
-            fd1 = (h1(x + step) - h1(x - step)) / (2.0 * step)
-            fd2 = (h1_deriv(x + step, 1) - h1_deriv(x - step, 1)) / (2.0 * step)
-            assert h1_deriv(x, 1) == pytest.approx(fd1, abs=1e-5)
-            assert h1_deriv(x, 2) == pytest.approx(fd2, abs=1e-5)
-
     def test_growth_bound_single_constant(self):
         # |h1^(i)(x)| <= C (1 + x^{3-i} log+(x)) with one fitted C over the
         # whole grid and all orders; the constant is unspecified upstream,
