@@ -19,8 +19,12 @@ from .genealogy import (
     LeafConfig,
     Lk_all,
     ZetaVector,
+    block_Lk,
+    block_records,
+    block_tree_length,
     intervals,
     population_tree_length,
+    sample_block,
     sample_population,
     sample_tree_length,
     sample_zetas,
@@ -70,6 +74,7 @@ from .tree import (
     drop_mutations,
     edge_lengths_by_count,
     newick_export,
+    poisson_counts,
     tree_tmrca,
 )
 

@@ -1,47 +1,69 @@
-"""Replicate scheduling: the one loop over replicate indices.
+"""Replicate scheduling: the one loop over blocks of replicates.
 
-Every simulated quantity is built from independent replicates, and
-replicate i always draws from ``replicate_rng(seed, i)``.  ``map_replicates``
-is the only place that loops over those indices: it returns one result per
-replicate, in replicate order, so output is a pure function of
-(seed, reps) no matter how the index range is split over workers.  The
-results are whatever ``fn`` returns (numbers for the Monte-Carlo means,
-records for the sampled trees); ``mean_and_se`` reduces numeric ones.
+Every simulated quantity is built from independent replicates, drawn in
+blocks of :data:`BLOCK`: block b holds replicates b*BLOCK onwards (the last
+block holds what is left) and draws all of them from
+``replicate_rng(seed, b)``.  ``map_replicates`` is the only place that loops
+over the blocks: it returns one result per replicate, in replicate order.
+The block size is a constant, so output is a pure function of
+(seed, reps) no matter how the blocks are spread over worker processes.
+A block function ``fn(args, rng, count)`` returns ``count`` results as an
+array with one row per replicate (numbers for the Monte-Carlo means) or a
+list (records for the sampled trees); ``mean_and_se`` reduces numeric ones.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 
 import numpy as np
 
+# Replicates per block.  Large enough that per-block costs (a generator, a
+# few dozen array calls) stay below 0.1 us per replicate, small enough that
+# a block of genealogies of a few hundred leaves holds a few MB.
+BLOCK = 1024
+
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one replicate, keyed by (seed, index)."""
+    """Independent generator keyed by (seed, index): block ``index`` of a run."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
 def _run_chunk(fn, args, seed, lo, hi):
-    return [fn(args, replicate_rng(seed, i)) for i in range(lo, hi)]
+    """The results of replicates lo..hi-1 (lo a multiple of BLOCK), block by block."""
+    return [
+        fn(args, replicate_rng(seed, start // BLOCK), min(BLOCK, hi - start))
+        for start in range(lo, hi, BLOCK)
+    ]
 
 
-def map_replicates(fn, args, reps: int, seed: int, workers: int = 1) -> list:
-    """``fn(args, replicate_rng(seed, i))`` for i = 0..reps-1, in that order.
+def map_replicates(fn, args, reps: int, seed: int, workers: int | Executor = 1):
+    """``reps`` results of the block function ``fn``, in replicate order: an
+    array with one row per replicate, or a list if ``fn`` returns lists.
 
-    ``fn`` must be a module-level callable (it crosses process boundaries
-    when workers > 1), and its results must pickle.
+    ``workers`` is a process count, or a process pool to reuse across calls
+    (a command starts one for all its runs).  Beyond one process, every
+    block runs in a pool process, so this process never draws.  ``fn`` must
+    be a module-level callable, and its results must pickle.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        return _run_chunk(fn, args, seed, 0, reps)
-    bounds = np.linspace(0, reps, workers + 1, dtype=int)
-    spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        futures = [pool.submit(_run_chunk, fn, args, seed, lo, hi) for lo, hi in spans]
-        return [value for future in futures for value in future.result()]
+    if isinstance(workers, int):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return map_replicates(fn, args, reps, seed, pool)
+        parts = _run_chunk(fn, args, seed, 0, reps)
+    else:
+        futures = [
+            workers.submit(_run_chunk, fn, args, seed, lo, min(lo + BLOCK, reps))
+            for lo in range(0, reps, BLOCK)
+        ]
+        parts = [part for future in futures for part in future.result()]
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    return [result for part in parts for result in part]
 
 
 def mean_and_se(values) -> tuple[np.ndarray, np.ndarray]:

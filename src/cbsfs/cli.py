@@ -13,12 +13,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import verify
 from ._mc import map_replicates
 from .clonal import MC_STATISTICS, clonal_summary, e_zcl_pow, e_zcl_pow_r, mc_clonal
-from .genealogy import sample_population, sample_zetas
+from .genealogy import block_records, sample_block
 from .model import ModelParams
 from .reports import fmt_value, write_csv, write_json_doc, write_text
 from .sfs import SIMULATE_MODES, expected_sfs, g1, mean_density, simulate_sfs
@@ -130,20 +132,23 @@ def settings(args) -> list[tuple[str, object]]:
             if key not in ("config", "command", "out", "workers")]
 
 
-def _sample_replicate(args, rng) -> dict:
-    """One sampled genealogy as a replay record (without its index): its draw,
-    from which ``build_tree`` rebuilds the tree that the atoms' edge ids name."""
+def _sample_replicate(args, rng, count: int = 1) -> list[dict]:
+    """``count`` sampled genealogies as replay records (without their
+    indices): each one's draw, from which ``build_tree`` rebuilds the tree
+    that the atoms' edge ids name.  The mutations of the block are dropped
+    after all its genealogies are drawn, tree by tree."""
     params, n, z0, mode = args
-    leaf_config = sample_population(params, n, rng, condition_z0=z0)
-    zetas = sample_zetas(params, leaf_config, rng)
-    tree = build_tree(leaf_config, zetas, mode)
-    overlay = drop_mutations(tree, params, rng)
-    return {
-        "leaf_config": leaf_config.to_dict(),
-        "zetas": zetas.to_dict(),
-        "mutations": overlay.to_dict(),
-        "newick": newick_export(tree),
-    }
+    records = []
+    for leaf_config, zetas in block_records(*sample_block(params, n, rng, count, condition_z0=z0)):
+        tree = build_tree(leaf_config, zetas, mode)
+        overlay = drop_mutations(tree, params, rng)
+        records.append({
+            "leaf_config": leaf_config.to_dict(),
+            "zetas": zetas.to_dict(),
+            "mutations": overlay.to_dict(),
+            "newick": newick_export(tree),
+        })
+    return records
 
 
 def cmd_sample(args, params: ModelParams) -> int:
@@ -198,6 +203,8 @@ def cmd_sfs(args, params: ModelParams) -> int:
 def cmd_density(args, params: ModelParams) -> int:
     if not (args.r_min > 0 and args.r_max > args.r_min and args.points >= 2):
         raise ValueError("need 0 < r-min < r-max and points >= 2")
+    if params.mu == 0:
+        raise ValueError("density needs --mu > 0: at mu = 0 no site mutates and the density is 0 everywhere")
     step = (args.r_max / args.r_min) ** (1.0 / (args.points - 1))
     if not math.isfinite(step):
         raise ValueError("r-max / r-min overflows a float")
@@ -297,7 +304,12 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{flag.replace('_', '-')} must be finite, got {value}")
-        return COMMANDS[args.command](args, params)
+        with ExitStack() as stack:
+            if getattr(args, "workers", 1) > 1:
+                # one pool serves every run of the command; its processes
+                # start at the first block and stop when the command ends
+                args.workers = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
+            return COMMANDS[args.command](args, params)
     except (ValueError, OSError) as exc:
         print(f"cbsfs: {exc}", file=sys.stderr)
         return 1

@@ -17,11 +17,12 @@ uniform product representation over n+1 independent uniforms.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 
 import numpy as np
 
 from ._mc import map_replicates, mean_and_se, replicate_rng
-from .genealogy import population_tree_length, sample_population, sample_zetas
+from .genealogy import block_tree_length, sample_block
 from .model import ModelParams, z0_moment
 from .specfun import beta_fn
 
@@ -144,13 +145,13 @@ def clonal_summary(params: ModelParams) -> dict[str, float]:
 MC_STATISTICS = ("zpow_r", "zpow")
 
 
-def _clonal_replicate(args, rng) -> float:
+def _clonal_replicate(args, rng, count: int = 1) -> np.ndarray:
+    """Z0^p e^{-mu L_n} for ``count`` unconditioned genealogies."""
     params, n, statistic = args
-    config = sample_population(params, n, rng)
-    zetas = sample_zetas(params, config, rng)
-    length = population_tree_length(config, zetas)
+    positions, _, depths = sample_block(params, n, rng, count)
+    z0 = positions[:, -1] - positions[:, 0]
     power = n - 1 if statistic == "zpow_r" else n
-    return config.z0 ** power * math.exp(-params.mu * length)
+    return z0**power * np.exp(-params.mu * block_tree_length(depths))
 
 
 def mc_clonal(
@@ -159,7 +160,7 @@ def mc_clonal(
     reps: int,
     seed: int,
     statistic: str = "zpow_r",
-    workers: int = 1,
+    workers: int | Executor = 1,
 ) -> tuple[float, float]:
     """Genealogy-route Monte Carlo for E[Z_cl^{n-1} R] or E[Z_cl^n]: the
     mean over replicates and its standard error.
@@ -167,7 +168,8 @@ def mc_clonal(
     Each replicate samples an unconditioned population-rooted genealogy
     and evaluates Z0^p e^{-mu L_n}; the total length L_n comes from the
     branch depths (equal to the built tree's length, which is asserted
-    separately in the tree tests).
+    separately in the tree tests).  ``workers`` is as for
+    :func:`~cbsfs._mc.map_replicates`.
     """
     if statistic not in MC_STATISTICS:
         raise ValueError(f"statistic must be one of {MC_STATISTICS}, got {statistic!r}")

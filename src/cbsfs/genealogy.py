@@ -14,6 +14,12 @@ read the gap depths directly; the explicit tree in :mod:`cbsfs.tree`,
 built by a separate attach walk, is the geometric oracle they are
 tested against.
 
+The Monte-Carlo routes draw many replicates at once: :func:`sample_block`
+returns each replicate's flank and gap depths as one row of an array, and
+:func:`block_Lk` and :func:`block_tree_length` compute the statistics of
+all rows together.  The per-replicate sampler and statistics are their
+reference.
+
 Each record stores only what it cannot derive: a :class:`LeafConfig` is
 its ordered positions and leaf labels, a :class:`ZetaVector` its depths.
 """
@@ -144,6 +150,89 @@ def sample_population(
     )
 
 
+def sample_block(
+    params: ModelParams,
+    n: int,
+    rng: np.random.Generator,
+    count: int,
+    condition_z0: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` independent replicates of :func:`sample_population` followed
+    by :func:`sample_zetas`, drawn as arrays with one row per replicate.
+
+    Returns ``(positions, labels, depths)``.  A row of ``positions``
+    (count, n+2) and of ``labels`` (count, n) are the fields of a
+    :class:`LeafConfig`.  A row of ``depths`` (count, n+1) holds the branch
+    depths of the n+1 ranks other than the spine, in rank order: the left
+    flank, the n-1 gap depths, the right flank.  Those ranks own, in order,
+    the n+1 gaps between consecutive positions, so each depth is drawn from
+    its gap.  The block draws both arms, then all leaf uniforms, then one
+    unit exponential per gap; a row with a (probability-zero) position
+    collision redraws its arms and uniforms, and a row with a zero
+    exponential redraws its exponentials, as the per-replicate sampler does.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if condition_z0 is not None and not condition_z0 > 0:
+        raise ValueError(f"condition_z0 must be positive, got {condition_z0}")
+
+    def arms_and_leaves(rows: int) -> tuple[np.ndarray, np.ndarray]:
+        if condition_z0 is None:
+            scale = 1.0 / (2.0 * params.theta)
+            e_g, e_d = rng.exponential(scale, size=rows), rng.exponential(scale, size=rows)
+        else:
+            e_g = rng.uniform(0.0, condition_z0, size=rows)
+            e_d = condition_z0 - e_g
+        positions = np.empty((rows, n + 2))
+        positions[:, 0], positions[:, -1] = -e_g, e_d
+        leaves = positions[:, 1:-1]  # a view; column 0 is the spine individual
+        leaves[:, 0] = 0.0
+        np.multiply((e_g + e_d)[:, None], rng.uniform(size=(rows, n - 1)), out=leaves[:, 1:])
+        leaves[:, 1:] -= e_g[:, None]
+        order = np.argsort(leaves, axis=1, kind="stable")
+        leaves[:] = np.take_along_axis(leaves, order, axis=1)
+        return positions, order
+
+    def collide(positions: np.ndarray) -> np.ndarray:
+        return np.any(np.diff(positions, axis=1) <= 0.0, axis=1)
+
+    positions, labels = arms_and_leaves(count)
+    redraw = np.flatnonzero(collide(positions))
+    for _ in range(_MAX_REDRAWS - 1):
+        if not redraw.size:
+            break
+        for _ in redraw:
+            logger.warning("position collision (probability-zero); redrawing replicate")
+        positions[redraw], labels[redraw] = arms_and_leaves(redraw.size)
+        redraw = redraw[collide(positions[redraw])]
+    if redraw.size:
+        z0 = float(positions[redraw[0], -1] - positions[redraw[0], 0])
+        raise ValueError(
+            f"could not draw {n} distinct leaf positions on an interval of size "
+            f"z0={z0!r} in {_MAX_REDRAWS} attempts"
+        )
+    e = rng.exponential(1.0, size=(count, n + 1))
+    while (zero := np.flatnonzero(np.any(e == 0.0, axis=1))).size:  # underflow guard
+        e[zero] = rng.exponential(1.0, size=(zero.size, n + 1))
+    depths = np.diff(positions, axis=1)  # the gaps, turned into depths in place
+    depths *= 2.0 * params.theta
+    depths /= e
+    np.log1p(depths, out=depths)
+    depths /= 2.0 * params.beta * params.theta
+    if not np.all(np.isfinite(depths)):
+        raise ValueError("branch depths must be finite and nonnegative")
+    return positions, labels, depths
+
+
+def block_records(positions: np.ndarray, labels: np.ndarray, depths: np.ndarray):
+    """Each row of a :func:`sample_block` draw as a ``(LeafConfig, ZetaVector)``
+    pair, with the spine's depth 0 put back at its rank."""
+    for row_positions, row_labels, row_depths in zip(positions, labels, depths):
+        config = LeafConfig(positions=tuple(row_positions.tolist()), labels=tuple(row_labels.tolist()))
+        spine, row_depths = config.spine_index, row_depths.tolist()
+        yield config, ZetaVector(zetas=(*row_depths[:spine], 0.0, *row_depths[spine:]))
+
+
 def intervals(config: LeafConfig) -> np.ndarray:
     """Interval length governed by each rank: the gap toward the spine side.
 
@@ -237,3 +326,55 @@ def population_tree_length(config: LeafConfig, zetas: ZetaVector) -> float:
     MRCA plus all sample branch depths."""
     z = zetas.zetas
     return max(z) + sum(z[1 : config.n + 1])
+
+
+def block_tree_length(depths: np.ndarray) -> np.ndarray:
+    """Population-rooted tree length of each row of a :func:`sample_block`
+    ``depths`` array: its deepest branch plus its n-1 gap depths."""
+    return depths.max(axis=1) + depths[:, 1:-1].sum(axis=1)
+
+
+def _nearest_deeper(g: np.ndarray, inner: np.ndarray, step: int, deeper) -> np.ndarray:
+    """For each flat index i in ``inner``, the nearest index j = i + m*step
+    (m >= 1) with ``deeper(g[j], g[i])``, found by pointer jumping: every
+    pointer starts at its neighbour and, while that one is not deeper, takes
+    over its pointer, skipping a run no deeper than i.  ``g`` must hold a
+    sentinel that is deeper than everything at each end of every row."""
+    ptr = np.arange(g.size) + step
+    todo = inner
+    while (todo := todo[~deeper(g[ptr[todo]], g[todo])]).size:
+        ptr[todo] = ptr[ptr[todo]]
+    return ptr[inner]
+
+
+def block_Lk(depths: np.ndarray) -> np.ndarray:
+    """L_1..L_{n-1} for each row of a :func:`sample_block` ``depths`` array
+    (row r, column k-1 holds L_k of replicate r): :func:`Lk_all` on arrays.
+
+    Gap i's edge climbs from its own depth to the shallower of its nearest
+    deeper gaps on either side (the flanks are replaced by infinitely deep
+    sentinels), and it subtends the leaves between them.  A tie counts as
+    deeper on the right, as in :func:`Lk_all`, and the gap whose neighbours
+    are both sentinels is the root, which has no edge.  Leaf j's edge climbs
+    to the shallower of its two adjacent gaps.
+    """
+    count, width = depths.shape
+    n = width - 1
+    if n == 1:
+        return np.zeros((count, 0))
+    g = depths.copy()
+    g[:, [0, -1]] = np.inf
+    g = g.ravel()
+    inner = (np.arange(count)[:, None] * width + np.arange(1, n)).ravel()
+    left = _nearest_deeper(g, inner, -1, np.greater)
+    right = _nearest_deeper(g, inner, 1, np.greater_equal)
+    size = right - left  # leaves in the clade of each gap
+    edge = size < n
+    lengths = np.minimum(g[left[edge]], g[right[edge]]) - g[inner[edge]]
+    row = inner[edge] // width
+    out = np.bincount(row * (n - 1) + size[edge] - 1, lengths, minlength=count * (n - 1))
+    # bincount over no edges (n = 2) comes back as integers
+    out = out.astype(float, copy=False).reshape(count, n - 1)
+    g = g.reshape(count, width)
+    out[:, 0] += np.minimum(g[:, :-1], g[:, 1:]).sum(axis=1)
+    return out

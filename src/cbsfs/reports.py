@@ -14,7 +14,7 @@ import math
 import os
 from pathlib import Path
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def fmt_value(x) -> str:

@@ -24,13 +24,15 @@ mu * L_k directly or draws Poisson counts with those means.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 
 import numpy as np
 
 from ._mc import map_replicates, mean_and_se
-from .genealogy import Lk_all, sample_population, sample_zetas
+from .genealogy import block_Lk, sample_block
 from .model import ModelParams, canonical_density
 from .specfun import EULER_GAMMA, H_closed, adaptive_quad, gamma_upper_zero, h1_deriv
+from .tree import poisson_counts
 
 
 # Tolerances of the per-l reference: relative only, tight enough to resolve
@@ -229,14 +231,14 @@ def g2_residual(params: ModelParams, n: int, k: int, z0: float) -> float:
     return (n * n / math.sqrt(k)) * (params.beta * lk / z0 - lead)
 
 
-def _sfs_replicate(args, rng) -> np.ndarray:
+def _sfs_replicate(args, rng, count: int = 1) -> np.ndarray:
+    """mu * L_k, or Poisson counts with those means, for ``count`` genealogies."""
     params, n, z0, mode = args
-    config = sample_population(params, n, rng, condition_z0=z0)
-    zetas = sample_zetas(params, config, rng)
-    lk = Lk_all(config, zetas)
+    _, _, depths = sample_block(params, n, rng, count, condition_z0=z0)
+    means = params.mu * block_Lk(depths)
     if mode == "poisson-counts":
-        return rng.poisson(params.mu * lk).astype(float)
-    return params.mu * lk
+        return poisson_counts(rng, means).astype(float)
+    return means
 
 
 SIMULATE_MODES = ("expected-lengths", "poisson-counts")
@@ -249,13 +251,14 @@ def simulate_sfs(
     seed: int,
     z0: float | None = None,
     mode: str = "expected-lengths",
-    workers: int = 1,
+    workers: int | Executor = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo spectrum over seeded replicates: the mean of the
     per-replicate values for k = 1..n-1 and its standard error.
 
     "expected-lengths" averages mu * L_k per replicate; "poisson-counts"
     draws the mutation counts themselves (same means, larger variance).
+    ``workers`` is as for :func:`~cbsfs._mc.map_replicates`.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

@@ -230,21 +230,39 @@ class MutationOverlay:
         return {"atoms": [[edge, depth] for edge, depth in self.atoms]}
 
 
+# Generator.poisson refuses a mean above about 9.22e18 (int64 range less ten
+# standard deviations); past this bound no count can be drawn.
+_POISSON_MEAN_MAX = 9.2e18
+
+
+def poisson_counts(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
+    """Poisson mutation counts with the given means, each mu * length.
+
+    A mean too large to draw is a ValueError that names the flags setting it.
+    """
+    largest = np.max(means, initial=0.0)
+    if not largest <= _POISSON_MEAN_MAX:
+        raise ValueError(
+            f"a mutation count has Poisson mean mu * length = {largest:.3g}, beyond "
+            f"the {_POISSON_MEAN_MAX:.3g} that can be drawn; lower --mu or raise --theta"
+        )
+    return rng.poisson(means)
+
+
 def drop_mutations(
     tree: GenealogyTree, params: ModelParams, rng: np.random.Generator
 ) -> MutationOverlay:
     """Poisson(mu * length) mutations per edge, uniform along the edge.
 
-    Edges are visited in child-id order so the draw sequence is a pure
-    function of (tree, seed).
+    All counts are drawn first, in child-id order, then all depths, so the
+    draw sequence is a pure function of (tree, seed).
     """
-    atoms: list[tuple[int, float]] = []
-    for child, _, length in tree.edges():
-        count = int(rng.poisson(params.mu * length))
-        if count:
-            for depth in rng.uniform(0.0, length, size=count):
-                atoms.append((child, float(depth)))
-    return MutationOverlay(atoms=tuple(atoms))
+    edges = list(tree.edges())
+    children = np.array([child for child, _, _ in edges], dtype=int)
+    lengths = np.array([length for _, _, length in edges])
+    counts = poisson_counts(rng, params.mu * lengths)
+    depths = rng.uniform(0.0, np.repeat(lengths, counts))
+    return MutationOverlay(atoms=tuple(zip(np.repeat(children, counts).tolist(), depths.tolist())))
 
 
 def newick_export(tree: GenealogyTree) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import clonal, model, sfs, specfun
 from ._mc import map_replicates
-from .genealogy import sample_population, sample_zetas
+from .genealogy import sample_block
 
 Check = tuple[str, bool, str]  # (name, passed, detail)
 
@@ -126,11 +126,10 @@ def suite_quadrature_identities(
     return out
 
 
-def _tmrca_replicate(args, rng) -> float:
-    """Population TMRCA of one genealogy: its deepest branch."""
+def _tmrca_replicate(args, rng, count: int = 1) -> np.ndarray:
+    """Population TMRCA of ``count`` genealogies: each one's deepest branch."""
     params, n, z0 = args
-    config = sample_population(params, n, rng, condition_z0=z0)
-    return max(sample_zetas(params, config, rng).zetas)
+    return sample_block(params, n, rng, count, condition_z0=z0)[2].max(axis=1)
 
 
 def suite_tmrca_law(params: model.ModelParams, reps: int, seed: int, margin: float) -> list[Check]:

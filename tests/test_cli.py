@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cbsfs
+from cbsfs._mc import BLOCK
 from cbsfs.cli import build_parser, main
 from cbsfs.clonal import e_zcl_pow_r
 from cbsfs.model import ModelParams
@@ -46,7 +47,7 @@ class TestSampleCommand:
         lines = out.with_suffix(".nwk").read_text().strip().splitlines()
         assert len(lines) == 3
         doc = json.loads(out.with_suffix(".json").read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert len(doc["data"]) == 3
         for i, record in enumerate(doc["data"]):
             # each record holds its draw once: no tree, no derived key
@@ -130,7 +131,7 @@ class TestSfsCommand:
         assert run("sfs", "--mode", "expected", "--n", 4, "--z0", 1.0,
                    "--format", "json", "--out", out) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert [row["k"] for row in doc["data"]] == [1, 2, 3]
 
     def test_simulate_keeps_expected_columns(self, tmp_path):
@@ -148,6 +149,22 @@ class TestSfsCommand:
         assert rows[0] == rows[1] and len(rows[0]) == 7
         for _, length, xi in rows[0]:
             assert xi == repr(0.7 * float(length))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sfs", "--mode", "simulate", "--n", 6, "--z0", 1.0],
+     ["sfs", "--mode", "simulate", "--sim-mode", "poisson-counts", "--n", 6, "--z0", 1.0],
+     ["clonal", "--mode", "simulate", "--n-max", 3]],
+    ids=["sfs", "sfs-poisson", "clonal"],
+)
+def test_workers_do_not_change_bytes_over_blocks(tmp_path, argv):
+    # three whole blocks and a ragged tail, spread over a pool of three
+    reps = 3 * BLOCK + 37
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(*argv, "--reps", reps, "--seed", 5, "--workers", 1, "--out", a) == 0
+    assert run(*argv, "--reps", reps, "--seed", 5, "--workers", 3, "--out", b) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 class TestDensityCommand:
@@ -294,7 +311,7 @@ class TestHeaderProvenance:
         out = tmp_path / "x.csv"
         assert run(*argv, "--out", out) == 0
         lines = out.read_text().splitlines()
-        assert lines[:2] == [f"# cbsfs {argv[0]}", "# schema_version=2"]
+        assert lines[:2] == [f"# cbsfs {argv[0]}", "# schema_version=3"]
         keys = [line[2:].split("=", 1)[0] for line in lines[2:] if line.startswith("#")]
         assert keys == _settings(argv[0]) + extra
 
@@ -395,16 +412,24 @@ class TestBadFlags:
             # the grid points coincide
             (["density", "--r-min", "1", "--r-max", "1.0000000000000002", "--points", "3"],
              "density must decrease along the grid"),
+            # the density is 0 everywhere
+            (["density", "--mu", "0"], "density needs --mu > 0"),
+            # mutation counts with Poisson means beyond what can be drawn
+            (["sample", "--n", "5", "--reps", "3", "--theta", "1e-150"],
+             "lower --mu or raise --theta"),
+            (["sfs", "--mode", "simulate", "--sim-mode", "poisson-counts", "--mu", "1e300",
+              "--n", "5", "--reps", "2"], "lower --mu or raise --theta"),
         ],
         ids=["density-r-max-inf", "density-ratio-overflow", "g1-z-inf", "g1-z-1e308",
              "sfs-z0-inf", "sample-z0-inf", "clonal-mu-1e300", "clonal-n-max-400",
              "sample-z0-subnormal", "sfs-z0-subnormal", "sfs-z0-underflow",
-             "density-underflow", "density-grid-coincident"],
+             "density-underflow", "density-grid-coincident", "density-mu-0",
+             "sample-poisson-theta-1e-150", "sfs-poisson-mu-1e300"],
     )
     def test_no_finite_result_writes_nothing(self, tmp_path, capsys, argv, message):
         assert run(*argv, "--out", tmp_path / "x") == 1
         err = capsys.readouterr().err
-        assert err.startswith("cbsfs: ") and message in err
+        assert err.startswith("cbsfs: ") and message in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
 
@@ -440,6 +465,27 @@ def test_commands_leave_scipy_special_unloaded(tmp_path, argv):
     code = (
         "import sys; from cbsfs.cli import main; rc = main(sys.argv[1:]); "
         "print(rc, 'scipy.special' in sys.modules)"
+    )
+    proc = run_python("-c", code, *argv, "--out", str(tmp_path / "out"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "20", "--reps", "3", "--workers", "2"],
+        ["clonal", "--mode", "simulate", "--n-max", "3", "--reps", "100", "--workers", "2"],
+    ],
+    ids=["sample", "clonal-simulate"],
+)
+def test_pooled_commands_draw_only_in_the_pool(tmp_path, argv):
+    # numpy.random loads hashlib and OpenSSL (5.5 MB of resident memory);
+    # with a pool every block is drawn there, also when there is one block.
+    # (`sfs` loads it anyway, through numpy.polynomial in its analytic layer.)
+    code = (
+        "import sys; from cbsfs.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, 'numpy.random' in sys.modules)"
     )
     proc = run_python("-c", code, *argv, "--out", str(tmp_path / "out"), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -10,8 +10,12 @@ from cbsfs.genealogy import (
     LeafConfig,
     Lk_all,
     ZetaVector,
+    block_Lk,
+    block_records,
+    block_tree_length,
     intervals,
     population_tree_length,
+    sample_block,
     sample_population,
     sample_tree_length,
     sample_zetas,
@@ -111,6 +115,62 @@ class TestSamplePopulation:
         config = LeafConfig(positions=(-0.7, -0.2, 0.0, 1.1), labels=(1, 0))
         assert (config.n, config.e_g, config.e_d, config.spine_index) == (2, 0.7, 1.1, 2)
         assert config.z0 == 0.7 + 1.1
+
+
+class TestSampleBlock:
+    """The batched draw against the per-replicate sampler and statistics."""
+
+    @pytest.mark.parametrize("z0", [None, 1.5])
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_rows_match_per_replicate_statistics(self, n, z0):
+        positions, labels, depths = sample_block(UNIT, n, np.random.default_rng(30 + n), 200, z0)
+        assert positions.shape == (200, n + 2) and labels.shape == (200, n)
+        lengths, lk = block_tree_length(depths), block_Lk(depths)
+        assert lk.shape == (200, n - 1)
+        for r, (config, zetas) in enumerate(block_records(positions, labels, depths)):
+            # each depth belongs to the gap its rank owns toward the spine
+            owned = np.delete(intervals(config), config.spine_index)
+            np.testing.assert_array_equal(owned, np.diff(positions[r]))
+            if z0 is not None:
+                assert config.e_g + config.e_d == z0
+            assert lengths[r] == pytest.approx(population_tree_length(config, zetas), rel=1e-12)
+            np.testing.assert_allclose(lk[r], Lk_all(config, zetas), rtol=1e-12, atol=0.0)
+
+    def test_law_matches_per_replicate_sampler(self):
+        # two-sample KS on Z0, the spine rank, the tree length and L_1 at n = 4
+        reps = 20_000
+        rng = np.random.default_rng(40)
+        per_replicate = [_draw(UNIT, 4, rng) for _ in range(reps)]
+        positions, labels, depths = sample_block(UNIT, 4, np.random.default_rng(41), reps)
+        pairs = {
+            "z0": ([c.z0 for c, _ in per_replicate], positions[:, -1] - positions[:, 0]),
+            "spine": ([c.spine_index for c, _ in per_replicate], np.argmax(labels == 0, axis=1) + 1),
+            "length": ([population_tree_length(c, z) for c, z in per_replicate], block_tree_length(depths)),
+            "L_1": ([Lk_all(c, z)[0] for c, z in per_replicate], block_Lk(depths)[:, 0]),
+        }
+        for name, (a, b) in pairs.items():
+            assert stats.ks_2samp(a, b).statistic < KS_COEFF * math.sqrt(2.0 / reps), name
+
+    def test_collisions_redraw_their_rows(self, caplog):
+        # on an interval 200 subnormal steps long, leaf positions often
+        # coincide: only the colliding rows are redrawn, each with a warning
+        z0 = 1e-321
+        with caplog.at_level("WARNING", logger="cbsfs.genealogy"):
+            positions, labels, depths = sample_block(UNIT, 3, np.random.default_rng(42), 500, z0)
+        assert 0 < len(caplog.records) < 500 * 64
+        assert np.all(np.diff(positions, axis=1) > 0.0)
+        assert np.all(positions[:, -1] - positions[:, 0] == z0)
+        assert np.all(np.isfinite(depths) & (depths >= 0.0))
+        assert sorted(map(tuple, np.sort(labels, axis=1))) == [(0, 1, 2)] * 500
+
+    def test_validation(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            sample_block(UNIT, 0, rng, 10)
+        with pytest.raises(ValueError):
+            sample_block(UNIT, 2, rng, 10, condition_z0=0.0)
+        with pytest.raises(ValueError, match="in 64 attempts"):
+            sample_block(UNIT, 200, rng, 3, condition_z0=1e-320)
 
 
 class TestIntervals:

@@ -1,22 +1,27 @@
-"""Property tests of the gap-depth statistics against the explicit tree.
+"""Property tests of the gap-depth statistics against the explicit tree,
+and of the block statistics against the per-replicate ones.
 
 Configurations are built by hand from the two fields a ``LeafConfig``
 keeps, with the spine at every rank and arm lengths and branch depths
 spread over e^-3..e^3, so the attach walk in ``build_tree`` is checked on
-shapes the sampler reaches only rarely.  The examples are derandomized so
+shapes the sampler reaches only rarely.  Blocks of depths are built on a
+coarse grid, so tied gaps are common.  The examples are derandomized so
 the suite stays seeded.
 """
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbsfs.genealogy import (
     LeafConfig,
     Lk_all,
     ZetaVector,
+    block_Lk,
+    block_tree_length,
     intervals,
     population_tree_length,
     sample_tree_length,
@@ -107,3 +112,37 @@ def test_tied_depths_met_by_the_walk_raise(case, data, mode):
     z[a] = z[b] = 2.0 * max(z[a : b + 1])
     with pytest.raises(StructuralError):
         build_tree(config, ZetaVector(zetas=tuple(z)), mode)
+
+
+@st.composite
+def depth_blocks(draw):
+    """A block of depths in ``sample_block``'s layout (flank, n-1 gap depths,
+    flank per row) and a spine rank per row.  About half the depths come from a
+    grid of four values, so exact ties between gaps are common."""
+    n = draw(st.integers(2, 10))
+    count = draw(st.integers(1, 4))
+    depth = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.floats(0.01, 100.0))
+    rows = draw(st.lists(st.lists(depth, min_size=n + 1, max_size=n + 1), min_size=count, max_size=count))
+    spines = draw(st.lists(st.integers(1, n), min_size=count, max_size=count))
+    return np.array(rows), spines
+
+
+def _record(depths: list[float], spine: int) -> tuple[LeafConfig, ZetaVector]:
+    """The per-replicate objects of one row: leaves one apart, the spine at 0."""
+    n = len(depths) - 1
+    positions = tuple(float(rank - spine) for rank in range(n + 2))
+    config = LeafConfig(positions=positions, labels=tuple(range(n)))
+    return config, ZetaVector(zetas=(*depths[:spine], 0.0, *depths[spine:]))
+
+
+@SEEDED
+@given(depth_blocks())
+@example((np.array([[0.7, 2.0, 0.3]]), [1]))  # n = 2: one gap, the root
+@example((np.array([[1.0, 2.0, 2.0, 2.0, 1.0], [9.0, 1.5, 1.5, 0.5, 9.0]]), [2, 4]))  # ties
+def test_block_statistics_match_the_per_replicate_ones(case):
+    depths, spines = case
+    lk, lengths = block_Lk(depths), block_tree_length(depths)
+    for row, spine in enumerate(spines):
+        config, zetas = _record(depths[row].tolist(), spine)
+        np.testing.assert_allclose(lk[row], Lk_all(config, zetas), rtol=1e-12, atol=0.0)
+        assert lengths[row] == pytest.approx(population_tree_length(config, zetas), rel=1e-12)
