@@ -162,12 +162,37 @@ def _expected_lengths(params: ModelParams, n: int, z0, ks: np.ndarray) -> np.nda
     return _rule_sums(params, n, z0, ks, kernel)
 
 
-def _z0_quad_nodes(params: ModelParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Laguerre with weight t e^{-t} integrates the Gamma(2, 2 theta)
-    # law exactly after t = 2 theta z
-    from scipy import special  # deferred: importing the package must not load scipy
+def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes and weights for the weight t e^{-t} on (0, inf).
 
-    t, w = special.roots_genlaguerre(nodes, 1.0)
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Laguerre polynomials L_j^(1) (diagonal 2j + 2, off-diagonal
+    sqrt(j (j + 1))), then two Newton steps on their three-term recurrence.
+    The weights are (n + 1)/(t L_n'(t)^2): taken from the eigenvectors
+    instead, the tiny weights of the largest nodes come out wrong by up to
+    ten orders of magnitude.
+    """
+    off = np.sqrt(np.arange(1.0, nodes) * np.arange(2.0, nodes + 1.0))
+    # eigvalsh reads only the lower triangle
+    t = np.linalg.eigvalsh(np.diag(2.0 * np.arange(nodes) + 2.0) + np.diag(off, -1))
+
+    def value_and_slope(t):
+        prev, cur = np.ones_like(t), 2.0 - t  # L_0, L_1
+        for j in range(1, nodes):
+            prev, cur = cur, ((2 * j + 2.0 - t) * cur - (j + 1.0) * prev) / (j + 1.0)
+        return cur, (nodes * cur - (nodes + 1.0) * prev) / t  # t L_n' = n L_n - (n+1) L_{n-1}
+
+    for _ in range(2):
+        value, slope = value_and_slope(t)
+        t = t - value / slope
+    slope = value_and_slope(t)[1]
+    return t, (nodes + 1.0) / (t * slope * slope)
+
+
+def _z0_quad_nodes(params: ModelParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    # the rule for t e^{-t} integrates the Gamma(2, 2 theta) law exactly
+    # after t = 2 theta z
+    t, w = _laguerre_rule(nodes)
     return t / (2.0 * params.theta), w
 
 

@@ -1,9 +1,12 @@
 """Special functions and quadrature behind the closed-form expectations.
 
-The standard pieces are thin wrappers: the Euler Beta goes through
-``math.lgamma``, while digamma and the incomplete gamma tail ``Gamma(0, r)``
-wrap scipy.special, which they import when called, so importing the
-package loads no scipy module.  The nonstandard
+The standard pieces are short: the Euler Beta goes through
+``math.lgamma``; the exponential integral E1, behind the incomplete gamma
+tail ``Gamma(0, r)`` and :func:`H_closed`, is a power series below 1, a
+continued fraction from 1 and (in ``H_closed``) an asymptotic series from
+600, in plain arithmetic; digamma wraps scipy.special, which it imports
+when called.  The spectrum and density commands therefore load no scipy
+module, and importing the package loads none.  The nonstandard
 pieces are the integral kernels ``H``, ``h0`` and ``h1`` that drive the
 expected branch-length expansion.  Their defining integrands contain the
 piecewise weight :func:`f_integrand`, which jumps at u = 1, so every
@@ -66,7 +69,9 @@ def adaptive_quad(
         )
     value, abserr = out[0], out[1]
     if len(out) > 3 and abserr > 10.0 * max(abs_tol, rel_tol * abs(value)):
-        raise QuadratureError(f"quadrature on [{a}, {b}] did not converge: {out[3]}")
+        # QUADPACK's message runs over several lines; its first sentence names the failure
+        reason = " ".join(out[3].split()).split(". ")[0].rstrip(".")
+        raise QuadratureError(f"quadrature on [{a}, {b}] failed: {reason}")
     if not math.isfinite(value):
         raise QuadratureError(f"quadrature on [{a}, {b}] returned {value}")
     return value
@@ -88,13 +93,49 @@ def beta_fn(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
+# Ein(x) = sum_{k>=1} (-1)^{k+1} x^k / (k k!), the entire part of E1:
+# E1(x) = -gamma - log x + Ein(x).  18 terms reach 1e-17 relative on (0, 1).
+_EIN_SERIES = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(18, 0, -1))
+
+
+def _ein(x):
+    """Ein(x) for 0 < x < 1, scalar or array, by Horner's rule."""
+    ein = 0.0
+    for coeff in _EIN_SERIES:
+        ein = (ein + coeff) * x
+    return ein
+
+
+# (2k - 1, k^2) at the levels k = 1..112 of the continued fraction below
+_E1_CF_TERMS = tuple((2.0 * k - 1.0, float(k * k)) for k in range(1, 113))
+
+
+def _exp_e1(x):
+    """e^x E1(x) for x >= 1, scalar or array, by the continued fraction
+    1/(x+1 - 1^2/(x+3 - 2^2/(x+5 - ...))) evaluated from the bottom.
+
+    It needs only + - * /, so both routes run this one body.  The fraction
+    converges faster as x grows: ceil(106/x) + 6 levels, set by the smallest
+    x, leave a truncation error below 1e-17 relative (112 levels at x = 1).
+    """
+    lowest = x if isinstance(x, float) else float(x.min(initial=math.inf))
+    depth = math.ceil(106.0 / lowest) + 6
+    t = x + (2 * depth + 1)
+    for odd, square in reversed(_E1_CF_TERMS[:depth]):
+        t = x + odd - square / t
+    return 1.0 / t
+
+
 def gamma_upper_zero(r: float) -> float:
-    """Incomplete gamma tail Gamma(0, r) = int_r^inf e^{-v}/v dv, r > 0."""
+    """Incomplete gamma tail Gamma(0, r) = E1(r) = int_r^inf e^{-v}/v dv, r > 0:
+    -gamma - log r + Ein(r) below r = 1, e^{-r} times the continued fraction
+    of e^r E1(r) from there."""
     if not r > 0:
         raise ValueError(f"gamma_upper_zero requires r > 0, got {r}")
-    from scipy import special  # deferred: importing the package must not load scipy
-
-    return float(special.exp1(r))
+    r = float(r)
+    if r < 1.0:
+        return -EULER_GAMMA - math.log(r) + _ein(r)
+    return math.exp(-r) * _exp_e1(r)
 
 
 def f_integrand(u: float) -> float:
@@ -139,27 +180,18 @@ def H_scale(x: float) -> float:
     return adaptive_quad(g, 0.0, 1.0) + adaptive_quad(g, 1.0, math.inf)
 
 
-# Ein(x) = sum_{k>=1} (-1)^{k+1} x^k / (k k!), the entire part of E1:
-# E1(x) = -gamma - log x + Ein(x).  18 terms reach 1e-17 relative on (0, 1).
-_EIN_SERIES = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(18, 0, -1))
-
-
 def _H_small(x, xp):
     """x < 1: gamma + log x + e^x E1(x) = -expm1(x)(gamma + log x) + e^x Ein(x).
 
     The direct sum cancels to order x (relative error ~1e-16/x); this form
     has no cancellation.
     """
-    ein = 0.0
-    for coeff in _EIN_SERIES:
-        ein = (ein + coeff) * x
-    return (xp.exp(x) * ein - xp.expm1(x) * (EULER_GAMMA + xp.log(x))) / x
+    return (xp.exp(x) * _ein(x) - xp.expm1(x) * (EULER_GAMMA + xp.log(x))) / x
 
 
 def _H_mid(x, xp):
-    from scipy import special  # deferred: importing the package must not load scipy
-
-    return (EULER_GAMMA + xp.log(x) + xp.exp(x) * special.exp1(x)) / x
+    """1 <= x < 600: every term is positive, so the direct form is accurate."""
+    return (EULER_GAMMA + xp.log(x) + _exp_e1(x)) / x
 
 
 def _H_large(x, xp):
@@ -174,12 +206,14 @@ def _H_large(x, xp):
 def H_closed(x):
     """Closed evaluation of :func:`H_scale` through the exponential integral.
 
-    Algebraically H(x) = (gamma + log x + e^x E1(x)) / x.  Takes a scalar
-    (returns a float) or an array (returns an array of the same shape),
-    so the S-table evaluates every node in one call; cross-checked against
-    the quadrature route and an mpmath oracle in the tests.  Each branch is
-    written once for both: scalars go through ``math``, the cheaper module
-    for the one call per QUADPACK node of :func:`cbsfs.sfs.s_ell`.
+    Algebraically H(x) = (gamma + log x + e^x E1(x)) / x, with e^x E1(x)
+    from the Ein series below x = 1, the continued fraction up to 600 and
+    the asymptotic series beyond.  Takes a scalar (returns a float) or an
+    array (returns an array of the same shape), so the S-table evaluates
+    every node in one call; cross-checked against the quadrature route and
+    an mpmath oracle in the tests.  Each branch is written once for both:
+    scalars go through ``math``, the cheaper module for the one call per
+    QUADPACK node of :func:`cbsfs.sfs.s_ell`.
     """
     if isinstance(x, (int, float)) or np.ndim(x) == 0:
         x = float(x)

@@ -11,6 +11,7 @@ from cbsfs.genealogy import Lk_all, sample_population, sample_zetas
 from cbsfs.model import ModelParams
 from cbsfs.sfs import (
     _expected_lengths,
+    _laguerre_rule,
     _z0_quad_nodes,
     density_branch_check,
     density_spine_check,
@@ -201,6 +202,25 @@ class TestExpectedLk:
         zs, ws = _z0_quad_nodes(UNIT, 80)
         fine = ws @ _expected_lengths(UNIT, 6, zs, np.arange(1, 6))
         assert lk == pytest.approx(fine, rel=1e-4)
+
+
+class TestLaguerreRule:
+    def test_against_scipy(self):
+        from scipy import special
+
+        t, w = _laguerre_rule(40)
+        t_ref, w_ref = special.roots_genlaguerre(40, 1.0)
+        np.testing.assert_allclose(t, t_ref, rtol=1e-14, atol=0.0)
+        # the tail weights fall to about 6e-60; weights read off the
+        # eigenvectors miss them by up to 7e10 relative
+        np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0.0)
+
+    def test_exact_to_degree_79(self):
+        # a 40-node Gauss rule integrates t^k against t e^{-t} exactly, to (k + 1)!
+        t, w = _laguerre_rule(40)
+        for k in range(80):
+            total = math.fsum(w * t**k)
+            assert total == pytest.approx(math.factorial(k + 1), rel=1e-13, abs=0.0), k
 
 
 class TestG1:

@@ -109,6 +109,15 @@ class TestGammaUpperZero:
         r = 1e-6
         assert abs(gamma_upper_zero(r) + math.log(r) + EULER_GAMMA) < 1e-5
 
+    def test_mpmath_oracle(self):
+        # both sides of the switch from the Ein series to the continued
+        # fraction at r = 1, out to where e^{-r} nears the smallest normal
+        grid = np.concatenate([np.logspace(-8, math.log10(700.0), 200), [1.0 - 1e-12, 1.0]])
+        with mpmath.workdps(40):
+            for r in grid:
+                oracle = mpmath.e1(mpmath.mpf(float(r)))
+                assert abs(mpmath.mpf(gamma_upper_zero(float(r))) / oracle - 1) <= 1e-13, r
+
     def test_strictly_decreasing(self):
         grid = np.logspace(-3, 1.5, 40)
         vals = [gamma_upper_zero(r) for r in grid]
@@ -206,6 +215,17 @@ class TestHScale:
             xm = mpmath.mpf(x)
             oracle = (mpmath.euler + mpmath.log(xm) + mpmath.exp(xm) * mpmath.e1(xm)) / xm
             assert abs(mpmath.mpf(H_closed(x)) / oracle - 1) <= 1e-13
+
+    def test_continued_fraction_range_vs_mpmath(self):
+        # 1 <= x < 600 is the continued fraction's, whose error is largest at x = 1
+        grid = np.concatenate([[1.0, 1.0 + 1e-12, 599.999], np.geomspace(1.0, 600.0, 400)[:-1]])
+        with mpmath.workdps(40):
+            for x in grid:
+                xm = mpmath.mpf(float(x))
+                oracle = (mpmath.euler + mpmath.log(xm) + mpmath.exp(xm) * mpmath.e1(xm)) / xm
+                assert abs(mpmath.mpf(H_closed(float(x))) / oracle - 1) <= 1e-13, x
+        scalars = [H_closed(float(x)) for x in grid]
+        np.testing.assert_allclose(H_closed(grid), scalars, rtol=1e-15, atol=0.0)
 
     def test_closed_form_arrays(self):
         xs = np.array([[1e-9, 0.5, 1.0], [30.0, 600.0, 5e3]])
