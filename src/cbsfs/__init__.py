@@ -20,7 +20,6 @@ from .genealogy import (
     Lk_all,
     ZetaVector,
     block_Lk,
-    block_records,
     block_tree_length,
     intervals,
     population_tree_length,

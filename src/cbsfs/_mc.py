@@ -14,7 +14,7 @@ list (records for the sampled trees); ``mean_and_se`` reduces numeric ones.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 
 import numpy as np
 
@@ -52,6 +52,8 @@ def map_replicates(fn, args, reps: int, seed: int, workers: int | Executor = 1):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return map_replicates(fn, args, reps, seed, pool)
         parts = _run_chunk(fn, args, seed, 0, reps)

@@ -13,19 +13,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
 
 from . import verify
 from ._mc import map_replicates
 from .clonal import MC_STATISTICS, clonal_summary, e_zcl_pow, e_zcl_pow_r, mc_clonal
-from .genealogy import block_records, sample_block
+from .genealogy import block_parents, sample_block
 from .model import ModelParams
 from .reports import fmt_value, write_csv, write_json_doc, write_text
 from .sfs import SIMULATE_MODES, expected_sfs, g1, mean_density, simulate_sfs
 from .specfun import QuadratureError
-from .tree import RootMode, build_tree, drop_mutations, newick_export
+from .tree import RootMode, block_trees
 
 
 # The shared flags, in header order: name -> (type, default, choices, help).
@@ -135,18 +134,22 @@ def settings(args) -> list[tuple[str, object]]:
 def _sample_replicate(args, rng, count: int = 1) -> list[dict]:
     """``count`` sampled genealogies as replay records (without their
     indices): each one's draw, from which ``build_tree`` rebuilds the tree
-    that the atoms' edge ids name.  The mutations of the block are dropped
-    after all its genealogies are drawn, tree by tree."""
+    that the atoms' edge ids name, with the spine's depth 0 put back at its
+    rank.  The trees of the block come from one parent array, and their
+    mutations are dropped after all its genealogies are drawn, tree by tree."""
     params, n, z0, mode = args
+    positions, labels, depths = sample_block(params, n, rng, count, condition_z0=z0)
+    labels = labels.tolist()
+    trees = block_trees(block_parents(depths, mode is RootMode.POPULATION_MRCA), depths, labels, params, rng)
     records = []
-    for leaf_config, zetas in block_records(*sample_block(params, n, rng, count, condition_z0=z0)):
-        tree = build_tree(leaf_config, zetas, mode)
-        overlay = drop_mutations(tree, params, rng)
+    for row_positions, row_labels, row_depths, (atoms, newick) in zip(positions, labels, depths, trees):
+        row_positions, row_depths = row_positions.tolist(), row_depths.tolist()
+        spine = row_positions.index(0.0)
         records.append({
-            "leaf_config": leaf_config.to_dict(),
-            "zetas": zetas.to_dict(),
-            "mutations": overlay.to_dict(),
-            "newick": newick_export(tree),
+            "leaf_config": {"positions": row_positions, "labels": row_labels},
+            "zetas": {"zetas": [*row_depths[:spine], 0.0, *row_depths[spine:]]},
+            "mutations": {"atoms": atoms},
+            "newick": newick,
         })
     return records
 
@@ -308,6 +311,8 @@ def main(argv=None) -> int:
             if getattr(args, "workers", 1) > 1:
                 # one pool serves every run of the command; its processes
                 # start at the first block and stop when the command ends
+                from concurrent.futures import ProcessPoolExecutor
+
                 args.workers = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
             return COMMANDS[args.command](args, params)
     except (ValueError, OSError) as exc:

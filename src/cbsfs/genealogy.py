@@ -17,8 +17,11 @@ tested against.
 The Monte-Carlo routes draw many replicates at once: :func:`sample_block`
 returns each replicate's flank and gap depths as one row of an array, and
 :func:`block_Lk` and :func:`block_tree_length` compute the statistics of
-all rows together.  The per-replicate sampler and statistics are their
-reference.
+all rows together.  :func:`block_parents` derives every tree of a block
+from the same rows, as one parent array over the node ids of
+:func:`cbsfs.tree.build_tree`; the ``sample`` command renders its trees from
+that array, and the attach walk is its oracle.  The per-replicate sampler
+and statistics are the reference of the block functions.
 
 Each record stores only what it cannot derive: a :class:`LeafConfig` is
 its ordered positions and leaf labels, a :class:`ZetaVector` its depths.
@@ -224,15 +227,6 @@ def sample_block(
     return positions, labels, depths
 
 
-def block_records(positions: np.ndarray, labels: np.ndarray, depths: np.ndarray):
-    """Each row of a :func:`sample_block` draw as a ``(LeafConfig, ZetaVector)``
-    pair, with the spine's depth 0 put back at its rank."""
-    for row_positions, row_labels, row_depths in zip(positions, labels, depths):
-        config = LeafConfig(positions=tuple(row_positions.tolist()), labels=tuple(row_labels.tolist()))
-        spine, row_depths = config.spine_index, row_depths.tolist()
-        yield config, ZetaVector(zetas=(*row_depths[:spine], 0.0, *row_depths[spine:]))
-
-
 def intervals(config: LeafConfig) -> np.ndarray:
     """Interval length governed by each rank: the gap toward the spine side.
 
@@ -347,6 +341,19 @@ def _nearest_deeper(g: np.ndarray, inner: np.ndarray, step: int, deeper) -> np.n
     return ptr[inner]
 
 
+def _gap_neighbours(depths: np.ndarray):
+    """The depths of a :func:`sample_block` ``depths`` array with the flanks
+    replaced by infinitely deep sentinels, flattened, the flat index of every
+    gap, and the flat index of each gap's nearest deeper one on the left and
+    on the right.  A tie counts as deeper on the right."""
+    count, width = depths.shape
+    g = depths.copy()
+    g[:, [0, -1]] = np.inf
+    g = g.ravel()
+    inner = (np.arange(count)[:, None] * width + np.arange(1, width - 1)).ravel()
+    return g, inner, _nearest_deeper(g, inner, -1, np.greater), _nearest_deeper(g, inner, 1, np.greater_equal)
+
+
 def block_Lk(depths: np.ndarray) -> np.ndarray:
     """L_1..L_{n-1} for each row of a :func:`sample_block` ``depths`` array
     (row r, column k-1 holds L_k of replicate r): :func:`Lk_all` on arrays.
@@ -362,12 +369,7 @@ def block_Lk(depths: np.ndarray) -> np.ndarray:
     n = width - 1
     if n == 1:
         return np.zeros((count, 0))
-    g = depths.copy()
-    g[:, [0, -1]] = np.inf
-    g = g.ravel()
-    inner = (np.arange(count)[:, None] * width + np.arange(1, n)).ravel()
-    left = _nearest_deeper(g, inner, -1, np.greater)
-    right = _nearest_deeper(g, inner, 1, np.greater_equal)
+    g, inner, left, right = _gap_neighbours(depths)
     size = right - left  # leaves in the clade of each gap
     edge = size < n
     lengths = np.minimum(g[left[edge]], g[right[edge]]) - g[inner[edge]]
@@ -378,3 +380,45 @@ def block_Lk(depths: np.ndarray) -> np.ndarray:
     g = g.reshape(count, width)
     out[:, 0] += np.minimum(g[:, :-1], g[:, 1:]).sum(axis=1)
     return out
+
+
+def block_parents(depths: np.ndarray, population_root: bool) -> np.ndarray:
+    """The tree of each row of a :func:`sample_block` ``depths`` array, as
+    parent node ids: row r, column v holds the parent of node v of
+    replicate r, or -1 for none (an int32 array of shape (count, 2n)).
+
+    The nodes are those of :func:`cbsfs.tree.build_tree`: the leaves are
+    nodes 0..n-1 in rank order, gap g is node n+g at its own depth, and node
+    2n-1 is the population root, at the row's deepest depth.  That root
+    exists only with ``population_root`` and only when a flank is deeper
+    than every gap; otherwise no node points to it.  The sample tree is the
+    Cartesian tree of the gap depths: a gap's parent is the shallower of its
+    nearest deeper gaps on either side (the flanks are infinitely deep
+    sentinels), and a leaf's parent is the shallower of its two adjacent
+    gaps.  A tie counts as deeper on the right, as in :func:`block_Lk`, so
+    tied gaps with no deeper gap between them, like a gap of depth 0, give
+    an edge of length 0: a ValueError, where the attach walk raises.
+    """
+    count, width = depths.shape
+    n = width - 1
+    flat, inner, left, right = _gap_neighbours(depths)
+    g = flat.reshape(count, width)
+    above = np.where(flat[left] <= flat[right], left, right)
+    if np.any(np.minimum(g[:, :-1], g[:, 1:]) <= 0.0) or np.any(flat[above] <= flat[inner]):
+        raise ValueError(
+            "tied branch depths give a tree edge of length 0; the depths scale as "
+            "1 / (beta * theta) and underflow: lower --beta or --theta"
+        )
+    up = np.empty((count, 2 * n - 1), dtype=np.int32)  # the column of g above each node
+    up[:, :n] = np.arange(n) + (g[:, :-1] > g[:, 1:])  # leaf j lies between columns j and j+1
+    up[:, n:] = (above % width).reshape(count, n - 1)
+    root = np.full((count, 1), -1, dtype=np.int32)
+    if population_root:
+        flanks, gaps = depths[:, [0, -1]].max(axis=1), depths[:, 1:-1].max(axis=1, initial=0.0)
+        root[flanks > gaps] = 2 * n - 1
+    parents = np.empty((count, 2 * n), dtype=np.int32)
+    # column c of g is gap node n+c-1; a flank column marks the sample root
+    np.add(up, n - 1, out=parents[:, :-1])
+    np.copyto(parents[:, :-1], root, where=(up == 0) | (up == n))
+    parents[:, -1] = -1
+    return parents

@@ -14,6 +14,13 @@ without a parent; the walk reads only ranks and depths, never positions.
 The mutation overlay is a Poisson sprinkling on edges; a mutation's
 carrier set is the leaf set under its edge, so carrier counts are
 per-edge quantities.
+
+The ``sample`` command builds no tree objects: :func:`block_trees` draws
+the mutations and writes the Newick text of every tree of a block from
+the parent array that :func:`cbsfs.genealogy.block_parents` derives from
+the gap depths, with the same node ids, lengths and draws.  The attach
+walk of :func:`build_tree` shares no code with that derivation and is its
+oracle, and the replay of every ``sample`` record.
 """
 
 from __future__ import annotations
@@ -244,7 +251,7 @@ def poisson_counts(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
     if not largest <= _POISSON_MEAN_MAX:
         raise ValueError(
             f"a mutation count has Poisson mean mu * length = {largest:.3g}, beyond "
-            f"the {_POISSON_MEAN_MAX:.3g} that can be drawn; lower --mu or raise --theta"
+            f"the {_POISSON_MEAN_MAX:.3g} that can be drawn; lower --mu, or raise --beta or --theta"
         )
     return rng.poisson(means)
 
@@ -263,6 +270,53 @@ def drop_mutations(
     counts = poisson_counts(rng, params.mu * lengths)
     depths = rng.uniform(0.0, np.repeat(lengths, counts))
     return MutationOverlay(atoms=tuple(zip(np.repeat(children, counts).tolist(), depths.tolist())))
+
+
+def block_trees(
+    parents: np.ndarray,
+    depths: np.ndarray,
+    labels: list[list[int]],
+    params: ModelParams,
+    rng: np.random.Generator,
+):
+    """The mutation atoms and Newick text of each tree of a block, row by row.
+
+    ``parents`` is :func:`cbsfs.genealogy.block_parents` of the block's
+    ``depths``, and ``labels`` holds each row's leaf labels as a list.  Each
+    row yields the ``(atoms, newick)`` that :func:`drop_mutations` and
+    :func:`newick_export` give for :func:`build_tree` of the same row, with
+    the same draws: one Poisson count per edge, in child-id order, then one
+    uniform depth per mutation.  An edge's length is its parent's depth less
+    its own.  The Newick text renders the internal nodes by increasing
+    depth, so every node's two children, in id order, are rendered first.
+    """
+    n = parents.shape[1] // 2
+    node_depth = np.zeros(2 * n)  # leaves, gaps, population root
+    for row_parents, row_depths, row_labels in zip(parents, depths, labels):
+        node_depth[n:-1] = row_depths[1:-1]
+        node_depth[-1] = row_depths.max()
+        up = row_parents[:-1]
+        length = node_depth[up] - node_depth[:-1]  # a parentless node's entry is unused
+        child = np.flatnonzero(up >= 0)
+        edge_length = length[child]
+        counts = poisson_counts(rng, params.mu * edge_length)
+        where = rng.uniform(0.0, np.repeat(edge_length, counts))
+        atoms = [[edge, depth] for edge, depth in zip(np.repeat(child, counts).tolist(), where.tolist())]
+        if not child.size:
+            yield atoms, f"(X{row_labels[0]}:0.0);"
+            continue
+        # nodes sorted by parent: the parentless ones, then each gap's two
+        # children, then the population root's one child
+        kids = np.argsort(row_parents, kind="stable").tolist()
+        free = 2 * n - child.size
+        tail = [f":{x!r}" for x in length.tolist()]
+        if free == 2:  # the sample root is the root
+            tail[kids[0]] = ""
+        text = [f"X{label}{t}" for label, t in zip(row_labels, tail)] + tail[n:]
+        for g in np.argsort(row_depths[1:-1]).tolist():
+            a, b = kids[free + 2 * g], kids[free + 2 * g + 1]
+            text[n + g] = f"({text[a]},{text[b]}){text[n + g]}"
+        yield atoms, (f"({text[kids[-1]]});" if free == 1 else text[kids[0]] + ";")
 
 
 def newick_export(tree: GenealogyTree) -> str:

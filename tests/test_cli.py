@@ -9,13 +9,14 @@ from pathlib import Path
 import pytest
 
 import cbsfs
-from cbsfs._mc import BLOCK
-from cbsfs.cli import build_parser, main
+from cbsfs._mc import BLOCK, map_replicates
+from cbsfs.cli import _sample_replicate, build_parser, main
 from cbsfs.clonal import e_zcl_pow_r
 from cbsfs.model import ModelParams
 from cbsfs.reports import write_text
 from cbsfs.sfs import g1
 from cbsfs.tree import RootMode, build_tree, newick_export
+from oracles import sample_records
 from replay import leaf_config_from_dict, zeta_vector_from_dict
 
 
@@ -88,6 +89,23 @@ class TestSampleCommand:
                 assert edge != tree.root and 0.0 <= depth < lengths[edge]
             atoms += len(record["mutations"]["atoms"])
         assert atoms or (n, root_mode) == (1, "sample")  # that tree has no edge
+
+    @pytest.mark.parametrize("z0", [None, 2.0])
+    @pytest.mark.parametrize("mu", [1.0, 5.0])
+    @pytest.mark.parametrize("root_mode", list(RootMode))
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 200])
+    def test_block_trees_match_the_tree_by_tree_records(self, n, root_mode, mu, z0):
+        # the records from the block's parent array against each row's
+        # build_tree, drop_mutations and newick_export, draw for draw
+        args = (ModelParams(beta=1.0, theta=1.0, mu=mu), n, z0, root_mode)
+        records = map_replicates(_sample_replicate, args, 300, seed=n)
+        assert records == map_replicates(sample_records, args, 300, seed=n)
+
+    def test_block_trees_match_across_a_block_boundary(self):
+        # the second block's trees use that block's own stream
+        args = (ModelParams(beta=1.0, theta=1.0, mu=1.0), 10, None, RootMode.POPULATION_MRCA)
+        records = map_replicates(_sample_replicate, args, BLOCK + 1, seed=3)
+        assert records == map_replicates(sample_records, args, BLOCK + 1, seed=3)
 
     def test_collision_warnings_stay_silent(self, tmp_path):
         # the redraw warnings go to the package logger, which shows nothing
@@ -418,15 +436,21 @@ class TestBadFlags:
             (["density", "--mu", "0"], "density needs --mu > 0"),
             # mutation counts with Poisson means beyond what can be drawn
             (["sample", "--n", "5", "--reps", "3", "--theta", "1e-150"],
-             "lower --mu or raise --theta"),
+             "lower --mu, or raise --beta or --theta"),
+            (["sample", "--n", "5", "--reps", "3", "--beta", "1e-300"],
+             "lower --mu, or raise --beta or --theta"),
             (["sfs", "--mode", "simulate", "--sim-mode", "poisson-counts", "--mu", "1e300",
-              "--n", "5", "--reps", "2"], "lower --mu or raise --theta"),
+              "--n", "5", "--reps", "2"], "lower --mu, or raise --beta or --theta"),
+            # every depth underflows to 0, so the tree has edges of length 0
+            (["sample", "--n", "50", "--reps", "5", "--beta", "1e305", "--theta", "1e3"],
+             "lower --beta or --theta"),
         ],
         ids=["density-r-max-inf", "density-ratio-overflow", "g1-z-inf", "g1-z-1e308", "g1-z-1e5",
              "sfs-z0-inf", "sample-z0-inf", "clonal-mu-1e300", "clonal-n-max-400",
              "sample-z0-subnormal", "sfs-z0-subnormal", "sfs-z0-underflow",
              "density-underflow", "density-grid-coincident", "density-mu-0",
-             "sample-poisson-theta-1e-150", "sfs-poisson-mu-1e300"],
+             "sample-poisson-theta-1e-150", "sample-poisson-beta-1e-300", "sfs-poisson-mu-1e300",
+             "sample-tied-depths-beta-1e305"],
     )
     def test_no_finite_result_writes_nothing(self, tmp_path, capsys, argv, message):
         assert run(*argv, "--out", tmp_path / "x") == 1
@@ -474,6 +498,29 @@ def test_commands_leave_scipy_unloaded(tmp_path, argv):
         "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     proc = run_python("-c", code, *argv, "--out", str(tmp_path / "out"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["sfs", "--mode", "expected", "--n", "20"],
+        ["sample", "--n", "20", "--reps", "3"],
+    ],
+    ids=["import", "sfs-expected", "sample"],
+)
+def test_single_process_commands_leave_the_pool_unloaded(tmp_path, argv):
+    # concurrent.futures.process loads multiprocessing, which a command
+    # needs only when it starts a pool (--workers > 1)
+    code = (
+        "import sys; from cbsfs.cli import main; "
+        "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+        "print(rc, [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    out = ["--out", str(tmp_path / "out")] if argv else []
+    proc = run_python("-c", code, *argv, *out, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
 

@@ -11,7 +11,6 @@ from cbsfs.genealogy import (
     Lk_all,
     ZetaVector,
     block_Lk,
-    block_records,
     block_tree_length,
     intervals,
     population_tree_length,
@@ -24,6 +23,7 @@ from cbsfs.genealogy import (
 from cbsfs.model import ModelParams, extinction_tail
 from cbsfs.tree import RootMode, build_tree, edge_lengths_by_count, tree_tmrca
 
+from oracles import block_records
 from replay import leaf_config_from_dict, zeta_vector_from_dict
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)

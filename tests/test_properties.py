@@ -1,15 +1,17 @@
 """Property tests of the gap-depth statistics against the explicit tree,
-and of the block statistics against the per-replicate ones.
+and of the block statistics and block trees against the per-replicate ones.
 
 Configurations are built by hand from the two fields a ``LeafConfig``
 keeps, with the spine at every rank and arm lengths and branch depths
 spread over e^-3..e^3, so the attach walk in ``build_tree`` is checked on
 shapes the sampler reaches only rarely.  Blocks of depths are built on a
-coarse grid, so tied gaps are common.  The examples are derandomized so
-the suite stays seeded.
+coarse grid, or spread over e^-3..e^3 with a few grid values put in, so
+tied gaps are common.  The examples are derandomized so the suite stays
+seeded.
 """
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from cbsfs.genealogy import (
     Lk_all,
     ZetaVector,
     block_Lk,
+    block_parents,
     block_tree_length,
     intervals,
     population_tree_length,
@@ -146,3 +149,58 @@ def test_block_statistics_match_the_per_replicate_ones(case):
         config, zetas = _record(depths[row].tolist(), spine)
         np.testing.assert_allclose(lk[row], Lk_all(config, zetas), rtol=1e-12, atol=0.0)
         assert lengths[row] == pytest.approx(population_tree_length(config, zetas), rel=1e-12)
+
+
+@st.composite
+def tree_blocks(draw):
+    """A block of depths in ``sample_block``'s layout and a spine rank per
+    row: each row's depths spread over e^-3..e^3 in disjoint slots, with up
+    to three of them replaced by grid values (0 among them), so some rows
+    hold tied or zero gaps."""
+    n = draw(st.integers(1, 40))
+    rows, spines = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        slots = draw(st.permutations(range(n + 1)))
+        jitter = draw(st.lists(st.floats(0.1, 0.9), min_size=n + 1, max_size=n + 1))
+        row = [math.exp(-3.0 + 6.0 * (slot + u) / (n + 1)) for slot, u in zip(slots, jitter)]
+        grid = st.tuples(st.integers(0, n), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+        for rank, depth in draw(st.lists(grid, max_size=3)):
+            row[rank] = depth
+        rows.append(row)
+        spines.append(draw(st.integers(1, n)))
+    return np.array(rows), spines
+
+
+@SEEDED
+@given(tree_blocks(), st.sampled_from(RootMode))
+@example((np.array([[0.7, 0.3]]), [1]), RootMode.POPULATION_MRCA)  # n = 1: leaf and root
+@example((np.array([[0.0, 0.0]]), [1]), RootMode.POPULATION_MRCA)  # n = 1, no root
+@example((np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0]]), [1, 2]), RootMode.POPULATION_MRCA)  # flank ties
+@example((np.array([[3.0, 1.0, 0.5, 1.0, 3.0]]), [2]), RootMode.SAMPLE_MRCA)  # a tie met at the spine
+@example((np.array([[3.0, 1.0, 0.0, 2.0, 3.0]]), [4]), RootMode.SAMPLE_MRCA)  # a gap of depth 0
+def test_block_parents_match_the_attach_walk(case, mode):
+    # the Cartesian tree of each row's gap depths is the tree build_tree's
+    # walk toward the spine builds, whatever the spine rank; where the walk
+    # meets a tie (an edge of length 0), the block build raises too
+    depths, spines = case
+    n = depths.shape[1] - 1
+    population = mode is RootMode.POPULATION_MRCA
+    trees = []
+    for row, spine in zip(depths, spines):
+        try:
+            trees.append(build_tree(*_record(row.tolist(), spine), mode))
+        except StructuralError:
+            trees.append(None)
+        with pytest.raises(ValueError) if trees[-1] is None else nullcontext():
+            block_parents(row[None], population)
+    if None in trees:
+        with pytest.raises(ValueError):
+            block_parents(depths, population)
+        return
+    parents = block_parents(depths, population)
+    assert parents.shape == (len(trees), 2 * n) and parents.dtype == np.int32
+    for row, tree, row_parents in zip(depths, trees, parents.tolist()):
+        walked = [-1 if node.parent is None else node.parent for node in tree.nodes]
+        assert row_parents == walked + [-1] * (2 * n - len(walked))
+        node_depths = [0.0] * n + row[1:-1].tolist() + [row.max()]
+        assert [-node.time for node in tree.nodes] == node_depths[: len(tree.nodes)]
