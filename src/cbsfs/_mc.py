@@ -3,17 +3,20 @@
 Every simulated quantity is built from independent replicates, drawn in
 blocks of :data:`BLOCK`: block b holds replicates b*BLOCK onwards (the last
 block holds what is left) and draws all of them from
-``replicate_rng(seed, b)``.  ``map_replicates`` is the only place that loops
-over the blocks: it returns one result per replicate, in replicate order.
-The block size is a constant, so output is a pure function of
-(seed, reps) no matter how the blocks are spread over worker processes.
-A block function ``fn(args, rng, count)`` returns ``count`` results as an
-array with one row per replicate (numbers for the Monte-Carlo means) or a
-list (records for the sampled trees); ``mean_and_se`` reduces numeric ones.
+``replicate_rng(seed, b)``.  ``replicate_blocks`` is the only place that
+loops over the blocks: it yields each block's results as soon as they are
+drawn, in replicate order, so a caller that writes them out holds one block
+at a time.  ``map_replicates`` concatenates them.  The block size is a
+constant, so output is a pure function of (seed, reps) no matter how the
+blocks are spread over worker processes.  A block function
+``fn(args, rng, count)`` returns ``count`` results as an array with one row
+per replicate (numbers for the Monte-Carlo means) or a list (records for
+the sampled trees); ``mean_and_se`` reduces numeric ones.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import Executor
 
 import numpy as np
@@ -30,21 +33,22 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _run_chunk(fn, args, seed, lo, hi):
-    """The results of replicates lo..hi-1 (lo a multiple of BLOCK), block by block."""
-    return [
-        fn(args, replicate_rng(seed, start // BLOCK), min(BLOCK, hi - start))
-        for start in range(lo, hi, BLOCK)
-    ]
+    """The results of replicates lo..hi-1: one block, lo a multiple of BLOCK."""
+    return fn(args, replicate_rng(seed, lo // BLOCK), hi - lo)
 
 
-def map_replicates(fn, args, reps: int, seed: int, workers: int | Executor = 1):
-    """``reps`` results of the block function ``fn``, in replicate order: an
-    array with one row per replicate, or a list if ``fn`` returns lists.
+def replicate_blocks(fn, args, reps: int, seed: int, workers: int | Executor = 1):
+    """Yield the results of the block function ``fn`` for ``reps``
+    replicates, one block at a time and in replicate order: each an array
+    with one row per replicate, or a list.
 
     ``workers`` is a process count, or a process pool to reuse across calls
     (a command starts one for all its runs).  Beyond one process, every
-    block runs in a pool process, so this process never draws.  ``fn`` must
-    be a module-level callable, and its results must pickle.
+    block runs in a pool process, so this process never draws; the blocks
+    are submitted at once and yielded in submission order, and each one is
+    released once yielded.  Closing the generator early cancels the blocks
+    that have not started.  ``fn`` must be a module-level callable, and its
+    results must pickle.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -55,14 +59,29 @@ def map_replicates(fn, args, reps: int, seed: int, workers: int | Executor = 1):
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return map_replicates(fn, args, reps, seed, pool)
-        parts = _run_chunk(fn, args, seed, 0, reps)
-    else:
-        futures = [
-            workers.submit(_run_chunk, fn, args, seed, lo, min(lo + BLOCK, reps))
-            for lo in range(0, reps, BLOCK)
-        ]
-        parts = [part for future in futures for part in future.result()]
+                yield from replicate_blocks(fn, args, reps, seed, pool)
+            return
+        for lo in range(0, reps, BLOCK):
+            yield _run_chunk(fn, args, seed, lo, min(lo + BLOCK, reps))
+        return
+    futures = deque(
+        workers.submit(_run_chunk, fn, args, seed, lo, min(lo + BLOCK, reps))
+        for lo in range(0, reps, BLOCK)
+    )
+    try:
+        while futures:
+            yield futures.popleft().result()
+    finally:
+        for future in futures:
+            future.cancel()
+
+
+def map_replicates(fn, args, reps: int, seed: int, workers: int | Executor = 1):
+    """``reps`` results of the block function ``fn``, in replicate order: an
+    array with one row per replicate, or a list if ``fn`` returns lists.
+    ``workers`` is as for :func:`replicate_blocks`.
+    """
+    parts = list(replicate_blocks(fn, args, reps, seed, workers))
     if isinstance(parts[0], np.ndarray):
         return np.concatenate(parts)
     return [result for part in parts for result in part]

@@ -3,6 +3,8 @@
 Every command is reproducible from (config file, flags, seed); each
 output file header echoes the settings that command takes.  The
 --workers flag only distributes replicates and never changes output bytes.
+``sample`` hands its blocks of records to the writer as they are drawn, so
+it holds one block at a time; the other commands write a finished table.
 
 Exit codes: 0 ok, 1 failed verification check or rejected value, 2 usage
 error.
@@ -17,11 +19,11 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import verify
-from ._mc import map_replicates
+from ._mc import replicate_blocks
 from .clonal import MC_STATISTICS, clonal_summary, e_zcl_pow, e_zcl_pow_r, mc_clonal
 from .genealogy import block_parents, sample_block
 from .model import ModelParams
-from .reports import fmt_value, write_csv, write_json_doc, write_text
+from .reports import fmt_value, write_csv, write_json_doc, write_sample, write_text
 from .sfs import SIMULATE_MODES, expected_sfs, g1, mean_density, simulate_sfs
 from .specfun import QuadratureError
 from .tree import RootMode, block_trees
@@ -157,12 +159,10 @@ def _sample_replicate(args, rng, count: int = 1) -> list[dict]:
 def cmd_sample(args, params: ModelParams) -> int:
     mode = RootMode(args.root_mode)
     base = Path(args.out or "sample")
-    records = map_replicates(
+    blocks = replicate_blocks(
         _sample_replicate, (params, args.n, args.z0, mode), args.reps, args.seed, args.workers
     )
-    records = [{"replicate": i, **record} for i, record in enumerate(records)]
-    write_text(base.with_suffix(".nwk"), [record["newick"] for record in records])
-    write_json_doc(base.with_suffix(".json"), "sample", settings(args), records)
+    write_sample(base, settings(args), blocks)
     print(f"wrote {args.reps} replicates to {base.with_suffix('.nwk')} and {base.with_suffix('.json')}")
     return 0
 

@@ -109,6 +109,9 @@ class ZetaVector:
 # Attempts at a replicate without a (probability-zero) position collision.
 _MAX_REDRAWS = 64
 
+# Why a drawn depth can be 0, and which flags move it away.
+_UNDERFLOW = "the depths scale as 1 / (beta * theta) and underflow: lower --beta or --theta"
+
 
 def sample_population(
     params: ModelParams,
@@ -173,6 +176,8 @@ def sample_block(
     unit exponential per gap; a row with a (probability-zero) position
     collision redraws its arms and uniforms, and a row with a zero
     exponential redraws its exponentials, as the per-replicate sampler does.
+    A depth that underflows to 0, which no tree or statistic can use, is a
+    ValueError that names ``--beta`` and ``--theta``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -224,6 +229,8 @@ def sample_block(
     depths /= 2.0 * params.beta * params.theta
     if not np.all(np.isfinite(depths)):
         raise ValueError("branch depths must be finite and nonnegative")
+    if np.any(depths == 0.0):
+        raise ValueError(f"a branch depth is 0; {_UNDERFLOW}")
     return positions, labels, depths
 
 
@@ -405,10 +412,7 @@ def block_parents(depths: np.ndarray, population_root: bool) -> np.ndarray:
     g = flat.reshape(count, width)
     above = np.where(flat[left] <= flat[right], left, right)
     if np.any(np.minimum(g[:, :-1], g[:, 1:]) <= 0.0) or np.any(flat[above] <= flat[inner]):
-        raise ValueError(
-            "tied branch depths give a tree edge of length 0; the depths scale as "
-            "1 / (beta * theta) and underflow: lower --beta or --theta"
-        )
+        raise ValueError(f"tied branch depths give a tree edge of length 0; {_UNDERFLOW}")
     up = np.empty((count, 2 * n - 1), dtype=np.int32)  # the column of g above each node
     up[:, :n] = np.arange(n) + (g[:, :-1] > g[:, 1:])  # leaf j lies between columns j and j+1
     up[:, n:] = (above % width).reshape(count, n - 1)

@@ -5,6 +5,12 @@ configuration that produced it (never the worker count, which must not
 change the bytes).  Floats are written with repr, the shortest exact
 round-trip form, so re-runs with the same seed are byte-identical.  Both
 formats refuse non-finite floats, so an overflowed result writes no file.
+
+Every file is written whole or not at all: it goes to a temporary file
+beside its target that replaces the target only once complete.  The
+``sample`` pair is streamed: :func:`write_sample` writes each record to both
+files as its block arrives and renames the two together after the last, so
+a run holds one block of records, not all of them.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import ExitStack, contextmanager
+from itertools import chain
 from pathlib import Path
 
 SCHEMA_VERSION = 3
@@ -35,21 +43,47 @@ def header_lines(command: str, pairs: list[tuple[str, object]]) -> list[str]:
     return lines
 
 
-def _write(path: str | Path, text: str) -> None:
-    """Write a whole file or none, creating its parent directory if missing.
+@contextmanager
+def _replacing(*paths: Path):
+    """Open a temporary text file beside each of ``paths``, creating missing
+    parent directories, and yield the open files in that order.
 
-    The text goes to a temporary file beside ``path`` that replaces it only
-    once complete, so a failed write leaves any previous file as it was.
+    Once the block ends, each file replaces its path; if it raises instead,
+    the temporary files are removed and any previous files stay as they were.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            files = []
+            for path, tmp in zip(paths, tmps):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                files.append(stack.enter_context(tmp.open("w")))
+            yield files
+        for path, tmp in zip(paths, tmps):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
+
+
+def _write(path: str | Path, text: str) -> None:
+    """Write a whole file or none (see :func:`_replacing`)."""
+    with _replacing(Path(path)) as (out,):
+        out.write(text)
+
+
+def _dumps(value) -> str:
+    # compact separators keep json on its C encoder (indent forces pure Python)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _json_envelope(command: str, pairs: list[tuple[str, object]]) -> tuple[str, str]:
+    """The text of a JSON document before and after its ``data`` list's
+    items, with the keys in sorted order."""
+    config = _dumps({key: value for key, value in pairs})
+    head = f'{{"command":{_dumps(command)},"config":{config},"data":['
+    return head, f'],"schema_version":{SCHEMA_VERSION}}}\n'
 
 
 def write_csv(
@@ -67,17 +101,27 @@ def write_csv(
 
 
 def write_json_doc(
-    path: str | Path, command: str, pairs: list[tuple[str, object]], payload
+    path: str | Path, command: str, pairs: list[tuple[str, object]], payload: list
 ) -> None:
-    doc = {
-        "command": command,
-        "schema_version": SCHEMA_VERSION,
-        "config": {key: value for key, value in pairs},
-        "data": payload,
-    }
-    # compact separators keep json on its C encoder (indent forces pure Python)
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    _write(path, text + "\n")
+    head, tail = _json_envelope(command, pairs)
+    _write(path, head + ",".join(_dumps(item) for item in payload) + tail)
+
+
+def write_sample(base: Path, pairs: list[tuple[str, object]], blocks) -> None:
+    """Write ``<base>.nwk`` and ``<base>.json`` from an iterable of blocks of
+    replay records, one block at a time.
+
+    A record's ``newick`` is its line of the ``.nwk`` file, and the record
+    with its ``replicate`` index is its item of the ``sample`` document.
+    """
+    head, tail = _json_envelope("sample", pairs)
+    with _replacing(base.with_suffix(".nwk"), base.with_suffix(".json")) as (nwk, doc):
+        doc.write(head)
+        # chain drops each block before it asks for the next one to be drawn
+        for replicate, record in enumerate(chain.from_iterable(blocks)):
+            nwk.write(record["newick"] + "\n")
+            doc.write(("," if replicate else "") + _dumps({"replicate": replicate, **record}))
+        doc.write(tail)
 
 
 def write_text(path: str | Path, lines: list[str]) -> None:

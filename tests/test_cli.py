@@ -4,16 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import cbsfs
+from cbsfs import cli
 from cbsfs._mc import BLOCK, map_replicates
 from cbsfs.cli import _sample_replicate, build_parser, main
 from cbsfs.clonal import e_zcl_pow_r
 from cbsfs.model import ModelParams
-from cbsfs.reports import write_text
+from cbsfs.reports import write_sample, write_text
 from cbsfs.sfs import g1
 from cbsfs.tree import RootMode, build_tree, newick_export
 from oracles import sample_records
@@ -119,6 +121,46 @@ class TestSampleCommand:
         ]
         assert list(tmp_path.iterdir()) == []
 
+    def test_error_in_a_later_block_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # the first block is already in the temporary files when the second fails
+        drawn = []
+
+        def fail_on_second_block(args, rng, count):
+            drawn.append(count)
+            if len(drawn) == 2:
+                raise ValueError("second block failed")
+            return _sample_replicate(args, rng, count)
+
+        out = tmp_path / "x"
+        argv = ["sample", "--n", 3, "--reps", 3 * BLOCK, "--workers", 1, "--out", out]
+        monkeypatch.setattr(cli, "_sample_replicate", fail_on_second_block)
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == "cbsfs: second block failed\n"
+        assert drawn == [BLOCK, BLOCK]
+        assert list(tmp_path.iterdir()) == []
+        # a previous pair at --out stays byte for byte
+        monkeypatch.undo()
+        assert run("sample", "--n", 4, "--reps", 5, "--out", out) == 0
+        previous = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        monkeypatch.setattr(cli, "_sample_replicate", fail_on_second_block)
+        drawn.clear()
+        assert run(*argv) == 1
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == previous
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        # the records go to disk block by block, so four blocks peak as high
+        # as one (a run that held every record peaked 2.7 times as high)
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                assert run("sample", "--n", 5, "--reps", reps, "--out", tmp_path / "x") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert run("sample", "--n", 5, "--reps", 2, "--out", tmp_path / "x") == 0  # first-use caches
+        assert peak(4 * BLOCK) <= 1.25 * peak(BLOCK)
+
 
 class TestSfsCommand:
     def test_expected_csv_layout(self, tmp_path):
@@ -173,16 +215,20 @@ class TestSfsCommand:
     "argv",
     [["sfs", "--mode", "simulate", "--n", 6, "--z0", 1.0],
      ["sfs", "--mode", "simulate", "--sim-mode", "poisson-counts", "--n", 6, "--z0", 1.0],
-     ["clonal", "--mode", "simulate", "--n-max", 3]],
-    ids=["sfs", "sfs-poisson", "clonal"],
+     ["clonal", "--mode", "simulate", "--n-max", 3],
+     ["sample", "--n", 4]],
+    ids=["sfs", "sfs-poisson", "clonal", "sample"],
 )
 def test_workers_do_not_change_bytes_over_blocks(tmp_path, argv):
     # three whole blocks and a ragged tail, spread over a pool of three
     reps = 3 * BLOCK + 37
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(*argv, "--reps", reps, "--seed", 5, "--workers", 1, "--out", a) == 0
-    assert run(*argv, "--reps", reps, "--seed", 5, "--workers", 3, "--out", b) == 0
-    assert a.read_bytes() == b.read_bytes()
+    files = []
+    for workers in (1, 3):
+        out = tmp_path / str(workers)
+        assert run(*argv, "--reps", reps, "--seed", 5, "--workers", workers, "--out", out / "x.csv") == 0
+        files.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert files[0] == files[1]
+    assert len(files[0]) == (2 if argv[0] == "sample" else 1)
 
 
 class TestDensityCommand:
@@ -444,13 +490,19 @@ class TestBadFlags:
             # every depth underflows to 0, so the tree has edges of length 0
             (["sample", "--n", "50", "--reps", "5", "--beta", "1e305", "--theta", "1e3"],
              "lower --beta or --theta"),
+            # every depth underflows to 0, with or without a tree edge between them
+            (["sfs", "--mode", "simulate", "--n", "5", "--reps", "20", "--beta", "1e305",
+              "--theta", "1e3"], "lower --beta or --theta"),
+            (["sample", "--n", "1", "--reps", "2", "--beta", "1e305", "--theta", "1e3"],
+             "lower --beta or --theta"),
         ],
         ids=["density-r-max-inf", "density-ratio-overflow", "g1-z-inf", "g1-z-1e308", "g1-z-1e5",
              "sfs-z0-inf", "sample-z0-inf", "clonal-mu-1e300", "clonal-n-max-400",
              "sample-z0-subnormal", "sfs-z0-subnormal", "sfs-z0-underflow",
              "density-underflow", "density-grid-coincident", "density-mu-0",
              "sample-poisson-theta-1e-150", "sample-poisson-beta-1e-300", "sfs-poisson-mu-1e300",
-             "sample-tied-depths-beta-1e305"],
+             "sample-tied-depths-beta-1e305", "sfs-zero-depths-beta-1e305",
+             "sample-zero-depths-beta-1e305"],
     )
     def test_no_finite_result_writes_nothing(self, tmp_path, capsys, argv, message):
         assert run(*argv, "--out", tmp_path / "x") == 1
@@ -468,6 +520,17 @@ class TestWholeFiles:
             write_text(out, ["partial", "\udcff"])
         assert out.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_streamed_sample_matches_the_whole_documents(self, tmp_path):
+        # the .json is the one compact sorted-key dump of the whole document
+        records = [{"newick": f"(X0:{i}.5);", "zetas": {"zetas": [0.0, i / 3]}} for i in range(5)]
+        pairs = [("n", 1), ("z0", None), ("root_mode", "sample")]
+        write_sample(tmp_path / "s", pairs, iter([records[:2], [], records[2:]]))
+        doc = {"command": "sample", "schema_version": 3, "config": dict(pairs),
+               "data": [{"replicate": i, **record} for i, record in enumerate(records)]}
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert (tmp_path / "s.json").read_text() == text + "\n"
+        assert (tmp_path / "s.nwk").read_text() == "".join(r["newick"] + "\n" for r in records)
 
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():

@@ -153,15 +153,21 @@ class TestSampleBlock:
 
     def test_collisions_redraw_their_rows(self, caplog):
         # on an interval 200 subnormal steps long, leaf positions often
-        # coincide: only the colliding rows are redrawn, each with a warning
+        # coincide: only the colliding rows are redrawn, each with a warning.
+        # The positions do not depend on the parameters given z0; at unit
+        # ones some depths underflow to 0, which is rejected, and these
+        # keep every depth positive
         z0 = 1e-321
+        params = ModelParams(beta=1e-10, theta=1e10, mu=1.0)
         with caplog.at_level("WARNING", logger="cbsfs.genealogy"):
-            positions, labels, depths = sample_block(UNIT, 3, np.random.default_rng(42), 500, z0)
+            positions, labels, depths = sample_block(params, 3, np.random.default_rng(42), 500, z0)
         assert 0 < len(caplog.records) < 500 * 64
         assert np.all(np.diff(positions, axis=1) > 0.0)
         assert np.all(positions[:, -1] - positions[:, 0] == z0)
-        assert np.all(np.isfinite(depths) & (depths >= 0.0))
+        assert np.all(np.isfinite(depths) & (depths > 0.0))
         assert sorted(map(tuple, np.sort(labels, axis=1))) == [(0, 1, 2)] * 500
+        with pytest.raises(ValueError, match="lower --beta or --theta"):
+            sample_block(UNIT, 3, np.random.default_rng(42), 500, z0)
 
     def test_validation(self):
         rng = np.random.default_rng(0)
