@@ -6,18 +6,20 @@ block holds what is left) and draws all of them from
 ``replicate_rng(seed, b)``.  ``replicate_blocks`` is the only place that
 loops over the blocks: it yields each block's results as soon as they are
 drawn, in replicate order, so a caller that writes them out holds one block
-at a time.  ``map_replicates`` concatenates them.  The block size is a
-constant, so output is a pure function of (seed, reps) no matter how the
-blocks are spread over worker processes.  A block function
-``fn(args, rng, count)`` returns ``count`` results as an array with one row
-per replicate (numbers for the Monte-Carlo means) or a list (records for
-the sampled trees); ``mean_and_se`` reduces numeric ones.
+at a time.  The block size is a constant, so output is a pure function of
+(seed, reps) no matter how the blocks are spread over worker processes.  A
+block function ``fn(args, rng, count)`` returns ``count`` results as an
+array with one row per replicate (numbers for the Monte-Carlo means) or a
+list (records for the sampled trees, which are written block by block).
+``map_replicates`` concatenates the arrays, and ``mean_and_se`` reduces
+them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Executor
+from itertools import islice
 
 import numpy as np
 
@@ -45,10 +47,13 @@ def replicate_blocks(fn, args, reps: int, seed: int, workers: int | Executor = 1
     ``workers`` is a process count, or a process pool to reuse across calls
     (a command starts one for all its runs).  Beyond one process, every
     block runs in a pool process, so this process never draws; the blocks
-    are submitted at once and yielded in submission order, and each one is
-    released once yielded.  Closing the generator early cancels the blocks
-    that have not started.  ``fn`` must be a module-level callable, and its
-    results must pickle.
+    are yielded in submission order, and each one is released once yielded.
+    Blocks are submitted as the consumer asks for them, at most twice the
+    pool's size ahead: the block being yielded and those submitted after it
+    number at most that many, so a slow consumer holds a bounded number of
+    finished blocks whatever ``reps`` is.  Closing the generator early
+    cancels the blocks that have not started.  ``fn`` must be a module-level
+    callable, and its results must pickle.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -64,27 +69,29 @@ def replicate_blocks(fn, args, reps: int, seed: int, workers: int | Executor = 1
         for lo in range(0, reps, BLOCK):
             yield _run_chunk(fn, args, seed, lo, min(lo + BLOCK, reps))
         return
-    futures = deque(
-        workers.submit(_run_chunk, fn, args, seed, lo, min(lo + BLOCK, reps))
-        for lo in range(0, reps, BLOCK)
-    )
+    # a concurrent.futures pool keeps the size it was opened with here
+    window = 2 * workers._max_workers
+    starts = iter(range(0, reps, BLOCK))
+    futures = deque()
     try:
-        while futures:
+        while True:
+            for lo in islice(starts, window - len(futures)):
+                hi = min(lo + BLOCK, reps)
+                futures.append(workers.submit(_run_chunk, fn, args, seed, lo, hi))
+            if not futures:
+                return
             yield futures.popleft().result()
     finally:
         for future in futures:
             future.cancel()
 
 
-def map_replicates(fn, args, reps: int, seed: int, workers: int | Executor = 1):
-    """``reps`` results of the block function ``fn``, in replicate order: an
-    array with one row per replicate, or a list if ``fn`` returns lists.
-    ``workers`` is as for :func:`replicate_blocks`.
+def map_replicates(fn, args, reps: int, seed: int, workers: int | Executor = 1) -> np.ndarray:
+    """``reps`` results of the array block function ``fn``, in replicate
+    order, as one array with one row per replicate.  ``workers`` is as for
+    :func:`replicate_blocks`.
     """
-    parts = list(replicate_blocks(fn, args, reps, seed, workers))
-    if isinstance(parts[0], np.ndarray):
-        return np.concatenate(parts)
-    return [result for part in parts for result in part]
+    return np.concatenate(list(replicate_blocks(fn, args, reps, seed, workers)))
 
 
 def mean_and_se(values) -> tuple[np.ndarray, np.ndarray]:

@@ -57,38 +57,6 @@ def e_zcl_pow_r(params: ModelParams, n: int) -> float:
     return a / (1.0 + a) ** n * bracket * z0_moment(params, n - 1)
 
 
-def _scaled_brackets(alpha: float, n: int) -> dict[str, float]:
-    """The six Beta combinations with their (1+alpha)^{-n} and 1/(n-1)(n-2)
-    prefactors stripped; see zcl_moment_ratio_scaled for the assembly."""
-    a = alpha
-    q0 = a / (1.0 + a)
-    q1 = 1.0 / (1.0 + a)
-    q2 = (2.0 + a) / (1.0 + a)
-    q3 = (3.0 + a) / (1.0 + a)
-    b_q2 = beta_fn(n, q2)
-    b_q3 = beta_fn(n, q3)
-    b_q1 = beta_fn(n, q1)
-    b_q0 = beta_fn(n, q0)
-    # (n-1) beta(n-1, q0) continued through Gamma(n)Gamma(q0)/Gamma(n-1+q0)
-    nm1_beta = math.exp(math.lgamma(n) + math.lgamma(q0) - math.lgamma(n - 1 + q0))
-    return {
-        "A": 1.0 / n - b_q2,
-        "A0": 1.0 / n - 2.0 * b_q2 + b_q3,
-        "B": a * b_q0 - 2.0 * (1.0 + a) / n + (2.0 + a) * b_q2,
-        "A2": ((1.0 + a) - (2.0 + a) * b_q2 - b_q1 + (3.0 + a) * b_q3) / (2.0 + a),
-        "B0": a * b_q0 - 3.0 * (1.0 + a) / n + 3.0 * (2.0 + a) * b_q2 - (3.0 + a) * b_q3,
-        "B2": (
-            a * (1.0 + a) * nm1_beta
-            - (2.0 + 2.0 * a) * (1.0 + a) / n
-            - 2.0 * (1.0 + a) ** 2
-            + 2.0 * (3.0 + 2.0 * a) * (2.0 + a) * b_q2
-            + (2.0 + a) * b_q1
-            - (4.0 + 2.0 * a) * (3.0 + a) * b_q3
-        )
-        / (2.0 + a),
-    }
-
-
 def zcl_moment_ratio_scaled(params: ModelParams, n: int) -> float:
     """(1+alpha)^n E[Z_cl^n] / E[Z0^n], the overflow-free moment ratio.
 
@@ -100,15 +68,30 @@ def zcl_moment_ratio_scaled(params: ModelParams, n: int) -> float:
     a = params.alpha
     if a == 0.0:
         return 1.0
-    t = _scaled_brackets(a, n)
-    # brackets: A carries no prefactor; A2, B0, B carry 1/(n-1); B2 carries
-    # 1/((n-1)(n-2)) — all pre-multiplied out above
-    inner = (
-        3.0 * t["A0"]
-        + 2.0 * ((n - 1) * t["A"] - t["A2"] + t["B0"])
-        + (n - 2) * t["B"]
-        - t["B2"]
-    )
+    q0 = a / (1.0 + a)
+    b_q2 = beta_fn(n, (2.0 + a) / (1.0 + a))
+    b_q3 = beta_fn(n, (3.0 + a) / (1.0 + a))
+    b_q1 = beta_fn(n, 1.0 / (1.0 + a))
+    b_q0 = beta_fn(n, q0)
+    # (n-1) beta(n-1, q0) continued through Gamma(n)Gamma(q0)/Gamma(n-1+q0)
+    nm1_beta = math.exp(math.lgamma(n) + math.lgamma(q0) - math.lgamma(n - 1 + q0))
+    # the six Beta brackets with their (1+alpha)^{-n} prefactor stripped:
+    # A carries no further prefactor; A2, B0, B carry 1/(n-1); B2 carries
+    # 1/((n-1)(n-2)) -- all pre-multiplied out
+    A = 1.0 / n - b_q2
+    A0 = 1.0 / n - 2.0 * b_q2 + b_q3
+    B = a * b_q0 - 2.0 * (1.0 + a) / n + (2.0 + a) * b_q2
+    A2 = ((1.0 + a) - (2.0 + a) * b_q2 - b_q1 + (3.0 + a) * b_q3) / (2.0 + a)
+    B0 = a * b_q0 - 3.0 * (1.0 + a) / n + 3.0 * (2.0 + a) * b_q2 - (3.0 + a) * b_q3
+    B2 = (
+        a * (1.0 + a) * nm1_beta
+        - (2.0 + 2.0 * a) * (1.0 + a) / n
+        - 2.0 * (1.0 + a) ** 2
+        + 2.0 * (3.0 + 2.0 * a) * (2.0 + a) * b_q2
+        + (2.0 + a) * b_q1
+        - (4.0 + 2.0 * a) * (3.0 + a) * b_q3
+    ) / (2.0 + a)
+    inner = 3.0 * A0 + 2.0 * ((n - 1) * A - A2 + B0) + (n - 2) * B - B2
     return 2.0 / (n + 1) * inner
 
 
@@ -117,10 +100,9 @@ def e_zcl_pow(params: ModelParams, n: int) -> float:
     (use zcl_moment_ratio_scaled for asymptotics)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    a = params.alpha
-    if a == 0.0:
-        return z0_moment(params, n)
-    return zcl_moment_ratio_scaled(params, n) * (1.0 + a) ** (-n) * z0_moment(params, n)
+    # at alpha = 0 both factors before E[Z0^n] are exactly 1.0
+    ratio = zcl_moment_ratio_scaled(params, n)
+    return ratio * (1.0 + params.alpha) ** (-n) * z0_moment(params, n)
 
 
 def clonal_summary(params: ModelParams) -> dict[str, float]:

@@ -165,35 +165,22 @@ def _expected_lengths(params: ModelParams, n: int, z0, ks: np.ndarray) -> np.nda
 def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes and weights for the weight t e^{-t} on (0, inf).
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    Laguerre polynomials L_j^(1) (diagonal 2j + 2, off-diagonal
-    sqrt(j (j + 1))), then two Newton steps on their three-term recurrence.
-    The weights are (n + 1)/(t L_n'(t)^2): taken from the eigenvectors
-    instead, the tiny weights of the largest nodes come out wrong by up to
-    ten orders of magnitude.
+    The orthogonal polynomials of that weight are L_n^(1) = -L_{n+1}', so
+    the nodes are the roots of L_{n+1}' (numpy's companion-matrix roots),
+    refined by two Newton steps, and the weights are
+    (n + 1)/(t L_{n+1}''(t)^2).  Weights read off the eigenvectors of the
+    symmetric Jacobi matrix instead miss the tiny weights of the largest
+    nodes by up to ten orders of magnitude.
     """
-    off = np.sqrt(np.arange(1.0, nodes) * np.arange(2.0, nodes + 1.0))
-    # eigvalsh reads only the lower triangle
-    t = np.linalg.eigvalsh(np.diag(2.0 * np.arange(nodes) + 2.0) + np.diag(off, -1))
-
-    def value_and_slope(t):
-        prev, cur = np.ones_like(t), 2.0 - t  # L_0, L_1
-        for j in range(1, nodes):
-            prev, cur = cur, ((2 * j + 2.0 - t) * cur - (j + 1.0) * prev) / (j + 1.0)
-        return cur, (nodes * cur - (nodes + 1.0) * prev) / t  # t L_n' = n L_n - (n+1) L_{n-1}
-
+    # reached at call time: a module-level import would load numpy.polynomial
+    # in every command
+    lag = np.polynomial.laguerre
+    slope = lag.lagder([0.0] * (nodes + 1) + [1.0])  # L_{n+1}'
+    curve = lag.lagder(slope)
+    t = lag.lagroots(slope)
     for _ in range(2):
-        value, slope = value_and_slope(t)
-        t = t - value / slope
-    slope = value_and_slope(t)[1]
-    return t, (nodes + 1.0) / (t * slope * slope)
-
-
-def _z0_quad_nodes(params: ModelParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    # the rule for t e^{-t} integrates the Gamma(2, 2 theta) law exactly
-    # after t = 2 theta z
-    t, w = _laguerre_rule(nodes)
-    return t / (2.0 * params.theta), w
+        t = t - lag.lagval(t, slope) / lag.lagval(t, curve)
+    return t, (nodes + 1.0) / (t * lag.lagval(t, curve) ** 2)
 
 
 # Gauss-Laguerre nodes of the average over the stationary size law.
@@ -211,8 +198,10 @@ def expected_sfs(params: ModelParams, n: int, z0: float | None = None) -> np.nda
     if z0 is not None:
         lk = _expected_lengths(params, n, z0, ks)
     else:
-        zs, ws = _z0_quad_nodes(params, _Z0_NODES)
-        lk = ws @ _expected_lengths(params, n, zs, ks)
+        # the rule for t e^{-t} integrates the Gamma(2, 2 theta) law of Z0
+        # exactly after t = 2 theta z
+        t, w = _laguerre_rule(_Z0_NODES)
+        lk = w @ _expected_lengths(params, n, t / (2.0 * params.theta), ks)
     negative = np.flatnonzero(lk < 0)
     if negative.size:
         raise ValueError(f"expected_L must be >= 0 at k={negative[0] + 1}")

@@ -259,17 +259,11 @@ def h1_deriv(x: float, order: int) -> float:
         raise ValueError(f"h1_deriv supports order 1 or 2, got {order}")
     if x < 0:
         raise ValueError(f"h1_deriv requires x >= 0, got {x}")
-    if order == 1:
-        if x == 0.0:
-            return 0.0
-        p = x + x * x / 2.0 + x ** 3 / 6.0
-        p1 = 1.0 + x + x * x / 2.0
-        integral = _f_weighted(lambda u: x * (x + 2.0 * u) / (u + x) ** 2)
-        return p1 * math.log1p(x) + p / (1.0 + x) - integral
-    if x == 0.0:
-        return 2.0 - _f_weighted(lambda u: 2.0 / u)
     p = x + x * x / 2.0 + x ** 3 / 6.0
     p1 = 1.0 + x + x * x / 2.0
+    if order == 1:
+        integral = _f_weighted(lambda u: x * (x + 2.0 * u) / (u + x) ** 2)
+        return p1 * math.log1p(x) + p / (1.0 + x) - integral
     p2 = 1.0 + x
     integral = _f_weighted(lambda u: 2.0 * u * u / (u + x) ** 3)
     return p2 * math.log1p(x) + 2.0 * p1 / (1.0 + x) - p / (1.0 + x) ** 2 - integral

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 import cbsfs
 from cbsfs import cli
-from cbsfs._mc import BLOCK, map_replicates
+from cbsfs._mc import BLOCK, replicate_blocks
 from cbsfs.cli import _sample_replicate, build_parser, main
 from cbsfs.clonal import e_zcl_pow_r
 from cbsfs.model import ModelParams
@@ -24,6 +25,11 @@ from replay import leaf_config_from_dict, zeta_vector_from_dict
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def all_records(fn, args, reps, seed):
+    """Every record the block function ``fn`` draws, in replicate order."""
+    return list(chain.from_iterable(replicate_blocks(fn, args, reps, seed)))
 
 
 def run_python(*args, cwd=None):
@@ -100,14 +106,14 @@ class TestSampleCommand:
         # the records from the block's parent array against each row's
         # build_tree, drop_mutations and newick_export, draw for draw
         args = (ModelParams(beta=1.0, theta=1.0, mu=mu), n, z0, root_mode)
-        records = map_replicates(_sample_replicate, args, 300, seed=n)
-        assert records == map_replicates(sample_records, args, 300, seed=n)
+        drawn = all_records(_sample_replicate, args, 300, seed=n)
+        assert drawn == all_records(sample_records, args, 300, seed=n)
 
     def test_block_trees_match_across_a_block_boundary(self):
         # the second block's trees use that block's own stream
         args = (ModelParams(beta=1.0, theta=1.0, mu=1.0), 10, None, RootMode.POPULATION_MRCA)
-        records = map_replicates(_sample_replicate, args, BLOCK + 1, seed=3)
-        assert records == map_replicates(sample_records, args, BLOCK + 1, seed=3)
+        drawn = all_records(_sample_replicate, args, BLOCK + 1, seed=3)
+        assert drawn == all_records(sample_records, args, BLOCK + 1, seed=3)
 
     def test_collision_warnings_stay_silent(self, tmp_path):
         # the redraw warnings go to the package logger, which shows nothing

@@ -151,6 +151,18 @@ class TestSampleBlock:
         for name, (a, b) in pairs.items():
             assert stats.ks_2samp(a, b).statistic < KS_COEFF * math.sqrt(2.0 / reps), name
 
+    def test_closed_form_laws(self):
+        # one vectorised block each: Z0 ~ Gamma(2, scale 1/(2 theta)), and
+        # given Z0 = 3 the left arm is Uniform(0, 3)
+        reps = 100_000
+        positions = sample_block(UNIT, 3, np.random.default_rng(43), reps)[0]
+        z0s = positions[:, -1] - positions[:, 0]
+        result = stats.kstest(z0s, stats.gamma(a=2.0, scale=0.5 / UNIT.theta).cdf)
+        assert result.statistic < KS_COEFF / math.sqrt(reps)
+        positions = sample_block(UNIT, 3, np.random.default_rng(44), reps, condition_z0=3.0)[0]
+        result = stats.kstest(-positions[:, 0], stats.uniform(loc=0.0, scale=3.0).cdf)
+        assert result.statistic < KS_COEFF / math.sqrt(reps)
+
     def test_collisions_redraw_their_rows(self, caplog):
         # on an interval 200 subnormal steps long, leaf positions often
         # coincide: only the colliding rows are redrawn, each with a warning.

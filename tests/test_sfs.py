@@ -12,7 +12,6 @@ from cbsfs.model import ModelParams
 from cbsfs.sfs import (
     _expected_lengths,
     _laguerre_rule,
-    _z0_quad_nodes,
     density_branch_check,
     density_spine_check,
     expected_sfs,
@@ -199,9 +198,26 @@ class TestExpectedLk:
         assert np.all(lk > 0)
         # numerical stability of the size-average: doubling the node count
         # moves nothing beyond the slow log-type convergence of the rule
-        zs, ws = _z0_quad_nodes(UNIT, 80)
-        fine = ws @ _expected_lengths(UNIT, 6, zs, np.arange(1, 6))
+        t, w = _laguerre_rule(80)
+        fine = w @ _expected_lengths(UNIT, 6, t / (2.0 * UNIT.theta), np.arange(1, 6))
         assert lk == pytest.approx(fine, rel=1e-4)
+
+    @pytest.mark.parametrize("beta, theta", [(1.0, 1.0), (0.5, 3.0)])
+    def test_averaged_against_exact_values(self, beta, theta):
+        # at beta = theta = 1 the size-averaged E[L_k] is a + b pi^2 with a, b
+        # rational; other beta, theta scale it by 1/(beta theta).  The
+        # 40-node rule is 1.6e-6 to 7.4e-6 from these values.
+        pi2 = math.pi**2
+        exact = {
+            2: [pi2 / 3 - 5 / 2],
+            3: [23 / 4 - pi2 / 2, pi2 - 19 / 2],
+            4: [5 / 6, 41 / 4 - pi2, 2 * pi2 - 39 / 2],
+            5: [61 / 72, 7 / 18, 601 / 36 - 5 * pi2 / 3, 10 * pi2 / 3 - 589 / 18],
+        }
+        params = ModelParams(beta=beta, theta=theta, mu=1.0)
+        for n, values in exact.items():
+            expected = np.array(values) / (beta * theta)
+            np.testing.assert_allclose(expected_sfs(params, n), expected, rtol=1e-5, atol=0.0)
 
 
 class TestLaguerreRule:
