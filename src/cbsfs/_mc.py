@@ -39,45 +39,36 @@ def _run_chunk(fn, args, seed, lo, hi):
     return fn(args, replicate_rng(seed, lo // BLOCK), hi - lo)
 
 
-def replicate_blocks(fn, args, reps: int, seed: int, workers: int | Executor = 1):
+def replicate_blocks(fn, args, reps: int, seed: int, pool: Executor | None = None):
     """Yield the results of the block function ``fn`` for ``reps``
     replicates, one block at a time and in replicate order: each an array
     with one row per replicate, or a list.
 
-    ``workers`` is a process count, or a process pool to reuse across calls
-    (a command starts one for all its runs).  Beyond one process, every
-    block runs in a pool process, so this process never draws; the blocks
-    are yielded in submission order, and each one is released once yielded.
-    Blocks are submitted as the consumer asks for them, at most twice the
-    pool's size ahead: the block being yielded and those submitted after it
-    number at most that many, so a slow consumer holds a bounded number of
-    finished blocks whatever ``reps`` is.  Closing the generator early
-    cancels the blocks that have not started.  ``fn`` must be a module-level
-    callable, and its results must pickle.
+    Without ``pool`` every block is drawn here.  With one (the command opens
+    it and reuses it for all its runs), every block runs in a pool process;
+    the blocks are yielded in submission order, and each one is released
+    once yielded.  Blocks are submitted as the consumer asks for them, at
+    most twice the pool's size ahead: the block being yielded and those
+    submitted after it number at most that many, so a slow consumer holds a
+    bounded number of finished blocks whatever ``reps`` is.  Closing the
+    generator early cancels the blocks that have not started.  ``fn`` must
+    be a module-level callable, and its results must pickle.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if isinstance(workers, int):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from replicate_blocks(fn, args, reps, seed, pool)
-            return
+    if pool is None:
         for lo in range(0, reps, BLOCK):
             yield _run_chunk(fn, args, seed, lo, min(lo + BLOCK, reps))
         return
     # a concurrent.futures pool keeps the size it was opened with here
-    window = 2 * workers._max_workers
+    window = 2 * pool._max_workers
     starts = iter(range(0, reps, BLOCK))
     futures = deque()
     try:
         while True:
             for lo in islice(starts, window - len(futures)):
                 hi = min(lo + BLOCK, reps)
-                futures.append(workers.submit(_run_chunk, fn, args, seed, lo, hi))
+                futures.append(pool.submit(_run_chunk, fn, args, seed, lo, hi))
             if not futures:
                 return
             yield futures.popleft().result()
@@ -86,20 +77,19 @@ def replicate_blocks(fn, args, reps: int, seed: int, workers: int | Executor = 1
             future.cancel()
 
 
-def map_replicates(fn, args, reps: int, seed: int, workers: int | Executor = 1) -> np.ndarray:
+def map_replicates(fn, args, reps: int, seed: int, pool: Executor | None = None) -> np.ndarray:
     """``reps`` results of the array block function ``fn``, in replicate
-    order, as one array with one row per replicate.  ``workers`` is as for
+    order, as one array with one row per replicate.  ``pool`` is as for
     :func:`replicate_blocks`.
     """
-    return np.concatenate(list(replicate_blocks(fn, args, reps, seed, workers)))
+    return np.concatenate(list(replicate_blocks(fn, args, reps, seed, pool)))
 
 
 def mean_and_se(values) -> tuple[np.ndarray, np.ndarray]:
     """Column means and their standard errors over per-replicate values.
 
-    ``values`` holds one scalar or one fixed-length 1-D array per replicate
-    (at least 2); they are laid out as a (reps, d) float array, a scalar
-    being one column.
+    ``values`` is the array of :func:`map_replicates`: shape (reps,) or
+    (reps, d), with reps >= 2; a (reps,) array is one column.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[0] < 2:

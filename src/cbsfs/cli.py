@@ -21,7 +21,7 @@ from pathlib import Path
 from . import verify
 from ._mc import replicate_blocks
 from .clonal import MC_STATISTICS, clonal_summary, e_zcl_pow, e_zcl_pow_r, mc_clonal
-from .genealogy import block_parents, sample_block
+from .genealogy import block_parents, block_tree_length, sample_block
 from .model import ModelParams
 from .reports import fmt_value, write_csv, write_json_doc, write_sample, write_text
 from .sfs import SIMULATE_MODES, expected_sfs, g1, mean_density, simulate_sfs
@@ -128,19 +128,34 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def settings(args) -> list[tuple[str, object]]:
     """The command's settings for its file header: every option it takes, in
     the order its parser added them (argparse fills the namespace that way),
-    except --out and --workers, which never change the data."""
+    except --out and --workers (and the pool), which never change the data."""
     return [(key, value) for key, value in vars(args).items()
-            if key not in ("config", "command", "out", "workers")]
+            if key not in ("config", "command", "out", "workers", "pool")]
 
 
-def _sample_replicate(args, rng, count: int = 1) -> list[dict]:
+# The mutation atoms one block of `sample` may draw, in expectation.  Held
+# as records, an atom takes 117-184 bytes of peak RSS (runs of 0.4 to 4.3
+# million atoms), so a block stays within about 200 MB.
+ATOM_BUDGET = 2**20
+
+
+def _sample_replicate(args, rng, count: int) -> list[dict]:
     """``count`` sampled genealogies as replay records (without their
     indices): each one's draw, from which ``build_tree`` rebuilds the tree
     that the atoms' edge ids name, with the spine's depth 0 put back at its
     rank.  The trees of the block come from one parent array, and their
-    mutations are dropped after all its genealogies are drawn, tree by tree."""
+    mutations are dropped after all its genealogies are drawn, tree by tree.
+    A block whose expected atom count exceeds :data:`ATOM_BUDGET` is a
+    ValueError, raised before its mutations are drawn."""
     params, n, z0, mode = args
     positions, labels, depths = sample_block(params, n, rng, count, condition_z0=z0)
+    # mu times the population-rooted length bounds the mean of either root mode
+    atoms = params.mu * float(block_tree_length(depths).sum())
+    if not atoms <= ATOM_BUDGET:
+        raise ValueError(
+            f"a block of {count} replicates would hold about {atoms:.3g} mutations, beyond the "
+            f"{ATOM_BUDGET} kept in memory; lower --mu, or raise --beta or --theta"
+        )
     labels = labels.tolist()
     trees = block_trees(block_parents(depths, mode is RootMode.POPULATION_MRCA), depths, labels, params, rng)
     records = []
@@ -160,7 +175,7 @@ def cmd_sample(args, params: ModelParams) -> int:
     mode = RootMode(args.root_mode)
     base = Path(args.out or "sample")
     blocks = replicate_blocks(
-        _sample_replicate, (params, args.n, args.z0, mode), args.reps, args.seed, args.workers
+        _sample_replicate, (params, args.n, args.z0, mode), args.reps, args.seed, args.pool
     )
     write_sample(base, settings(args), blocks)
     print(f"wrote {args.reps} replicates to {base.with_suffix('.nwk')} and {base.with_suffix('.json')}")
@@ -190,7 +205,7 @@ def cmd_sfs(args, params: ModelParams) -> int:
             args.seed,
             z0=args.z0,
             mode=args.sim_mode,
-            workers=args.workers,
+            pool=args.pool,
         )
         mc_mean, mc_se = mean.tolist(), se.tolist()
     lk = expected_sfs(params, args.n, args.z0).tolist()
@@ -248,7 +263,7 @@ def cmd_clonal(args, params: ModelParams) -> int:
                 args.reps,
                 args.seed,
                 statistic=args.statistic,
-                workers=args.workers,
+                pool=args.pool,
             )
         rows.append([n, moment(params, n), *mc])
     summary = clonal_summary(params)
@@ -308,17 +323,18 @@ def main(argv=None) -> int:
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{flag.replace('_', '-')} must be finite, got {value}")
         with ExitStack() as stack:
+            args.pool = None
             if getattr(args, "workers", 1) > 1:
                 # one pool serves every run of the command; its processes
                 # start at the first block and stop when the command ends
                 from concurrent.futures import ProcessPoolExecutor
 
-                args.workers = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
+                args.pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
             return COMMANDS[args.command](args, params)
     except (ValueError, OSError) as exc:
         print(f"cbsfs: {exc}", file=sys.stderr)
         return 1
-    except (OverflowError, QuadratureError) as exc:
+    except (ArithmeticError, QuadratureError) as exc:
         print(f"cbsfs: no finite result at these values: {exc}", file=sys.stderr)
         return 1
 

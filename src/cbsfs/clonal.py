@@ -128,7 +128,8 @@ MC_STATISTICS = ("zpow_r", "zpow")
 
 
 def _clonal_replicate(args, rng, count: int = 1) -> np.ndarray:
-    """Z0^p e^{-mu L_n} for ``count`` unconditioned genealogies."""
+    """Z0^p e^{-mu L_n} for ``count`` unconditioned genealogies (one by
+    default: ``perfbench/make_reference.py`` draws replicate by replicate)."""
     params, n, statistic = args
     positions, _, depths = sample_block(params, n, rng, count)
     z0 = positions[:, -1] - positions[:, 0]
@@ -142,7 +143,7 @@ def mc_clonal(
     reps: int,
     seed: int,
     statistic: str = "zpow_r",
-    workers: int | Executor = 1,
+    pool: Executor | None = None,
 ) -> tuple[float, float]:
     """Genealogy-route Monte Carlo for E[Z_cl^{n-1} R] or E[Z_cl^n]: the
     mean over replicates and its standard error.
@@ -150,14 +151,14 @@ def mc_clonal(
     Each replicate samples an unconditioned population-rooted genealogy
     and evaluates Z0^p e^{-mu L_n}; the total length L_n comes from the
     branch depths (equal to the built tree's length, which is asserted
-    separately in the tree tests).  ``workers`` is as for
+    separately in the tree tests).  ``pool`` is as for
     :func:`~cbsfs._mc.map_replicates`.
     """
     if statistic not in MC_STATISTICS:
         raise ValueError(f"statistic must be one of {MC_STATISTICS}, got {statistic!r}")
     if reps < 100:
         raise ValueError(f"need reps >= 100, got {reps}")
-    values = map_replicates(_clonal_replicate, (params, n, statistic), reps, seed, workers)
+    values = map_replicates(_clonal_replicate, (params, n, statistic), reps, seed, pool)
     mean, se = mean_and_se(values)
     return float(mean[0]), float(se[0])
 

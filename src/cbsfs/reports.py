@@ -28,8 +28,6 @@ SCHEMA_VERSION = 3
 def fmt_value(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return str(x).lower()
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"Out of range float values are not CSV compliant: {x!r}")

@@ -245,7 +245,7 @@ def g2_residual(params: ModelParams, n: int, k: int, z0: float) -> float:
     return (n * n / math.sqrt(k)) * (params.beta * lk / z0 - lead)
 
 
-def _sfs_replicate(args, rng, count: int = 1) -> np.ndarray:
+def _sfs_replicate(args, rng, count: int) -> np.ndarray:
     """mu * L_k, or Poisson counts with those means, for ``count`` genealogies."""
     params, n, z0, mode = args
     _, _, depths = sample_block(params, n, rng, count, condition_z0=z0)
@@ -265,20 +265,20 @@ def simulate_sfs(
     seed: int,
     z0: float | None = None,
     mode: str = "expected-lengths",
-    workers: int | Executor = 1,
+    pool: Executor | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo spectrum over seeded replicates: the mean of the
     per-replicate values for k = 1..n-1 and its standard error.
 
     "expected-lengths" averages mu * L_k per replicate; "poisson-counts"
     draws the mutation counts themselves (same means, larger variance).
-    ``workers`` is as for :func:`~cbsfs._mc.map_replicates`.
+    ``pool`` is as for :func:`~cbsfs._mc.map_replicates`.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if mode not in SIMULATE_MODES:
         raise ValueError(f"mode must be one of {SIMULATE_MODES}, got {mode!r}")
-    values = map_replicates(_sfs_replicate, (params, n, z0, mode), reps, seed, workers)
+    values = map_replicates(_sfs_replicate, (params, n, z0, mode), reps, seed, pool)
     return mean_and_se(values)
 
 

@@ -126,7 +126,7 @@ def suite_quadrature_identities(
     return out
 
 
-def _tmrca_replicate(args, rng, count: int = 1) -> np.ndarray:
+def _tmrca_replicate(args, rng, count: int) -> np.ndarray:
     """Population TMRCA of ``count`` genealogies: each one's deepest branch."""
     params, n, z0 = args
     return sample_block(params, n, rng, count, condition_z0=z0)[2].max(axis=1)

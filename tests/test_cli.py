@@ -153,6 +153,20 @@ class TestSampleCommand:
         assert run(*argv) == 1
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == previous
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_atom_budget_rejects_a_block_before_writing(self, tmp_path, capsys, monkeypatch, workers):
+        out = tmp_path / "x"
+        assert run("sample", "--n", 4, "--reps", 5, "--out", out) == 0
+        previous = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        # 500 trees of 4 leaves at mu = 1 hold about 800 atoms
+        monkeypatch.setattr(cli, "ATOM_BUDGET", 100)
+        assert run("sample", "--n", 4, "--reps", 500, "--workers", workers, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cbsfs: a block of 500 replicates would hold about ")
+        assert "lower --mu" in err and err.count("\n") == 1
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == previous
+
     def test_memory_is_bounded_by_the_block(self, tmp_path):
         # the records go to disk block by block, so four blocks peak as high
         # as one (a run that held every record peaked 2.7 times as high)

@@ -1,6 +1,7 @@
 """Closed-form clonal moments against exact rationals and two MC routes."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -207,8 +208,9 @@ class TestMcClonal:
         assert abs(mean - z0_moment(NO_MUTATION, 2)) < 3.0 * se
 
     def test_workers_do_not_change_values(self):
-        a = mc_clonal(ALPHA_ONE, 2, reps=2000, seed=70, workers=1)
-        b = mc_clonal(ALPHA_ONE, 2, reps=2000, seed=70, workers=3)
+        a = mc_clonal(ALPHA_ONE, 2, reps=2000, seed=70)
+        with ProcessPoolExecutor(max_workers=3) as pool:
+            b = mc_clonal(ALPHA_ONE, 2, reps=2000, seed=70, pool=pool)
         assert a == b
 
     def test_validation(self):
