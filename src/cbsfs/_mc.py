@@ -85,6 +85,8 @@ def map_replicates(fn, args, reps: int, seed: int, pool: Executor | None = None)
     return np.concatenate(list(replicate_blocks(fn, args, reps, seed, pool)))
 
 
+# values near the float limit overflow the squares; the writers refuse the inf
+@np.errstate(over="ignore", invalid="ignore")
 def mean_and_se(values) -> tuple[np.ndarray, np.ndarray]:
     """Column means and their standard errors over per-replicate values.
 

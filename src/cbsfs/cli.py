@@ -228,10 +228,11 @@ def cmd_density(args, params: ModelParams) -> int:
         raise ValueError("r-max / r-min overflows a float")
     grid = [args.r_min * step**i for i in range(args.points)]
     fs = [mean_density(params, r) for r in grid]
+    # an underflow to 0, an overflow to inf or coincident grid points
     if any(f <= 0 for f in fs):
-        raise ValueError("density values must be positive")
+        raise FloatingPointError("density values must be positive")
     if any(a <= b for a, b in zip(fs, fs[1:])):
-        raise ValueError("density must decrease along the grid")
+        raise FloatingPointError("density must decrease along the grid")
     _emit_table(args, ["r", "f"], [[r, f] for r, f in zip(grid, fs)])
     return 0
 
@@ -320,8 +321,8 @@ def main(argv=None) -> int:
         params = ModelParams(beta=args.beta, theta=args.theta, mu=args.mu) if "beta" in taken else None
         for flag in ("z0", "r_min", "r_max"):
             value = getattr(args, flag, None)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{flag.replace('_', '-')} must be finite, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{flag.replace('_', '-')} must be positive and finite, got {value}")
         with ExitStack() as stack:
             args.pool = None
             if getattr(args, "workers", 1) > 1:
@@ -335,7 +336,10 @@ def main(argv=None) -> int:
         print(f"cbsfs: {exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, QuadratureError) as exc:
-        print(f"cbsfs: no finite result at these values: {exc}", file=sys.stderr)
+        # the command's settings, written as the flags that give them
+        flags = " ".join(f"--{key.replace('_', '-')} {value}"
+                         for key, value in settings(args) if value is not None)
+        print(f"cbsfs: no finite result at {flags}: {exc}", file=sys.stderr)
         return 1
 
 

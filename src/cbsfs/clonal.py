@@ -127,6 +127,9 @@ def clonal_summary(params: ModelParams) -> dict[str, float]:
 MC_STATISTICS = ("zpow_r", "zpow")
 
 
+# Z0^p overflows at theta near 0 and mu L at mu near the float limit; inf or
+# nan then fails the finiteness check of the written table
+@np.errstate(over="ignore", invalid="ignore")
 def _clonal_replicate(args, rng, count: int = 1) -> np.ndarray:
     """Z0^p e^{-mu L_n} for ``count`` unconditioned genealogies (one by
     default: ``perfbench/make_reference.py`` draws replicate by replicate)."""

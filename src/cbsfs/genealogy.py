@@ -176,14 +176,17 @@ def sample_block(
     unit exponential per gap; a row with a (probability-zero) position
     collision redraws its arms and uniforms, and a row with a zero
     exponential redraws its exponentials, as the per-replicate sampler does.
-    A depth that underflows to 0, which no tree or statistic can use, is a
-    ValueError that names ``--beta`` and ``--theta``.
+    A position or depth that overflows, or a depth that underflows to 0,
+    which no tree or statistic can use, is a ValueError that names
+    ``--beta`` and ``--theta`` (and ``--z0`` for an overflow).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if condition_z0 is not None and not condition_z0 > 0:
         raise ValueError(f"condition_z0 must be positive, got {condition_z0}")
 
+    # an overflow leaves inf or nan in the depths, which the check below rejects
+    @np.errstate(over="ignore", invalid="ignore")
     def arms_and_leaves(rows: int) -> tuple[np.ndarray, np.ndarray]:
         if condition_z0 is None:
             scale = 1.0 / (2.0 * params.theta)
@@ -222,13 +225,17 @@ def sample_block(
     e = rng.exponential(1.0, size=(count, n + 1))
     while (zero := np.flatnonzero(np.any(e == 0.0, axis=1))).size:  # underflow guard
         e[zero] = rng.exponential(1.0, size=(zero.size, n + 1))
-    depths = np.diff(positions, axis=1)  # the gaps, turned into depths in place
-    depths *= 2.0 * params.theta
-    depths /= e
-    np.log1p(depths, out=depths)
-    depths /= 2.0 * params.beta * params.theta
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        depths = np.diff(positions, axis=1)  # the gaps, turned into depths in place
+        depths *= 2.0 * params.theta
+        depths /= e
+        np.log1p(depths, out=depths)
+        depths /= 2.0 * params.beta * params.theta
     if not np.all(np.isfinite(depths)):
-        raise ValueError("branch depths must be finite and nonnegative")
+        raise ValueError(
+            "a branch depth is not finite; the positions scale as 1 / theta (or as --z0) and the "
+            "depths as 1 / (beta * theta), and they overflow: raise --beta or --theta, or lower --z0"
+        )
     if np.any(depths == 0.0):
         raise ValueError(f"a branch depth is 0; {_UNDERFLOW}")
     return positions, labels, depths

@@ -36,7 +36,10 @@ class ModelParams:
     @property
     def alpha(self) -> float:
         """Mutation rate in tree-length units: alpha = mu / (2 beta theta)."""
-        return self.mu / (2.0 * self.beta * self.theta)
+        alpha = self.mu / (2.0 * self.beta * self.theta)
+        if alpha == math.inf:
+            raise FloatingPointError("alpha = mu / (2 beta theta) overflows")
+        return alpha
 
 
 def extinction_tail(params: ModelParams, t: float) -> float:

@@ -4,7 +4,8 @@ Every data file starts with comment lines recording the scientific
 configuration that produced it (never the worker count, which must not
 change the bytes).  Floats are written with repr, the shortest exact
 round-trip form, so re-runs with the same seed are byte-identical.  Both
-formats refuse non-finite floats, so an overflowed result writes no file.
+formats refuse non-finite floats with a FloatingPointError, so an
+overflowed result writes no file.
 
 Every file is written whole or not at all: it goes to a temporary file
 beside its target that replaces the target only once complete.  The
@@ -30,7 +31,7 @@ def fmt_value(x) -> str:
         return ""
     if isinstance(x, float):
         if not math.isfinite(x):
-            raise ValueError(f"Out of range float values are not CSV compliant: {x!r}")
+            raise FloatingPointError(f"Out of range float values are not CSV compliant: {x!r}")
         return repr(x)
     return str(x)
 
@@ -73,7 +74,10 @@ def _write(path: str | Path, text: str) -> None:
 
 def _dumps(value) -> str:
     # compact separators keep json on its C encoder (indent forces pure Python)
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    try:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:  # allow_nan=False: a float that is not finite
+        raise FloatingPointError(str(exc)) from None
 
 
 def _json_envelope(command: str, pairs: list[tuple[str, object]]) -> tuple[str, str]:

@@ -4,13 +4,14 @@ The analytic route is the order-statistic expectation S_l, the
 Beta(l, n-l+1) mean of the mean tallest-excursion height, combined into
 per-class expected branch lengths E[L_k | Z0] and mutation counts
 mu * E[L_k | Z0].  One fixed composite Gauss-Legendre rule, derived from n
-alone, serves every l and every z0 at once: the Beta densities on its nodes
-form a matrix (built in blocks of l), the integrand is one vectorised H
-call over all nodes and z0, and each table is one matrix product.  The
-lengths take their second difference in l on the densities, node by node,
-rather than between rounded S_l.  :func:`s_ell` keeps the per-l adaptive
-quadrature as the reference the tests compare against; it alone runs to a
-tighter, relative-only tolerance than the package's quadratures.
+alone, serves every l at once: the Beta densities on its nodes form a
+matrix (built in blocks of l), the z0 nodes (one z0, or the Laguerre nodes
+of the size average) are summed with their weights into one integrand, and
+each table is one matrix-vector product per block.  The lengths take their
+second difference in l on the densities, node by node, rather than between
+rounded S_l.  :func:`s_ell` keeps the per-l adaptive quadrature as the
+reference the tests compare against; it alone runs to a tighter,
+relative-only tolerance than the package's quadratures.
 
 The large-n shape of k * E[xi_k] is the Kingman constant plus the
 distortion g1, whose evaluation needs the first two derivatives of the h1
@@ -113,39 +114,35 @@ def _beta_pdf(n: int, ell: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(_log_beta_norm(n, ell) + (ell - 1) * np.log(v) + (n - ell) * np.log1p(-v))
 
 
-def _rule_sums(params: ModelParams, n: int, z0, ells: np.ndarray, kernel) -> np.ndarray:
-    """The rule applied to (z0 v/beta) H(2 theta z0 v) kernel(l, v), for every
-    z0 (scalar or array) and every l in ells: one matrix product per block."""
-    z0 = np.asarray(z0, dtype=float)
-    if not np.all((z0 > 0) & np.isfinite(z0)):
+def _rule_sums(params: ModelParams, n: int, z0, weight, ells: np.ndarray, kernel) -> np.ndarray:
+    """The rule applied to sum_j weight_j (z0_j v/beta) H(2 theta z0_j v) kernel(l, v)
+    for every l in ells: the z0 nodes (scalar or array, weights alike) are summed into
+    one integrand first, then each block of l is one matrix-vector product."""
+    z = np.asarray(z0, dtype=float).reshape(-1, 1)
+    if not np.all((z > 0) & np.isfinite(z)):
         raise ValueError(f"z0 must be positive and finite, got {z0}")
     v, w = _s_rule(n)
     # 2 theta z0 v is smallest at the smallest z0 and the first node
-    if not 2.0 * params.theta * z0.min() * v[0] > 0:
-        raise ValueError(
-            f"z0 = {z0} is too small: 2 theta z0 v underflows to 0 at the smallest "
-            f"quadrature node v = {v[0]:.3g}"
-        )
-    z = z0.reshape(-1, 1)
-    f = (z * v / params.beta) * H_closed(2.0 * params.theta * z * v) * w
-    out = np.empty((z.shape[0], ells.size))
-    for lo in range(0, ells.size, _ELL_BLOCK):
-        ell = ells[lo:lo + _ELL_BLOCK, None]
-        out[:, lo:lo + ell.shape[0]] = f @ kernel(ell, v).T
-    return out.reshape(z0.shape + (ells.size,))
+    if not 2.0 * params.theta * z.min() * v[0] > 0:
+        raise ValueError(f"z0 = {z0} is too small: 2 theta z0 v underflows to 0 at the "
+                         f"smallest quadrature node v = {v[0]:.3g}")
+    terms = np.reshape(weight, (-1, 1)) * (z * v / params.beta) * H_closed(2.0 * params.theta * z * v)
+    f = terms.sum(axis=0) * w
+    blocks = range(0, ells.size, _ELL_BLOCK)
+    return np.concatenate([kernel(ells[lo:lo + _ELL_BLOCK, None], v) @ f for lo in blocks])
 
 
-def s_table(params: ModelParams, n: int, z0) -> np.ndarray:
-    """S_0..S_n along the last axis, for one z0 or an array of them, from one
-    fixed quadrature rule (:func:`s_ell` is the per-l adaptive reference)."""
+def s_table(params: ModelParams, n: int, z0: float) -> np.ndarray:
+    """S_0..S_n for one z0 from the fixed rule (:func:`s_ell` is the per-l reference)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    s = _rule_sums(params, n, z0, np.arange(1, n + 1), lambda ell, v: _beta_pdf(n, ell, v))
-    return np.concatenate([np.zeros(s.shape[:-1] + (1,)), s], axis=-1)
+    s = _rule_sums(params, n, z0, 1.0, np.arange(1, n + 1), lambda ell, v: _beta_pdf(n, ell, v))
+    return np.concatenate([[0.0], s])
 
 
-def _expected_lengths(params: ModelParams, n: int, z0, ks: np.ndarray) -> np.ndarray:
-    """E[L_k | Z0 = z0] for each k in ks (within 1..n-1) along the last axis.
+def _expected_lengths(params: ModelParams, n: int, z0, weight, ks: np.ndarray) -> np.ndarray:
+    """E[L_k | Z0 = z0] for each k in ks (within 1..n-1), or its average
+    over z0 nodes with weights (as for :func:`_rule_sums`).
 
     The second difference (n-k)(2 S_k - S_{k-1} - S_{k+1}) + S_{k+1} - S_{k-1}
     is taken on the Beta densities before integrating: with
@@ -159,7 +156,7 @@ def _expected_lengths(params: ModelParams, n: int, z0, ks: np.ndarray) -> np.nda
         bracket = 2.0 * (n - k) - (k - 1) / ratio - (n - k - 1) * (n - k) * ratio / k
         return _beta_pdf(n, k, v) * bracket
 
-    return _rule_sums(params, n, z0, ks, kernel)
+    return _rule_sums(params, n, z0, weight, ks, kernel)
 
 
 def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,24 +184,26 @@ def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 _Z0_NODES = 40
 
 
+@np.errstate(over="ignore", invalid="ignore")  # beta, theta near the float limits: checked below
 def expected_sfs(params: ModelParams, n: int, z0: float | None = None) -> np.ndarray:
-    """E[L_k] for k = 1..n-1 (entry k-1), conditioned on z0 or averaged
-    over the stationary population-size law when z0 is None (one row of
-    lengths per Gauss-Laguerre node, all from one pass).  E[xi_k] is mu
-    times it."""
+    """E[L_k] for k = 1..n-1 (entry k-1), conditioned on z0 (one node of
+    weight 1) or averaged over the stationary population-size law when z0
+    is None (the Gauss-Laguerre nodes, summed into the one integrand).
+    E[xi_k] is mu times it."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    ks = np.arange(1, n)
-    if z0 is not None:
-        lk = _expected_lengths(params, n, z0, ks)
-    else:
+    weight = 1.0
+    if z0 is None:
         # the rule for t e^{-t} integrates the Gamma(2, 2 theta) law of Z0
         # exactly after t = 2 theta z
-        t, w = _laguerre_rule(_Z0_NODES)
-        lk = w @ _expected_lengths(params, n, t / (2.0 * params.theta), ks)
-    negative = np.flatnonzero(lk < 0)
-    if negative.size:
-        raise ValueError(f"expected_L must be >= 0 at k={negative[0] + 1}")
+        t, weight = _laguerre_rule(_Z0_NODES)
+        if not float(t[-1]) / (2.0 * params.theta) < math.inf:
+            raise FloatingPointError("the stationary sizes, of mean 1 / theta, overflow")
+        z0 = t / (2.0 * params.theta)
+    lk = _expected_lengths(params, n, z0, weight, np.arange(1, n))
+    bad = np.flatnonzero(~((lk >= 0) & (lk < math.inf)))
+    if bad.size:
+        raise FloatingPointError(f"expected_L must be finite and >= 0, got {lk[bad[0]]} at k={bad[0] + 1}")
     return lk
 
 
@@ -240,11 +239,12 @@ def g2_residual(params: ModelParams, n: int, k: int, z0: float) -> float:
     (n^2/sqrt(k)) * (beta E[L_k|Z0]/z0 - 1/k - g1(theta z0, k/n)/k)."""
     if not (1 <= k <= n - 1):
         raise IndexError(f"need 1 <= k <= n-1, got k={k}")
-    lk = float(_expected_lengths(params, n, z0, np.array([k]))[0])
+    lk = float(_expected_lengths(params, n, z0, 1.0, np.array([k]))[0])
     lead = 1.0 / k + g1(params.theta * z0, k / n) / k
     return (n * n / math.sqrt(k)) * (params.beta * lk / z0 - lead)
 
 
+@np.errstate(over="ignore")  # mu L near the float limit: the written table is checked
 def _sfs_replicate(args, rng, count: int) -> np.ndarray:
     """mu * L_k, or Poisson counts with those means, for ``count`` genealogies."""
     params, n, z0, mode = args

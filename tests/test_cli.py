@@ -32,11 +32,13 @@ def all_records(fn, args, reps, seed):
     return list(chain.from_iterable(replicate_blocks(fn, args, reps, seed)))
 
 
-def run_python(*args, cwd=None):
+def run_python(*args, cwd=None, env=None):
     """A fresh interpreter with the package on its path (module state such
-    as sys.modules and logging handlers starts clean)."""
+    as sys.modules and logging handlers starts clean), under ``env`` on top
+    of this process's environment."""
     src = str(Path(cbsfs.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
     )
@@ -467,6 +469,13 @@ class TestBadFlags:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["sample", "--reps", 2], ["sfs"], ["sfs", "--mode", "simulate"]],
+                             ids=["sample", "sfs-expected", "sfs-simulate"])
+    def test_nonpositive_z0(self, tmp_path, capsys, argv):
+        assert run(*argv, "--z0", -1.0, "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err == "cbsfs: z0 must be positive and finite, got -1.0\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_single_replicate_has_no_standard_error(self, tmp_path, capsys, fmt):
         out = tmp_path / f"x.{fmt}"
@@ -488,7 +497,9 @@ class TestBadFlags:
             (["sfs", "--mode", "simulate", "--z0", "inf", "--reps", 10], ""),
             (["sample", "--z0", "inf", "--reps", 2], ""),
             (["clonal", "--mu", "1e300"], ""),
-            (["clonal", "--n-max", "400"], ""),
+            # the command's settings, as flags, name where the result overflowed
+            (["clonal", "--n-max", "400"],
+             "--n-max 400 --statistic zpow_r: Out of range float values are not CSV compliant: inf"),
             (["sample", "--n", "200", "--z0", "1e-320", "--reps", "1"], ""),
             (["sfs", "--mode", "simulate", "--n", "200", "--z0", "1e-320", "--reps", "2"], ""),
             # 2 theta z0 v underflows to 0 at the smallest quadrature node
@@ -515,6 +526,17 @@ class TestBadFlags:
               "--theta", "1e3"], "lower --beta or --theta"),
             (["sample", "--n", "1", "--reps", "2", "--beta", "1e305", "--theta", "1e3"],
              "lower --beta or --theta"),
+            # the expected lengths, the averaged sizes or alpha overflow
+            (["sfs", "--beta", "5e-324", "--z0", "1"], "expected_L must be finite and >= 0"),
+            (["sfs", "--theta", "5e-324"], "the stationary sizes, of mean 1 / theta, overflow"),
+            (["clonal", "--beta", "5e-324", "--statistic", "zpow"], "alpha = mu / (2 beta theta) overflows"),
+            # Z0^4 is finite, its square is not
+            (["clonal", "--mode", "simulate", "--theta", "1e-38", "--mu", "0", "--reps", "100"],
+             "not CSV compliant: inf"),
+            # the depths, or the positions before them, overflow
+            (["sample", "--n", "3", "--reps", "2", "--beta", "5e-324"], "raise --beta or --theta"),
+            (["sfs", "--mode", "simulate", "--n", "3", "--reps", "20", "--theta", "1e-310"],
+             "raise --beta or --theta"),
         ],
         ids=["density-r-max-inf", "density-ratio-overflow", "g1-z-inf", "g1-z-1e308", "g1-z-1e5",
              "sfs-z0-inf", "sample-z0-inf", "clonal-mu-1e300", "clonal-n-max-400",
@@ -522,8 +544,12 @@ class TestBadFlags:
              "density-underflow", "density-grid-coincident", "density-mu-0",
              "sample-poisson-theta-1e-150", "sample-poisson-beta-1e-300", "sfs-poisson-mu-1e300",
              "sample-tied-depths-beta-1e305", "sfs-zero-depths-beta-1e305",
-             "sample-zero-depths-beta-1e305"],
+             "sample-zero-depths-beta-1e305", "sample-depth-overflow-beta-5e-324",
+             "sfs-position-overflow-theta-1e-310", "sfs-lengths-overflow-beta-5e-324",
+             "sfs-sizes-overflow-theta-5e-324", "clonal-alpha-overflow", "clonal-se-overflow"],
     )
+    # numpy's warning, printed before the one-line message, is an error here
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_finite_result_writes_nothing(self, tmp_path, capsys, argv, message):
         assert run(*argv, "--out", tmp_path / "x") == 1
         err = capsys.readouterr().err
@@ -560,6 +586,21 @@ def test_import_leaves_scipy_stats_and_integrate_unloaded():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_expected_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the averaged table sums its z0 nodes into one integrand before the
+    # Beta kernel; averaging one table per node took a (nodes x rule) by
+    # (rule x l) matrix product, whose last bits moved with the thread count
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.csv"
+        argv = ["sfs", "--mode", "expected", "--n", "200", "--out", str(out)]
+        proc = run_python("-m", "cbsfs.cli", *argv,
+                          env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize(

@@ -109,13 +109,11 @@ class TestSTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 1000])
     @pytest.mark.parametrize("params, z0s", TABLE_CASES, ids=["unit", "beta_e3", "theta_e3"])
     def test_matches_per_ell_quadrature(self, n, params, z0s):
-        table = s_table(params, n, np.array(z0s))
-        assert table.shape == (len(z0s), n + 1)
-        for row, z0 in zip(table, z0s):
-            assert row[0] == 0.0
+        for z0 in z0s:
+            row = s_table(params, n, z0)
+            assert row.shape == (n + 1,) and row[0] == 0.0
             rel = np.abs(row[1:] / scaled_s_reference(params, n, z0) - 1.0)
             assert rel.max() <= 1e-12, (z0, int(rel.argmax()) + 1)
-            np.testing.assert_allclose(s_table(params, n, z0), row, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("params, z0s", TABLE_CASES[1:], ids=["beta_e3", "theta_e3"])
     def test_per_ell_quadrature_scaling(self, params, z0s):
@@ -144,7 +142,7 @@ class TestSTable:
         with pytest.raises(ValueError):
             s_table(UNIT, 0, 1.0)
         with pytest.raises(ValueError):
-            s_table(UNIT, 5, np.array([1.0, 0.0]))
+            s_table(UNIT, 5, 0.0)
         with pytest.raises(ValueError):
             expected_sfs(UNIT, 3, math.inf)
 
@@ -182,7 +180,7 @@ class TestExpectedLk:
         for k in range(1, 6):
             scalar = (6 - k) * (2.0 * s[k] - s[k - 1] - s[k + 1]) + s[k + 1] - s[k - 1]
             assert lk[k - 1] == pytest.approx(scalar, rel=1e-9)
-            single = _expected_lengths(UNIT, 6, 1.5, np.array([k]))[0]
+            single = _expected_lengths(UNIT, 6, 1.5, 1.0, np.array([k]))[0]
             assert lk[k - 1] == pytest.approx(single, rel=1e-14)
 
     @pytest.mark.parametrize("n, k, z0", [(8, 1, 1e-7), (20, 9, 2.0), (200, 50, 2.0), (200, 150, 2.0)])
@@ -199,8 +197,16 @@ class TestExpectedLk:
         # numerical stability of the size-average: doubling the node count
         # moves nothing beyond the slow log-type convergence of the rule
         t, w = _laguerre_rule(80)
-        fine = w @ _expected_lengths(UNIT, 6, t / (2.0 * UNIT.theta), np.arange(1, 6))
+        fine = _expected_lengths(UNIT, 6, t / (2.0 * UNIT.theta), w, np.arange(1, 6))
         assert lk == pytest.approx(fine, rel=1e-4)
+
+    def test_average_is_the_weighted_sum_of_conditioned_tables(self):
+        # the nodes are summed into the integrand before the Beta kernel;
+        # the sum of the conditioned tables takes them in the other order
+        params = ModelParams(0.5, 3.0, 1.0)
+        t, w = _laguerre_rule(40)
+        tables = [expected_sfs(params, 50, z0) for z0 in t / (2.0 * params.theta)]
+        np.testing.assert_allclose(expected_sfs(params, 50), w @ np.array(tables), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("beta, theta", [(1.0, 1.0), (0.5, 3.0)])
     def test_averaged_against_exact_values(self, beta, theta):

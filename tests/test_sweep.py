@@ -9,10 +9,11 @@ eight is an edge value instead: 0, a negative, the subnormal extreme, the
 largest float, a non-finite value, or one that does not parse.  A config
 file sets some of the shared flags in a quarter of the cases.
 
-Each case must exit 0, 1 or 2 without a traceback;
-after a non-zero exit no output or temporary file is left (a failed
-``verify`` check keeps its report), and after exit 0 every number written
-is finite.
+Each case must exit 0, 1 or 2 without a traceback or a numpy warning; an
+exit-1 message names one of the command's flags (with or without ``--``)
+or a value as it was typed; after a non-zero exit no output or temporary
+file is left (a failed ``verify`` check keeps its report), and after exit
+0 every number written is finite.
 
 Sizes are kept small, so no case allocates more than a few tens of MB:
 ``--workers`` at most 2, ``--n`` at most 60, ``--reps`` at most 300,
@@ -107,6 +108,20 @@ def _numbers(text: str):
             pass
 
 
+def _names_a_flag_or_value(message: str, argv: list[str], config: str | None) -> bool:
+    """Whether ``message`` names one of the command's flags, with or without
+    its ``--``, or one of the values typed on the line or in the config.
+    ``--out`` is left out: no case types a bad one, and "out" is a word."""
+    flags = [opt[2:] for action in PARSERS[argv[0]]._actions if action.dest not in ("help", "out")
+             for opt in action.option_strings]
+    values = [token for token in argv[1:] if not token.startswith("--")]
+    values += [line.partition("=")[2] for line in (config or "").splitlines()]
+    words = [rf"(?<![\w-])(?:--)?{re.escape(flag)}(?![\w-])" for flag in flags]
+    words += [rf"(?<![\w.]){re.escape(value)}(?![\w.])" for value in values if value]
+    return any(re.search(word, message) for word in words)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(invocations())
 def test_every_command_exits_cleanly(invocation):
@@ -134,6 +149,7 @@ def test_every_command_exits_cleanly(invocation):
             report = argv[0] == "verify" and code == 1 and not err
             assert written == ([out_dir / "x"] if report else []), (err, written)
             assert report or code == 2 or (err.startswith("cbsfs: ") and err.count("\n") == 1), err
+            assert report or code == 2 or _names_a_flag_or_value(err, argv, config), (argv, config, err)
             return
         assert written and not [p for p in written if p.name.endswith(".tmp")]
         for path in written:

@@ -3,11 +3,14 @@ check the files the CLI writes; each name must exist and each output pass."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cbsfs
 from cbsfs.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -26,6 +29,19 @@ def test_every_traced_function_resolves():
     for module_name, dotted, _ in tracer.TRACED:
         owner, attr = tracer._resolve(importlib.import_module(module_name), dotted)
         assert callable(getattr(owner, attr, None)), (module_name, dotted)
+
+
+def test_the_cli_import_loads_every_traced_module():
+    # install() imports cbsfs.cli alone and then reads sys.modules for each
+    # TRACED module: a CLI that stopped importing one would fail every traced
+    # run, though each module still imports on its own (test above)
+    modules = sorted({module_name for module_name, _, _ in _load("tracer").TRACED})
+    code = "import sys, cbsfs.cli; print(*[m for m in sys.argv[1:] if m not in sys.modules])"
+    src = str(Path(cbsfs.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, *modules], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "", f"not loaded by `import cbsfs.cli`: {proc.stdout.strip()}"
 
 
 def test_reference_tool_imports():
