@@ -133,6 +133,10 @@ def settings(args) -> list[tuple[str, object]]:
             if key not in ("config", "command", "out", "workers", "pool")]
 
 
+# The most --workers a command takes (a pool forks them all at its first
+# block); a constant, so a config file valid on one machine is valid on all.
+MAX_WORKERS = 256
+
 # The mutation atoms one block of `sample` may draw, in expectation.  Held
 # as records, an atom takes 117-184 bytes of peak RSS (runs of 0.4 to 4.3
 # million atoms), so a block stays within about 200 MB.
@@ -238,9 +242,12 @@ def cmd_density(args, params: ModelParams) -> int:
 
 
 def cmd_g1(args, _: None) -> int:
-    z_values = [float(z) for z in args.z.split(",") if z.strip()]
+    try:
+        z_values = [float(z) for z in args.z.split(",") if z.strip()]
+    except ValueError:
+        z_values = []
     if not z_values or not all(0 < z < math.inf for z in z_values):
-        raise ValueError("--z needs a comma list of positive finite values")
+        raise ValueError(f"--z needs a comma list of positive finite values, got {args.z!r}")
     if args.u_points < 2:
         raise ValueError("--u-points must be >= 2")
     u_grid = [i / (args.u_points - 1) for i in range(args.u_points)]
@@ -318,6 +325,8 @@ def main(argv=None) -> int:
         for flag, low in (("workers", 1), ("seed", 0), ("reps", 1), ("n", 1)):
             if flag in taken and getattr(args, flag) < low:
                 raise ValueError(f"{flag} must be >= {low}, got {getattr(args, flag)}")
+        if "workers" in taken and args.workers > MAX_WORKERS:
+            raise ValueError(f"--workers must be <= {MAX_WORKERS}, got {args.workers}")
         params = ModelParams(beta=args.beta, theta=args.theta, mu=args.mu) if "beta" in taken else None
         for flag in ("z0", "r_min", "r_max"):
             value = getattr(args, flag, None)

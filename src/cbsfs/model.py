@@ -36,6 +36,10 @@ class ModelParams:
     @property
     def alpha(self) -> float:
         """Mutation rate in tree-length units: alpha = mu / (2 beta theta)."""
+        if self.mu == 0.0:
+            return 0.0  # also where 2 beta theta underflows
+        if not 2.0 * self.beta * self.theta > 0:
+            raise FloatingPointError("2 beta theta underflows to 0 in alpha = mu / (2 beta theta)")
         alpha = self.mu / (2.0 * self.beta * self.theta)
         if alpha == math.inf:
             raise FloatingPointError("alpha = mu / (2 beta theta) overflows")

@@ -14,9 +14,9 @@ reference the tests compare against; it alone runs to a tighter,
 relative-only tolerance than the package's quadratures.
 
 The large-n shape of k * E[xi_k] is the Kingman constant plus the
-distortion g1, whose evaluation needs the first two derivatives of the h1
-kernel; the bounded-remainder residual g2 is computed as exactly that: the
-scaled difference between the exact expectation and the two leading terms.
+distortion g1, one line in e^x E1(x); the bounded-remainder residual g2 is
+computed as exactly that: the scaled difference between the exact
+expectation and the two leading terms.
 
 The simulated route replays the genealogy sampler and either averages
 mu * L_k directly or draws Poisson counts with those means.
@@ -32,7 +32,7 @@ import numpy as np
 from ._mc import map_replicates, mean_and_se
 from .genealogy import block_Lk, sample_block
 from .model import ModelParams, canonical_density
-from .specfun import EULER_GAMMA, H_closed, adaptive_quad, gamma_upper_zero, h1_deriv
+from .specfun import EULER_GAMMA, H_closed, _ein, _exp_e1, adaptive_quad, gamma_upper_zero
 from .tree import poisson_counts
 
 
@@ -114,10 +114,12 @@ def _beta_pdf(n: int, ell: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(_log_beta_norm(n, ell) + (ell - 1) * np.log(v) + (n - ell) * np.log1p(-v))
 
 
-def _rule_sums(params: ModelParams, n: int, z0, weight, ells: np.ndarray, kernel) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore")  # beta, theta near the float limits: checked below
+def _rule_sums(params: ModelParams, n: int, z0, weight, ells: np.ndarray, kernel, name, row) -> np.ndarray:
     """The rule applied to sum_j weight_j (z0_j v/beta) H(2 theta z0_j v) kernel(l, v)
     for every l in ells: the z0 nodes (scalar or array, weights alike) are summed into
-    one integrand first, then each block of l is one matrix-vector product."""
+    one integrand first, then each block of l is one matrix-vector product.  A sum not
+    finite and >= 0 is a FloatingPointError that names it as ``name`` at ``row`` = l."""
     z = np.asarray(z0, dtype=float).reshape(-1, 1)
     if not np.all((z > 0) & np.isfinite(z)):
         raise ValueError(f"z0 must be positive and finite, got {z0}")
@@ -129,14 +131,18 @@ def _rule_sums(params: ModelParams, n: int, z0, weight, ells: np.ndarray, kernel
     terms = np.reshape(weight, (-1, 1)) * (z * v / params.beta) * H_closed(2.0 * params.theta * z * v)
     f = terms.sum(axis=0) * w
     blocks = range(0, ells.size, _ELL_BLOCK)
-    return np.concatenate([kernel(ells[lo:lo + _ELL_BLOCK, None], v) @ f for lo in blocks])
+    sums = np.concatenate([kernel(ells[lo:lo + _ELL_BLOCK, None], v) @ f for lo in blocks])
+    bad = np.flatnonzero(~((sums >= 0) & (sums < math.inf)))
+    if bad.size:
+        raise FloatingPointError(f"{name} must be finite and >= 0, got {sums[bad[0]]} at {row}={ells[bad[0]]}")
+    return sums
 
 
 def s_table(params: ModelParams, n: int, z0: float) -> np.ndarray:
     """S_0..S_n for one z0 from the fixed rule (:func:`s_ell` is the per-l reference)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    s = _rule_sums(params, n, z0, 1.0, np.arange(1, n + 1), lambda ell, v: _beta_pdf(n, ell, v))
+    s = _rule_sums(params, n, z0, 1.0, np.arange(1, n + 1), lambda ell, v: _beta_pdf(n, ell, v), "S", "l")
     return np.concatenate([[0.0], s])
 
 
@@ -156,7 +162,7 @@ def _expected_lengths(params: ModelParams, n: int, z0, weight, ks: np.ndarray) -
         bracket = 2.0 * (n - k) - (k - 1) / ratio - (n - k - 1) * (n - k) * ratio / k
         return _beta_pdf(n, k, v) * bracket
 
-    return _rule_sums(params, n, z0, weight, ks, kernel)
+    return _rule_sums(params, n, z0, weight, ks, kernel, "expected_L", "k")
 
 
 def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +190,6 @@ def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 _Z0_NODES = 40
 
 
-@np.errstate(over="ignore", invalid="ignore")  # beta, theta near the float limits: checked below
 def expected_sfs(params: ModelParams, n: int, z0: float | None = None) -> np.ndarray:
     """E[L_k] for k = 1..n-1 (entry k-1), conditioned on z0 (one node of
     weight 1) or averaged over the stationary population-size law when z0
@@ -200,38 +205,29 @@ def expected_sfs(params: ModelParams, n: int, z0: float | None = None) -> np.nda
         if not float(t[-1]) / (2.0 * params.theta) < math.inf:
             raise FloatingPointError("the stationary sizes, of mean 1 / theta, overflow")
         z0 = t / (2.0 * params.theta)
-    lk = _expected_lengths(params, n, z0, weight, np.arange(1, n))
-    bad = np.flatnonzero(~((lk >= 0) & (lk < math.inf)))
-    if bad.size:
-        raise FloatingPointError(f"expected_L must be finite and >= 0, got {lk[bad[0]]} at k={bad[0] + 1}")
-    return lk
+    return _expected_lengths(params, n, z0, weight, np.arange(1, n))
 
 
 def g1(z: float, u: float) -> float:
-    """Distortion of the expected spectrum against the 1/k shape.
-
-    Continuous on z > 0, 0 <= u <= 1 with g1(z, 0) = 0 (the u log u terms
-    have a removable limit; u below 1e-300 is clamped to that limit before
-    log() can produce -inf).
-    """
+    """Distortion of the expected spectrum against the 1/k shape:
+    g1(z, u) = u (2 (1 - z (1 - u)) e^x E1(x) - 1) at x = 2 z u, the paper's
+    expansion in h1' and h1'' after the derivatives cancel against its
+    elementary terms (h0(x) = H(x) + (1 + x/2 + x^2/6) log x + x/6 - 1 + gamma).
+    g1(z, 0) = 0, also for u below 1e-300; where 2 z u overflows there is no
+    finite x, a FloatingPointError."""
     if not z > 0:
         raise ValueError(f"g1 requires z > 0, got {z}")
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"g1 requires 0 <= u <= 1, got {u}")
     if u < 1e-300:
         return 0.0
-    log_u = math.log(u)
-    log_2z = math.log(2.0 * z)
-    x = 2.0 * z * u
-    term_const = u * (-2.0 * log_u - 1.0 - 2.0 * EULER_GAMMA - 2.0 * log_2z)
-    term_z = z * u * (2.0 * (1.0 - 3.0 * u) * (log_u + log_2z) + 11.0 / 3.0 - 7.0 * u)
-    term_z2 = (
-        (2.0 / 3.0)
-        * z * z * u * u
-        * (6.0 * (1.0 - 2.0 * u) * (log_u + log_2z) + 5.0 - 7.0 * u)
-    )
-    term_h = 2.0 * u * h1_deriv(x, 1) - 2.0 * z * u * (1.0 - u) * h1_deriv(x, 2)
-    return term_const + term_z + term_z2 + term_h
+    x = 2.0 * (z * u)
+    if x == math.inf:
+        raise FloatingPointError(f"x = 2 z u overflows at z = {z}, u = {u}")
+    # log(2z) + log(u) stays exact where x is subnormal or 0 (z near 5e-324)
+    log_x = math.log(x) if x >= 2.0 ** -1022 else math.log(2.0 * z) + math.log(u)
+    exp_e1 = _exp_e1(x) if x >= 1.0 else math.exp(x) * (_ein(x) - EULER_GAMMA - log_x)
+    return u * (2.0 * exp_e1 * (1.0 - z * (1.0 - u)) - 1.0)
 
 
 def g2_residual(params: ModelParams, n: int, k: int, z0: float) -> float:

@@ -2,24 +2,19 @@
 
 The standard pieces are short: the Euler Beta goes through
 ``math.lgamma``; the exponential integral E1, behind the incomplete gamma
-tail ``Gamma(0, r)`` and :func:`H_closed`, is a power series below 1, a
-continued fraction from 1 and (in ``H_closed``) an asymptotic series from
-600, in plain arithmetic; digamma wraps scipy.special, which it imports
-when called.  The spectrum and density commands therefore load no scipy
-module, and importing the package loads none.  The nonstandard
-pieces are the integral kernels ``H``, ``h0`` and ``h1`` that drive the
-expected branch-length expansion.  Their defining integrands contain the
-piecewise weight :func:`f_integrand`, which jumps at u = 1, so every
-quadrature here splits the axis there and lets QUADPACK handle the
-algebraic tail transform on [1, inf).  Every quadrature runs to one fixed
-tolerance policy (``QUAD_ABS_TOL``, ``QUAD_REL_TOL``, ``QUAD_LIMIT``
-subdivisions); only the per-l reference :func:`cbsfs.sfs.s_ell` tightens it.
-
-Derivatives of ``h1`` are computed by differentiating under the integral
-sign rather than by finite differences: the derivative weights
-x(x+2u)/(u+x)^2 and 2u^2/(u+x)^3 are explicit, and the analytic route
-stays accurate for small x where the expansion needs it most.  Finite
-differences survive only as a test oracle.
+tail ``Gamma(0, r)``, :func:`H_closed` and the distortion
+:func:`cbsfs.sfs.g1`, is a power series below 1 and a continued fraction
+from 1, in plain arithmetic; digamma wraps scipy.special, which it imports
+when called.  The spectrum, density and g1 commands therefore load no
+scipy module, and importing the package loads none.  The nonstandard
+pieces are the integral kernels ``H``, ``h0`` and ``h1`` of the expected
+branch-length expansion, kept as quadrature references for the closed
+forms.  Their defining integrands contain the piecewise weight
+:func:`f_integrand`, which jumps at u = 1, so every quadrature here splits
+the axis there and lets QUADPACK handle the algebraic tail transform on
+[1, inf).  Every quadrature runs to one fixed tolerance policy
+(``QUAD_ABS_TOL``, ``QUAD_REL_TOL``, ``QUAD_LIMIT`` subdivisions); only
+the per-l reference :func:`cbsfs.sfs.s_ell` tightens it.
 """
 
 from __future__ import annotations
@@ -190,44 +185,33 @@ def _H_small(x, xp):
 
 
 def _H_mid(x, xp):
-    """1 <= x < 600: every term is positive, so the direct form is accurate."""
+    """x >= 1: every term is positive, so the direct form is accurate."""
     return (EULER_GAMMA + xp.log(x) + _exp_e1(x)) / x
-
-
-def _H_large(x, xp):
-    """x >= 600, where e^x overflows: e^x E1(x) by its asymptotic series."""
-    total = term = 1.0
-    for k in range(1, 9):  # truncation error < 9!/x^9 ~ 1e-20 at x = 600
-        term = term * (-k / x)
-        total = total + term
-    return (EULER_GAMMA + xp.log(x) + total / x) / x
 
 
 def H_closed(x):
     """Closed evaluation of :func:`H_scale` through the exponential integral.
 
     Algebraically H(x) = (gamma + log x + e^x E1(x)) / x, with e^x E1(x)
-    from the Ein series below x = 1, the continued fraction up to 600 and
-    the asymptotic series beyond.  Takes a scalar (returns a float) or an
-    array (returns an array of the same shape), so the S-table evaluates
-    every node in one call; cross-checked against the quadrature route and
-    an mpmath oracle in the tests.  Each branch is written once for both:
-    scalars go through ``math``, the cheaper module for the one call per
-    QUADPACK node of :func:`cbsfs.sfs.s_ell`.
+    from the Ein series below x = 1 and the continued fraction from there.
+    Takes a scalar (returns a float) or an array (returns an array of the
+    same shape), so the S-table evaluates every node in one call;
+    cross-checked against the quadrature route and an mpmath oracle in the
+    tests.  Each branch is written once for both: scalars go through
+    ``math``, the cheaper module for the one call per QUADPACK node of
+    :func:`cbsfs.sfs.s_ell`.
     """
     if isinstance(x, (int, float)) or np.ndim(x) == 0:
         x = float(x)
         if not x > 0:
             raise ValueError(f"H_closed requires x > 0, got {x}")
-        branch = _H_small if x < 1.0 else _H_mid if x < 600.0 else _H_large
-        return float(branch(x, math))
+        return float((_H_small if x < 1.0 else _H_mid)(x, math))
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):
         raise ValueError("H_closed requires x > 0 everywhere")
     out = np.empty_like(x)
-    small, large = x < 1.0, x >= 600.0
-    mid = ~(small | large)
-    for mask, branch in ((small, _H_small), (mid, _H_mid), (large, _H_large)):
+    small = x < 1.0
+    for mask, branch in ((small, _H_small), (~small, _H_mid)):
         out[mask] = branch(x[mask], np)
     return out
 
@@ -248,22 +232,3 @@ def h1(x: float) -> float:
         raise ValueError(f"h1 requires x >= 0, got {x}")
     return x * h0(x)
 
-
-def h1_deriv(x: float, order: int) -> float:
-    """First or second derivative of h1, by differentiation under the integral.
-
-    With P(x) = x + x^2/2 + x^3/6, h1(x) = P(x) log(1+x) - int f(u) x^2/(u+x) du,
-    and the integrand's x-derivatives are the rational weights below.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"h1_deriv supports order 1 or 2, got {order}")
-    if x < 0:
-        raise ValueError(f"h1_deriv requires x >= 0, got {x}")
-    p = x + x * x / 2.0 + x ** 3 / 6.0
-    p1 = 1.0 + x + x * x / 2.0
-    if order == 1:
-        integral = _f_weighted(lambda u: x * (x + 2.0 * u) / (u + x) ** 2)
-        return p1 * math.log1p(x) + p / (1.0 + x) - integral
-    p2 = 1.0 + x
-    integral = _f_weighted(lambda u: 2.0 * u * u / (u + x) ** 3)
-    return p2 * math.log1p(x) + 2.0 * p1 / (1.0 + x) - p / (1.0 + x) ** 2 - integral

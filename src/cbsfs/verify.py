@@ -71,18 +71,19 @@ def suite_specfun(params: model.ModelParams, reps: int, seed: int, margin: float
         worst = max(worst, abs(specfun.H_scale(x) / decomp - 1.0))
     out.append(("H decomposition identity", worst < 1e-9, f"max rel dev {worst:.2e}"))
     worst = 0.0
-    for x in (0.5, 2.0, 20.0):
-        # order 2 differences the first derivative: the twice-differenced h1
-        # sits on a ~1e-3 roundoff floor at x = 20 and cannot resolve 1e-5
-        step = 1e-5
-        fd1 = (specfun.h1(x + step) - specfun.h1(x - step)) / (2.0 * step)
-        fd2 = (specfun.h1_deriv(x + step, 1) - specfun.h1_deriv(x - step, 1)) / (2.0 * step)
-        worst = max(
-            worst,
-            abs(specfun.h1_deriv(x, 1) - fd1),
-            abs(specfun.h1_deriv(x, 2) - fd2),
+    for z, u in ((0.5, 0.25), (0.5, 1.0), (2.0, 0.75), (10.0, 0.25), (10.0, 1.0)):
+        # the paper's expansion, h1' and h1'' as central differences of h1 (step 1e-3)
+        x, step, log_x = 2.0 * z * u, 1e-3, math.log(2.0 * z * u)
+        lo, mid, hi = (specfun.h1(x + d) for d in (-step, 0.0, step))
+        d1, d2 = (hi - lo) / (2.0 * step), (hi - 2.0 * mid + lo) / step**2
+        expansion = (
+            u * (-2.0 * log_x - 1.0 - 2.0 * specfun.EULER_GAMMA)
+            + z * u * (2.0 * (1.0 - 3.0 * u) * log_x + 11.0 / 3.0 - 7.0 * u)
+            + (2.0 / 3.0) * (z * u) ** 2 * (6.0 * (1.0 - 2.0 * u) * log_x + 5.0 - 7.0 * u)
+            + 2.0 * u * d1 - 2.0 * z * u * (1.0 - u) * d2
         )
-    out.append(("h1 derivatives vs finite differences", worst < 1e-5, f"max dev {worst:.2e}"))
+        worst = max(worst, abs(sfs.g1(z, u) - expansion))
+    out.append(("g1 vs its h1 expansion", worst < 1e-5, f"max dev {worst:.2e}"))
     return out
 
 

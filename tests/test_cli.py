@@ -279,6 +279,14 @@ class TestG1Command:
         lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         assert lines[2].split(",") == ["0.25", repr(g1(0.5, 0.25)), repr(g1(2.0, 0.25))]
 
+    def test_large_z_is_finite(self, tmp_path):
+        # g1 tends to -1 as z grows; 2 z u stays finite up to z = 1e100
+        out = tmp_path / "g1.csv"
+        assert run("g1", "--z", "1e5,1e100", "--u-points", 3, "--out", out) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+        assert rows == [[repr(u), repr(g1(1e5, u)), repr(g1(1e100, u))] for u in (0.0, 0.5, 1.0)]
+        assert [row[2] for row in rows] == ["0.0", "-1.0", "-1.0"]
+
 
 class TestClonalCommand:
     def test_analytic_matches_library(self, tmp_path):
@@ -291,6 +299,21 @@ class TestClonalCommand:
         for n, row in enumerate(rows, start=1):
             assert float(row[1]) == pytest.approx(e_zcl_pow_r(params, n), rel=1e-12)
             assert row[2] == "" and row[3] == ""
+
+    def test_mu_zero_with_underflowing_two_beta_theta(self, tmp_path, capsys):
+        # 2 beta theta underflows to 0: alpha is 0 at mu = 0 and undefined above
+        out = tmp_path / "clonal.csv"
+        assert run("clonal", "--mu", 0, "--beta", 1e-320, "--theta", 1e-10, "--out", out) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if line and not line.startswith("#")][1:]
+        # E[Z0^{n-1}] = n! / (2 theta)^{n-1}
+        expected = [1.0, 1e10, 1.5e20, 3e30, 7.5e40]
+        assert [float(row[1]) for row in rows] == pytest.approx(expected, rel=1e-15)
+        capsys.readouterr()
+        assert run("clonal", "--mu", 1, "--beta", 1e-320, "--theta", 1e-10, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cbsfs: no finite result at --beta 1e-320 --theta 1e-10 --mu 1.0 ")
+        assert err.endswith(": 2 beta theta underflows to 0 in alpha = mu / (2 beta theta)\n")
 
 
 class TestVerifyCommand:
@@ -438,6 +461,29 @@ class TestBadFlags:
     def test_invalid_z_list(self, tmp_path):
         assert run("g1", "--z", "-1.0", "--out", tmp_path / "x.csv") == 1
 
+    @pytest.mark.parametrize("z", ["x", "1,x", "1,-2"])
+    def test_bad_z_names_the_flag(self, tmp_path, capsys, z):
+        assert run("g1", "--z", z, "--out", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == (
+            f"cbsfs: --z needs a comma list of positive finite values, got {z!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_workers_above_the_bound(self, tmp_path, capsys, monkeypatch):
+        # rejected before a pool exists: a pool that is built fails the test
+        # without starting a process
+        import concurrent.futures
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError(f"a pool was built with {kwargs}")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        out = tmp_path / "x.csv"
+        assert run("clonal", "--mode", "simulate", "--n-max", 1, "--reps", 200,
+                   "--workers", 100000, "--out", out) == 1
+        assert capsys.readouterr().err == f"cbsfs: --workers must be <= {cli.MAX_WORKERS}, got 100000\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_clonal_too_few_reps(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run("clonal", "--mode", "simulate", "--n-max", 2, "--reps", 5,
@@ -491,9 +537,8 @@ class TestBadFlags:
             (["density", "--r-max", "inf", "--format", "json"], ""),
             (["density", "--r-min", "1e-300", "--r-max", "1e300"], ""),
             (["g1", "--z", "inf"], ""),
-            (["g1", "--z", "1e308"], ""),
-            # QUADPACK's four-line roundoff message is cut to its first sentence
-            (["g1", "--z", "1e5"], "quadrature on [1.0, inf] failed: "),
+            # x = 2 z u overflows from u = 0.9 on
+            (["g1", "--z", "1e308"], "--z 1e308 --u-points 101: x = 2 z u overflows at z = 1e+308, u = 0.9"),
             (["sfs", "--mode", "simulate", "--z0", "inf", "--reps", 10], ""),
             (["sample", "--z0", "inf", "--reps", 2], ""),
             (["clonal", "--mu", "1e300"], ""),
@@ -538,7 +583,7 @@ class TestBadFlags:
             (["sfs", "--mode", "simulate", "--n", "3", "--reps", "20", "--theta", "1e-310"],
              "raise --beta or --theta"),
         ],
-        ids=["density-r-max-inf", "density-ratio-overflow", "g1-z-inf", "g1-z-1e308", "g1-z-1e5",
+        ids=["density-r-max-inf", "density-ratio-overflow", "g1-z-inf", "g1-z-1e308",
              "sfs-z0-inf", "sample-z0-inf", "clonal-mu-1e300", "clonal-n-max-400",
              "sample-z0-subnormal", "sfs-z0-subnormal", "sfs-z0-underflow",
              "density-underflow", "density-grid-coincident", "density-mu-0",

@@ -31,6 +31,12 @@ class TestModelParams:
         assert ModelParams(2.0, 0.5, 3.0).alpha == pytest.approx(1.5)
         assert ModelParams(1.0, 1.0, 0.0).alpha == 0.0
 
+    def test_alpha_where_two_beta_theta_underflows(self):
+        # 2 beta theta = 0 in floats: alpha is 0 at mu = 0, undefined above
+        assert ModelParams(1e-320, 1e-10, 0.0).alpha == 0.0
+        with pytest.raises(FloatingPointError, match="2 beta theta underflows to 0"):
+            ModelParams(1e-320, 1e-10, 1e-300).alpha
+
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0.0, "theta": 1.0},
         {"beta": 1.0, "theta": -1.0},

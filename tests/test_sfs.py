@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -81,7 +82,8 @@ def lk_mpmath(params, n, k, z0):
 
 E3 = math.exp(3.0)
 # (beta, theta) pairs and the z0 grid, 1e-3/theta to 50/theta; the last pair
-# also takes z0 = 50, which puts 2 theta z0 v past the x = 600 switch of H
+# also takes z0 = 50, which puts 2 theta z0 v past x = 600, far out on the
+# continued fraction of H
 TABLE_CASES = [
     (ModelParams(1.0, 1.0, 1.0), (1e-3, 2.0, 50.0)),
     (ModelParams(E3, 1.0 / E3, 1.0), (1e-3 * E3, 2.0 * E3, 50.0 * E3)),
@@ -245,7 +247,76 @@ class TestLaguerreRule:
             assert total == pytest.approx(math.factorial(k + 1), rel=1e-13, abs=0.0), k
 
 
+def g1_expansion_mpmath(z, u, dps=30):
+    """The paper's four-term g1 at dps digits, with h1' and h1'' as mpmath
+    quadratures of their defining integrands, split at f's jump at u = 1.
+    Below 1, f's bracket is its series -(u^4/24) 1F1(1; 5; -u): the closed
+    bracket cancels to nothing near 0."""
+    with mpmath.workdps(dps):
+        z, u = mpmath.mpf(z), mpmath.mpf(u)
+        x = 2 * z * u
+
+        def f(t):
+            return -(t * t / 24) * mpmath.hyp1f1(1, 5, -t) if t <= 1 else -mpmath.expm1(-t) / t**2
+
+        def weighted(weight):
+            return mpmath.quad(lambda t: f(t) * weight(t), [0, 1]) + mpmath.quad(
+                lambda t: f(t) * weight(t), [1, mpmath.inf])
+
+        p, p1 = x + x**2 / 2 + x**3 / 6, 1 + x + x**2 / 2
+        d1 = p1 * mpmath.log1p(x) + p / (1 + x) - weighted(lambda t: x * (x + 2 * t) / (t + x) ** 2)
+        d2 = ((1 + x) * mpmath.log1p(x) + 2 * p1 / (1 + x) - p / (1 + x) ** 2
+              - weighted(lambda t: 2 * t * t / (t + x) ** 3))
+        log_x = mpmath.log(x)
+        return (
+            u * (-2 * log_x - 1 - 2 * mpmath.euler)
+            + z * u * (2 * (1 - 3 * u) * log_x + mpmath.mpf(11) / 3 - 7 * u)
+            + mpmath.mpf(2) / 3 * (z * u) ** 2 * (6 * (1 - 2 * u) * log_x + 5 - 7 * u)
+            + 2 * u * d1 - 2 * z * u * (1 - u) * d2
+        )
+
+
+def g1_line_mpmath(z, u, dps=60):
+    """u (2 (1 - z (1-u)) e^x E1(x) - 1) at x = 2 z u, at dps digits (its
+    limit 0 at u = 0); beyond x = 1e4, e^x E1(x) is summed from its
+    asymptotic series."""
+    if u == 0:
+        return mpmath.mpf(0)
+    with mpmath.workdps(dps):
+        z, u = mpmath.mpf(z), mpmath.mpf(u)
+        x = 2 * z * u
+        if x <= 10**4:
+            exp_e1 = mpmath.exp(x) * mpmath.e1(x)
+        else:  # sum_k (-1)^k k! / x^(k+1), stopped far below the working precision
+            exp_e1, term, k = 0, 1 / x, 0
+            while abs(term) > mpmath.mpf(10) ** (-dps - 5) / x:
+                exp_e1, k = exp_e1 + term, k + 1
+                term *= -k / x
+        return u * (2 * (1 - z * (1 - u)) * exp_e1 - 1)
+
+
 class TestG1:
+    @pytest.mark.parametrize(
+        "z, u", [(0.01, 0.5), (0.1, 1.0), (0.5, 0.25), (1.0, 0.5), (2.0, 0.1), (5.0, 0.75), (30.0, 0.3)]
+    )
+    def test_matches_the_papers_expansion(self, z, u):
+        # the one line is the four-term expansion with h1' and h1'' cancelled
+        assert abs(mpmath.mpf(g1(z, u)) / g1_expansion_mpmath(z, u) - 1) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "z", [5e-324, 1e-3, 0.5, 1.0, 4.0, 300.0, 1e4, 1e5, 1e100, 1e300, 1e308, 1.7976931348623157e308]
+    )
+    def test_matches_the_line_at_60_digits(self, z):
+        # over the default grid of the g1 command; where 2 z u overflows
+        # there is no finite x and g1 raises rather than return a value
+        for u in (i / 100 for i in range(101)):
+            if 2 * mpmath.mpf(z) * u > mpmath.mpf(1.7976931348623157e308):
+                with pytest.raises(FloatingPointError, match="overflows"):
+                    g1(z, u)
+                continue
+            value = g1(z, u)
+            assert abs(value - g1_line_mpmath(z, u)) <= 1e-13 * max(1.0, abs(value)), u
+
     def test_zero_at_zero(self):
         assert g1(0.5, 0.0) == 0.0
         assert g1(3.0, 0.0) == 0.0
@@ -300,6 +371,20 @@ class TestG2Residual:
         # a negative k must not wrap round to the top classes
         with pytest.raises(IndexError):
             g2_residual(UNIT, 12, k, 2.0)
+
+
+def test_rule_tables_that_overflow_raise_without_a_warning():
+    # at beta = 5e-324 the integrand z0 v / beta overflows: one check in the
+    # shared rule serves the S-table, the spectrum and the residual
+    tiny_beta = ModelParams(5e-324, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="S must be finite and >= 0, got inf at l=1"):
+            s_table(tiny_beta, 5, 1.0)
+        with pytest.raises(FloatingPointError, match="expected_L must be finite and >= 0, got nan at k=2"):
+            g2_residual(tiny_beta, 5, 2, 1.0)
+        with pytest.raises(FloatingPointError, match="expected_L must be finite and >= 0, got nan at k=1"):
+            expected_sfs(tiny_beta, 5, 1.0)
 
 
 class TestSimulateSfs:
