@@ -18,11 +18,13 @@ import sys
 from contextlib import ExitStack
 from pathlib import Path
 
+import numpy as np
+
 from . import verify
 from ._mc import replicate_blocks
 from .clonal import MC_STATISTICS, clonal_summary, e_zcl_pow, e_zcl_pow_r, mc_clonal
 from .genealogy import block_parents, block_tree_length, sample_block
-from .model import ModelParams
+from .model import MODEL_UNITS, ModelParams
 from .reports import fmt_value, write_csv, write_json_doc, write_sample, write_text
 from .sfs import SIMULATE_MODES, expected_sfs, g1, mean_density, simulate_sfs
 from .specfun import QuadratureError
@@ -137,29 +139,43 @@ def settings(args) -> list[tuple[str, object]]:
 # block); a constant, so a config file valid on one machine is valid on all.
 MAX_WORKERS = 256
 
+# The most --points (density) and --u-points (g1): a grid is held in memory.
+MAX_POINTS = 100_000
+
 # The mutation atoms one block of `sample` may draw, in expectation.  Held
 # as records, an atom takes 117-184 bytes of peak RSS (runs of 0.4 to 4.3
 # million atoms), so a block stays within about 200 MB.
 ATOM_BUDGET = 2**20
 
 
+@np.errstate(over="ignore")  # a position or depth beyond the float range is checked below
 def _sample_replicate(args, rng, count: int) -> list[dict]:
     """``count`` sampled genealogies as replay records (without their
     indices): each one's draw, from which ``build_tree`` rebuilds the tree
     that the atoms' edge ids name, with the spine's depth 0 put back at its
-    rank.  The trees of the block come from one parent array, and their
-    mutations are dropped after all its genealogies are drawn, tree by tree.
-    A block whose expected atom count exceeds :data:`ATOM_BUDGET` is a
-    ValueError, raised before its mutations are drawn."""
+    rank.  The block is drawn in model units and its positions and depths
+    take their units once; one that then overflows, or positions that no
+    longer increase, are a FloatingPointError.  The trees of the block come
+    from one parent array, and their mutations are dropped after all its
+    genealogies are drawn, tree by tree.  A block whose expected atom count
+    exceeds :data:`ATOM_BUDGET` is a ValueError, raised before its mutations
+    are drawn."""
     params, n, z0, mode = args
-    positions, labels, depths = sample_block(params, n, rng, count, condition_z0=z0)
-    # mu times the population-rooted length bounds the mean of either root mode
-    atoms = params.mu * float(block_tree_length(depths).sum())
+    x0 = None if z0 is None else params.model_size(z0)
+    positions, labels, depths = sample_block(n, rng, count, x0)
+    # mu L = alpha L in model units bounds the mean of either root mode
+    atoms = params.alpha * float(block_tree_length(depths).sum())
     if not atoms <= ATOM_BUDGET:
         raise ValueError(
             f"a block of {count} replicates would hold about {atoms:.3g} mutations, beyond the "
             f"{ATOM_BUDGET} kept in memory; lower --mu, or raise --beta or --theta"
         )
+    positions *= params.size_unit
+    depths *= params.time_unit
+    increasing = np.all(positions[:, 1:] > positions[:, :-1])
+    # an overflow reaches the interval ends first
+    if not (increasing and np.all(np.isfinite(positions[:, [0, -1]])) and np.all(depths < math.inf)):
+        raise FloatingPointError("a position or branch depth leaves the float range in its unit")
     labels = labels.tolist()
     trees = block_trees(block_parents(depths, mode is RootMode.POPULATION_MRCA), depths, labels, params, rng)
     records = []
@@ -200,6 +216,7 @@ def _emit_table(args, columns, rows, **extra) -> None:
 
 
 def cmd_sfs(args, params: ModelParams) -> int:
+    unit, alpha = params.time_unit, params.alpha
     mc_mean = mc_se = [None] * (args.n - 1)
     if args.mode == "simulate":
         mean, se = simulate_sfs(
@@ -212,10 +229,12 @@ def cmd_sfs(args, params: ModelParams) -> int:
             pool=args.pool,
         )
         mc_mean, mc_se = mean.tolist(), se.tolist()
-    lk = expected_sfs(params, args.n, args.z0).tolist()
+    # in model units: E[L_k] is the time unit times a length, E[xi_k] alpha times it
+    x0 = None if args.z0 is None else params.model_size(args.z0)
+    lk = expected_sfs(MODEL_UNITS, args.n, x0).tolist()
     columns = ["k", "expected_L", "expected_xi", "mc_mean", "mc_se"]
     rows = [
-        [k, length, params.mu * length, m, s]
+        [k, unit * length, alpha * length, m, s]
         for k, length, m, s in zip(range(1, args.n), lk, mc_mean, mc_se)
     ]
     _emit_table(args, columns, rows)
@@ -325,8 +344,10 @@ def main(argv=None) -> int:
         for flag, low in (("workers", 1), ("seed", 0), ("reps", 1), ("n", 1)):
             if flag in taken and getattr(args, flag) < low:
                 raise ValueError(f"{flag} must be >= {low}, got {getattr(args, flag)}")
-        if "workers" in taken and args.workers > MAX_WORKERS:
-            raise ValueError(f"--workers must be <= {MAX_WORKERS}, got {args.workers}")
+        for flag, high in (("workers", MAX_WORKERS), ("points", MAX_POINTS), ("u_points", MAX_POINTS)):
+            value = getattr(args, flag, None)
+            if value is not None and value > high:
+                raise ValueError(f"--{flag.replace('_', '-')} must be <= {high}, got {value}")
         params = ModelParams(beta=args.beta, theta=args.theta, mu=args.mu) if "beta" in taken else None
         for flag in ("z0", "r_min", "r_max"):
             value = getattr(args, flag, None)

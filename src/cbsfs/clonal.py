@@ -127,17 +127,18 @@ def clonal_summary(params: ModelParams) -> dict[str, float]:
 MC_STATISTICS = ("zpow_r", "zpow")
 
 
-# Z0^p overflows at theta near 0 and mu L at mu near the float limit; inf or
-# nan then fails the finiteness check of the written table
+# Z0^p overflows at theta near 0 and alpha L at alpha near the float limit;
+# inf or nan then fails the finiteness check of the written table
 @np.errstate(over="ignore", invalid="ignore")
 def _clonal_replicate(args, rng, count: int = 1) -> np.ndarray:
     """Z0^p e^{-mu L_n} for ``count`` unconditioned genealogies (one by
-    default: ``perfbench/make_reference.py`` draws replicate by replicate)."""
+    default: ``perfbench/make_reference.py`` draws replicate by replicate),
+    from a draw in model units: (size unit * x0)^p e^{-alpha L_n}."""
     params, n, statistic = args
-    positions, _, depths = sample_block(params, n, rng, count)
-    z0 = positions[:, -1] - positions[:, 0]
+    positions, _, depths = sample_block(n, rng, count)
+    z0 = params.size_unit * (positions[:, -1] - positions[:, 0])
     power = n - 1 if statistic == "zpow_r" else n
-    return z0**power * np.exp(-params.mu * block_tree_length(depths))
+    return z0**power * np.exp(-params.alpha * block_tree_length(depths))
 
 
 def mc_clonal(

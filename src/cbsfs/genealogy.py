@@ -9,15 +9,15 @@ Read left to right, the n leaves form a coalescent point process: the
 sample tree is determined by the n-1 gap depths between consecutive
 leaves, which are the branch depths with the spine's 0 removed.  The
 two depths at the interval endpoints flank the sample and only matter
-for the population root.  :func:`tmrca_consecutive` and :func:`Lk_all`
-read the gap depths directly; the explicit tree in :mod:`cbsfs.tree`,
-built by a separate attach walk, is the geometric oracle they are
-tested against.
+for the population root.  :func:`Lk_all` reads the gap depths directly;
+the explicit tree in :mod:`cbsfs.tree`, built by a separate attach walk,
+is the geometric oracle it is tested against.
 
-The Monte-Carlo routes draw many replicates at once: :func:`sample_block`
-returns each replicate's flank and gap depths as one row of an array, and
-:func:`block_Lk` and :func:`block_tree_length` compute the statistics of
-all rows together.  :func:`block_parents` derives every tree of a block
+The Monte-Carlo routes draw many replicates at once, in model units (see
+:mod:`cbsfs.model`), and apply the units where a value leaves the package:
+:func:`sample_block` returns each replicate's flank and gap depths as one
+row of an array, and :func:`block_Lk` and :func:`block_tree_length`
+compute the statistics of all rows together.  :func:`block_parents` derives every tree of a block
 from the same rows, as one parent array over the node ids of
 :func:`cbsfs.tree.build_tree`; the ``sample`` command renders its trees from
 that array, and the attach walk is its oracle.  The per-replicate sampler
@@ -109,8 +109,9 @@ class ZetaVector:
 # Attempts at a replicate without a (probability-zero) position collision.
 _MAX_REDRAWS = 64
 
-# Why a drawn depth can be 0, and which flags move it away.
-_UNDERFLOW = "the depths scale as 1 / (beta * theta) and underflow: lower --beta or --theta"
+# The largest conditioned size: up to it, a depth log1p(gap / E) overflows
+# only for a unit exponential E below 1e-58, which no draw reaches.
+_X0_MAX = 1e250
 
 
 def sample_population(
@@ -156,15 +157,11 @@ def sample_population(
     )
 
 
-def sample_block(
-    params: ModelParams,
-    n: int,
-    rng: np.random.Generator,
-    count: int,
-    condition_z0: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sample_block(n: int, rng: np.random.Generator, count: int,
+                 x0: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` independent replicates of :func:`sample_population` followed
-    by :func:`sample_zetas`, drawn as arrays with one row per replicate.
+    by :func:`sample_zetas` at :data:`cbsfs.model.MODEL_UNITS`, drawn as
+    arrays with one row per replicate.
 
     Returns ``(positions, labels, depths)``.  A row of ``positions``
     (count, n+2) and of ``labels`` (count, n) are the fields of a
@@ -172,28 +169,25 @@ def sample_block(
     depths of the n+1 ranks other than the spine, in rank order: the left
     flank, the n-1 gap depths, the right flank.  Those ranks own, in order,
     the n+1 gaps between consecutive positions, so each depth is drawn from
-    its gap.  The block draws both arms, then all leaf uniforms, then one
-    unit exponential per gap; a row with a (probability-zero) position
+    its gap as log1p(gap / E).  The block draws both arms (each Exp(1), or
+    summing to the size ``x0``), then all leaf uniforms, then one unit
+    exponential E per gap; a row with a (probability-zero) position
     collision redraws its arms and uniforms, and a row with a zero
     exponential redraws its exponentials, as the per-replicate sampler does.
-    A position or depth that overflows, or a depth that underflows to 0,
-    which no tree or statistic can use, is a ValueError that names
-    ``--beta`` and ``--theta`` (and ``--z0`` for an overflow).
+    A collision in every attempt, or an ``x0`` outside (0, 1e250], is a
+    FloatingPointError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if condition_z0 is not None and not condition_z0 > 0:
-        raise ValueError(f"condition_z0 must be positive, got {condition_z0}")
+    if x0 is not None and not 0.0 < x0 <= _X0_MAX:
+        raise FloatingPointError(f"the size x0 = {x0!r} is outside (0, {_X0_MAX:g}], where every depth is finite")
 
-    # an overflow leaves inf or nan in the depths, which the check below rejects
-    @np.errstate(over="ignore", invalid="ignore")
     def arms_and_leaves(rows: int) -> tuple[np.ndarray, np.ndarray]:
-        if condition_z0 is None:
-            scale = 1.0 / (2.0 * params.theta)
-            e_g, e_d = rng.exponential(scale, size=rows), rng.exponential(scale, size=rows)
+        if x0 is None:
+            e_g, e_d = rng.exponential(size=rows), rng.exponential(size=rows)
         else:
-            e_g = rng.uniform(0.0, condition_z0, size=rows)
-            e_d = condition_z0 - e_g
+            e_g = rng.uniform(0.0, x0, size=rows)
+            e_d = x0 - e_g
         positions = np.empty((rows, n + 2))
         positions[:, 0], positions[:, -1] = -e_g, e_d
         leaves = positions[:, 1:-1]  # a view; column 0 is the spine individual
@@ -217,27 +211,17 @@ def sample_block(
         positions[redraw], labels[redraw] = arms_and_leaves(redraw.size)
         redraw = redraw[collide(positions[redraw])]
     if redraw.size:
-        z0 = float(positions[redraw[0], -1] - positions[redraw[0], 0])
-        raise ValueError(
+        size = float(positions[redraw[0], -1] - positions[redraw[0], 0])
+        raise FloatingPointError(
             f"could not draw {n} distinct leaf positions on an interval of size "
-            f"z0={z0!r} in {_MAX_REDRAWS} attempts"
+            f"x0 = {size!r} in {_MAX_REDRAWS} attempts"
         )
-    e = rng.exponential(1.0, size=(count, n + 1))
+    e = rng.exponential(size=(count, n + 1))
     while (zero := np.flatnonzero(np.any(e == 0.0, axis=1))).size:  # underflow guard
-        e[zero] = rng.exponential(1.0, size=(zero.size, n + 1))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        depths = np.diff(positions, axis=1)  # the gaps, turned into depths in place
-        depths *= 2.0 * params.theta
-        depths /= e
-        np.log1p(depths, out=depths)
-        depths /= 2.0 * params.beta * params.theta
-    if not np.all(np.isfinite(depths)):
-        raise ValueError(
-            "a branch depth is not finite; the positions scale as 1 / theta (or as --z0) and the "
-            "depths as 1 / (beta * theta), and they overflow: raise --beta or --theta, or lower --z0"
-        )
-    if np.any(depths == 0.0):
-        raise ValueError(f"a branch depth is 0; {_UNDERFLOW}")
+        e[zero] = rng.exponential(size=(zero.size, n + 1))
+    depths = np.diff(positions, axis=1)  # the gaps, turned into depths in place
+    depths /= e
+    np.log1p(depths, out=depths)
     return positions, labels, depths
 
 
@@ -278,17 +262,6 @@ def _gap_depths(config: LeafConfig, zetas: ZetaVector) -> tuple[float, ...]:
     z = zetas.zetas
     s = config.spine_index
     return z[1:s] + z[s + 1 : config.n + 1]
-
-
-def tmrca_consecutive(config: LeafConfig, zetas: ZetaVector, j: int, l: int) -> float:
-    """Depth of the MRCA of the consecutive leaves at ranks j..l: the
-    deepest gap between them (0 for a single leaf)."""
-    n = config.n
-    if not (1 <= j <= l <= n):
-        raise IndexError(f"need 1 <= j <= l <= n, got j={j}, l={l}, n={n}")
-    if j == l:
-        return 0.0
-    return max(_gap_depths(config, zetas)[j - 1 : l - 1])
 
 
 def Lk_all(config: LeafConfig, zetas: ZetaVector) -> np.ndarray:
@@ -411,7 +384,8 @@ def block_parents(depths: np.ndarray, population_root: bool) -> np.ndarray:
     sentinels), and a leaf's parent is the shallower of its two adjacent
     gaps.  A tie counts as deeper on the right, as in :func:`block_Lk`, so
     tied gaps with no deeper gap between them, like a gap of depth 0, give
-    an edge of length 0: a ValueError, where the attach walk raises.
+    an edge of length 0: a FloatingPointError, where the attach walk raises,
+    as only rounding ties two depths.
     """
     count, width = depths.shape
     n = width - 1
@@ -419,7 +393,7 @@ def block_parents(depths: np.ndarray, population_root: bool) -> np.ndarray:
     g = flat.reshape(count, width)
     above = np.where(flat[left] <= flat[right], left, right)
     if np.any(np.minimum(g[:, :-1], g[:, 1:]) <= 0.0) or np.any(flat[above] <= flat[inner]):
-        raise ValueError(f"tied branch depths give a tree edge of length 0; {_UNDERFLOW}")
+        raise FloatingPointError("tied branch depths give a tree edge of length 0")
     up = np.empty((count, 2 * n - 1), dtype=np.int32)  # the column of g above each node
     up[:, :n] = np.arange(n) + (g[:, :-1] > g[:, 1:])  # leaf j lies between columns j and j+1
     up[:, n:] = (above % width).reshape(count, n - 1)

@@ -1,10 +1,16 @@
 """Branching parameters and one-dimensional laws of the stationary population.
 
 Everything here is a pure closed form (or a quadrature of one) in the
-branching parameters: the extinction-time tail c(t), the transform
-u(t, lambda), the surviving-excursion density q_t, the TMRCA law of the
-whole extant population, the stationary marginal of the population size,
-and expectations under the size-biased (spine) law.
+branching parameters: the extinction-time tail c(t), the surviving-excursion
+density q_t, the TMRCA law of the whole extant population, the moments of
+the stationary population size, and expectations under the size-biased
+(spine) law.
+
+As c(t) = 2 theta / (e^{2 beta theta t} - 1), beta and theta only set the
+units, 1 / (2 beta theta) of time and 1 / (2 theta) of size: a quantity at
+(beta, theta, mu, z0) is its unit times its value in model units, at
+(1, 1/2, alpha, x0 = 2 theta z0).  The replicate draw and the spectrum
+tables run in model units; these laws, in physical ones, check that.
 """
 
 from __future__ import annotations
@@ -34,6 +40,23 @@ class ModelParams:
             raise ValueError(f"mu must be nonnegative and finite, got {self.mu}")
 
     @property
+    def time_unit(self) -> float:
+        """1 / (2 beta theta): a depth or tree length is this times its model value."""
+        return _unit(2.0 * self.beta * self.theta, "time unit 1 / (2 beta theta)")
+
+    @property
+    def size_unit(self) -> float:
+        """1 / (2 theta): a size or position is this times its model value."""
+        return _unit(2.0 * self.theta, "size unit 1 / (2 theta)")
+
+    def model_size(self, z0: float) -> float:
+        """x0 = 2 theta z0, the population size z0 in the size unit."""
+        x0 = 2.0 * self.theta * z0
+        if not 0.0 < x0 < math.inf:
+            raise FloatingPointError(f"the size x0 = 2 theta z0 is {x0!r}, not a positive finite float")
+        return x0
+
+    @property
     def alpha(self) -> float:
         """Mutation rate in tree-length units: alpha = mu / (2 beta theta)."""
         if self.mu == 0.0:
@@ -44,6 +67,18 @@ class ModelParams:
         if alpha == math.inf:
             raise FloatingPointError("alpha = mu / (2 beta theta) overflows")
         return alpha
+
+
+def _unit(scale: float, name: str) -> float:
+    """1 / scale, which must be a positive finite float."""
+    unit = 1.0 / scale if scale > 0.0 else math.inf
+    if not 0.0 < unit < math.inf:
+        raise FloatingPointError(f"the {name} is {unit!r}, not a positive finite float")
+    return unit
+
+
+# The parameters whose two units are 1, at which alpha = mu and x0 = z0.
+MODEL_UNITS = ModelParams(beta=1.0, theta=0.5)
 
 
 def extinction_tail(params: ModelParams, t: float) -> float:
@@ -57,20 +92,6 @@ def extinction_tail(params: ModelParams, t: float) -> float:
     return 2.0 * params.theta / math.expm1(exponent)
 
 
-def laplace_u(params: ModelParams, t: float, lam: float) -> float:
-    """u(t, lambda) = 2 theta lambda / ((2 theta + lambda) e^{2 b th t} - lambda).
-
-    Evaluated with the exponential folded into the numerator so large t
-    cannot overflow; u(t, 0) = 0 and u(t, lambda) -> c(t) as lambda -> inf.
-    """
-    if not t > 0:
-        raise ValueError(f"laplace_u requires t > 0, got {t}")
-    if lam < 0:
-        raise ValueError(f"laplace_u requires lam >= 0, got {lam}")
-    decay = math.exp(-2.0 * params.beta * params.theta * t)
-    return 2.0 * params.theta * lam * decay / (2.0 * params.theta + lam - lam * decay)
-
-
 def canonical_density(params: ModelParams, t: float, r: float) -> float:
     """Density q_t(r) of the surviving mass at age t under the excursion law."""
     if not t > 0:
@@ -79,6 +100,8 @@ def canonical_density(params: ModelParams, t: float, r: float) -> float:
         raise ValueError(f"canonical_density requires r > 0, got {r}")
     age = 2.0 * params.beta * params.theta * t
     denom = -math.expm1(-age)  # 1 - e^{-age}
+    if denom == 0.0:
+        return 0.0  # the t -> 0 limit, where 1 - e^{-age} underflows
     # single exponential so tiny t cannot produce inf * 0
     exponent = -age - 2.0 * params.theta * r / denom
     if exponent < -745.0:
@@ -92,13 +115,6 @@ def tmrca_cdf(params: ModelParams, t: float, z: float) -> float:
         raise ValueError(f"tmrca_cdf requires z > 0, got {z}")
     return math.exp(-extinction_tail(params, t) * z)
 
-
-def z0_density(params: ModelParams, z: float) -> float:
-    """Stationary population-size density: Gamma(2, rate 2 theta)."""
-    if not z > 0:
-        raise ValueError(f"z0_density requires z > 0, got {z}")
-    rate = 2.0 * params.theta
-    return rate * rate * z * math.exp(-rate * z)
 
 def z0_moment(params: ModelParams, k: int) -> float:
     """E[Z0^k] = (k+1)! / (2 theta)^k for the stationary marginal."""
@@ -117,16 +133,11 @@ def z0_moment(params: ModelParams, k: int) -> float:
 def kesten_expectation(params: ModelParams, t: float, h: Callable[[float], float]) -> float:
     """E[h(size at 0 of the spine subtree rooted at -t)], the size-biased law.
 
-    Equals e^{2 beta theta t} * int r q_t(r) h(r) dr; the growth factor is
-    folded into q_t before exponentiation so large t stays finite.
+    Equals e^{2 beta theta t} * int r q_t(r) h(r) dr, which after
+    r = scale * rho, scale = (1 - e^{-2 beta theta t}) / (2 theta), is
+    int rho e^{-rho} h(scale * rho) d rho: no factor of it can overflow.
     """
     if not t > 0:
         raise ValueError(f"kesten_expectation requires t > 0, got {t}")
-    denom = -math.expm1(-2.0 * params.beta * params.theta * t)
-    amp = 4.0 * params.theta ** 2 / (denom * denom)
-    scale = denom / (2.0 * params.theta)
-
-    def integrand(r: float) -> float:
-        return amp * r * h(r) * math.exp(-r / scale)
-
-    return adaptive_quad(integrand, 0.0, math.inf)
+    scale = -math.expm1(-2.0 * params.beta * params.theta * t) / (2.0 * params.theta)
+    return adaptive_quad(lambda rho: rho * math.exp(-rho) * h(scale * rho), 0.0, math.inf)

@@ -5,10 +5,12 @@ Beta(l, n-l+1) mean of the mean tallest-excursion height, combined into
 per-class expected branch lengths E[L_k | Z0] and mutation counts
 mu * E[L_k | Z0].  One fixed composite Gauss-Legendre rule, derived from n
 alone, serves every l at once: the Beta densities on its nodes form a
-matrix (built in blocks of l), the z0 nodes (one z0, or the Laguerre nodes
-of the size average) are summed with their weights into one integrand, and
-each table is one matrix-vector product per block.  The lengths take their
-second difference in l on the densities, node by node, rather than between
+matrix (built in blocks of l), the size nodes (one x0 = 2 theta z0, or the
+Laguerre nodes of the size average) are summed with their weights into one
+integrand, and each table is one matrix-vector product per block.  The
+rule runs in model units (:mod:`cbsfs.model`), and each table takes the
+time unit 1 / (2 beta theta) once.  The lengths take their second
+difference in l on the densities, node by node, rather than between
 rounded S_l.  :func:`s_ell` keeps the per-l adaptive quadrature as the
 reference the tests compare against; it alone runs to a tighter,
 relative-only tolerance than the package's quadratures.
@@ -114,41 +116,35 @@ def _beta_pdf(n: int, ell: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(_log_beta_norm(n, ell) + (ell - 1) * np.log(v) + (n - ell) * np.log1p(-v))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # beta, theta near the float limits: checked below
-def _rule_sums(params: ModelParams, n: int, z0, weight, ells: np.ndarray, kernel, name, row) -> np.ndarray:
-    """The rule applied to sum_j weight_j (z0_j v/beta) H(2 theta z0_j v) kernel(l, v)
-    for every l in ells: the z0 nodes (scalar or array, weights alike) are summed into
-    one integrand first, then each block of l is one matrix-vector product.  A sum not
-    finite and >= 0 is a FloatingPointError that names it as ``name`` at ``row`` = l."""
-    z = np.asarray(z0, dtype=float).reshape(-1, 1)
-    if not np.all((z > 0) & np.isfinite(z)):
-        raise ValueError(f"z0 must be positive and finite, got {z0}")
+def _rule_sums(n: int, x0, weight, ells: np.ndarray, kernel) -> np.ndarray:
+    """The rule applied to sum_j weight_j (x0_j v) H(x0_j v) kernel(l, v) for
+    every l in ells, in model units: the sizes x0 (scalar or array, weights
+    alike) are summed into one integrand first, then each block of l is one
+    matrix-vector product.  Every sum is finite where x0 v stays above 0."""
+    x = np.reshape(x0, (-1, 1))
     v, w = _s_rule(n)
-    # 2 theta z0 v is smallest at the smallest z0 and the first node
-    if not 2.0 * params.theta * z.min() * v[0] > 0:
-        raise ValueError(f"z0 = {z0} is too small: 2 theta z0 v underflows to 0 at the "
-                         f"smallest quadrature node v = {v[0]:.3g}")
-    terms = np.reshape(weight, (-1, 1)) * (z * v / params.beta) * H_closed(2.0 * params.theta * z * v)
-    f = terms.sum(axis=0) * w
+    # x0 v is smallest at the smallest x0 and the first node
+    if not x.min() * v[0] > 0:
+        raise FloatingPointError(f"x0 = {float(x.min())!r} is too small: x0 v underflows to 0 at the "
+                                 f"smallest quadrature node v = {v[0]:.3g}")
+    xv = x * v
+    f = (np.reshape(weight, (-1, 1)) * xv * H_closed(xv)).sum(axis=0) * w
     blocks = range(0, ells.size, _ELL_BLOCK)
-    sums = np.concatenate([kernel(ells[lo:lo + _ELL_BLOCK, None], v) @ f for lo in blocks])
-    bad = np.flatnonzero(~((sums >= 0) & (sums < math.inf)))
-    if bad.size:
-        raise FloatingPointError(f"{name} must be finite and >= 0, got {sums[bad[0]]} at {row}={ells[bad[0]]}")
-    return sums
+    return np.concatenate([kernel(ells[lo:lo + _ELL_BLOCK, None], v) @ f for lo in blocks])
 
 
 def s_table(params: ModelParams, n: int, z0: float) -> np.ndarray:
     """S_0..S_n for one z0 from the fixed rule (:func:`s_ell` is the per-l reference)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    s = _rule_sums(params, n, z0, 1.0, np.arange(1, n + 1), lambda ell, v: _beta_pdf(n, ell, v), "S", "l")
-    return np.concatenate([[0.0], s])
+    unit, x0 = params.time_unit, params.model_size(z0)
+    s = _rule_sums(n, x0, 1.0, np.arange(1, n + 1), lambda ell, v: _beta_pdf(n, ell, v))
+    return unit * np.concatenate([[0.0], s])
 
 
-def _expected_lengths(params: ModelParams, n: int, z0, weight, ks: np.ndarray) -> np.ndarray:
-    """E[L_k | Z0 = z0] for each k in ks (within 1..n-1), or its average
-    over z0 nodes with weights (as for :func:`_rule_sums`).
+def _expected_lengths(n: int, x0, weight, ks: np.ndarray) -> np.ndarray:
+    """E[L_k | x0] in model units for each k in ks (within 1..n-1), or its
+    average over size nodes with weights (as for :func:`_rule_sums`).
 
     The second difference (n-k)(2 S_k - S_{k-1} - S_{k+1}) + S_{k+1} - S_{k-1}
     is taken on the Beta densities before integrating: with
@@ -162,7 +158,7 @@ def _expected_lengths(params: ModelParams, n: int, z0, weight, ks: np.ndarray) -
         bracket = 2.0 * (n - k) - (k - 1) / ratio - (n - k - 1) * (n - k) * ratio / k
         return _beta_pdf(n, k, v) * bracket
 
-    return _rule_sums(params, n, z0, weight, ks, kernel, "expected_L", "k")
+    return _rule_sums(n, x0, weight, ks, kernel)
 
 
 def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,22 +186,21 @@ def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 _Z0_NODES = 40
 
 
+@np.errstate(over="ignore")  # a length beyond the float range is inf, which no writer takes
 def expected_sfs(params: ModelParams, n: int, z0: float | None = None) -> np.ndarray:
     """E[L_k] for k = 1..n-1 (entry k-1), conditioned on z0 (one node of
     weight 1) or averaged over the stationary population-size law when z0
     is None (the Gauss-Laguerre nodes, summed into the one integrand).
-    E[xi_k] is mu times it."""
+    E[xi_k] is mu times it, alpha times the lengths in model units."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    weight = 1.0
+    unit = params.time_unit
     if z0 is None:
-        # the rule for t e^{-t} integrates the Gamma(2, 2 theta) law of Z0
-        # exactly after t = 2 theta z
-        t, weight = _laguerre_rule(_Z0_NODES)
-        if not float(t[-1]) / (2.0 * params.theta) < math.inf:
-            raise FloatingPointError("the stationary sizes, of mean 1 / theta, overflow")
-        z0 = t / (2.0 * params.theta)
-    return _expected_lengths(params, n, z0, weight, np.arange(1, n))
+        # the rule for t e^{-t} integrates the Gamma(2, 1) law of x0 = 2 theta Z0 exactly
+        x0, weight = _laguerre_rule(_Z0_NODES)
+    else:
+        x0, weight = params.model_size(z0), 1.0
+    return unit * _expected_lengths(n, x0, weight, np.arange(1, n))
 
 
 def g1(z: float, u: float) -> float:
@@ -231,21 +226,23 @@ def g1(z: float, u: float) -> float:
 
 
 def g2_residual(params: ModelParams, n: int, k: int, z0: float) -> float:
-    """Scaled remainder after the 1/k and g1/k terms are removed:
-    (n^2/sqrt(k)) * (beta E[L_k|Z0]/z0 - 1/k - g1(theta z0, k/n)/k)."""
+    """Scaled remainder after the 1/k and g1/k terms are removed, free of units:
+    (n^2/sqrt(k)) * (E[L_k|x0]/x0 - 1/k - g1(x0/2, k/n)/k), E[L_k|x0] in model units."""
     if not (1 <= k <= n - 1):
         raise IndexError(f"need 1 <= k <= n-1, got k={k}")
-    lk = float(_expected_lengths(params, n, z0, 1.0, np.array([k]))[0])
-    lead = 1.0 / k + g1(params.theta * z0, k / n) / k
-    return (n * n / math.sqrt(k)) * (params.beta * lk / z0 - lead)
+    x0 = params.model_size(z0)
+    lk = float(_expected_lengths(n, x0, 1.0, np.array([k]))[0])
+    lead = 1.0 / k + g1(x0 / 2.0, k / n) / k
+    return (n * n / math.sqrt(k)) * (lk / x0 - lead)
 
 
-@np.errstate(over="ignore")  # mu L near the float limit: the written table is checked
+@np.errstate(over="ignore")  # alpha L near the float limit: the written table is checked
 def _sfs_replicate(args, rng, count: int) -> np.ndarray:
-    """mu * L_k, or Poisson counts with those means, for ``count`` genealogies."""
+    """mu * L_k = alpha * L_k in model units, or Poisson counts with those
+    means, for ``count`` genealogies."""
     params, n, z0, mode = args
-    _, _, depths = sample_block(params, n, rng, count, condition_z0=z0)
-    means = params.mu * block_Lk(depths)
+    x0 = None if z0 is None else params.model_size(z0)
+    means = params.alpha * block_Lk(sample_block(n, rng, count, x0)[2])
     if mode == "poisson-counts":
         return poisson_counts(rng, means).astype(float)
     return means

@@ -194,39 +194,6 @@ def build_tree(config: LeafConfig, zetas: ZetaVector, root_mode: RootMode) -> Ge
     return tree
 
 
-def tree_tmrca(tree: GenealogyTree, leaf_ids: list[int] | tuple[int, ...]) -> float:
-    """Depth of the MRCA of a leaf set, by upward traversal."""
-    if not leaf_ids:
-        raise IndexError("leaf set must be nonempty")
-    first, *rest = leaf_ids
-    path = []
-    v: int | None = first
-    while v is not None:
-        path.append(v)
-        v = tree.nodes[v].parent
-    ancestors = {node_id: i for i, node_id in enumerate(path)}
-    deepest = 0
-    for leaf in rest:
-        v = leaf
-        while v not in ancestors:
-            parent = tree.nodes[v].parent
-            if parent is None:
-                raise StructuralError("walked past the root without meeting")
-            v = parent
-        deepest = max(deepest, ancestors[v])
-    return tree.depth(path[deepest])
-
-
-def edge_lengths_by_count(tree: GenealogyTree) -> dict[int, float]:
-    """Total edge length subtending exactly c sample leaves, for each c."""
-    counts = tree.leaf_counts()
-    out: dict[int, float] = {}
-    for child, _, length in tree.edges():
-        c = counts[child]
-        out[c] = out.get(c, 0.0) + length
-    return out
-
-
 @dataclass(frozen=True)
 class MutationOverlay:
     """Mutations as (edge child id, depth below the edge's shallow end)."""

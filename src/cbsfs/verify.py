@@ -1,7 +1,8 @@
 """Self-check suites: the one implementation of the paper's checks.
 
 Each suite takes ``(params, reps, seed, margin)`` and returns a list of
-checks, each a (name, passed, detail) tuple with ``passed`` a bool.
+checks, each a (name, passed, detail) tuple with ``passed`` a bool; a
+suite that cannot compute its values is one failed check.
 Analytic identities are held to their quadrature tolerances; a Monte-Carlo
 estimate passes when it lies within ``margin`` standard errors of its
 target.  The Monte-Carlo suites raise ``reps`` to a floor of their own,
@@ -30,6 +31,9 @@ CLI_MARGIN = 4.0
 
 
 def _z_score(mean: float, target: float, se: float) -> float:
+    """|mean - target| / se, or inf unless all three are finite."""
+    if not all(map(math.isfinite, (mean, target, se))):
+        return math.inf
     if se > 0.0:
         return abs(mean - target) / se
     return 0.0 if mean == target else math.inf
@@ -96,7 +100,8 @@ def suite_quadrature_identities(
         combined = params.mu * (
             sfs.density_branch_check(params, r) + sfs.density_spine_check(params, r)
         )
-        worst = max(worst, abs(sfs.mean_density(params, r) - combined))
+        # np.maximum keeps a nan deviation, which max() skips
+        worst = np.maximum(worst, abs(sfs.mean_density(params, r) - combined))
     out.append(("density = branch + spine quadratures", worst < 1e-8, f"max dev {worst:.2e}"))
     # the density is linear in mu: the asymptotes hold per unit mu, also at mu = 0
     unit = dataclasses.replace(params, mu=1.0)
@@ -110,12 +115,12 @@ def suite_quadrature_identities(
         mass = specfun.adaptive_quad(
             lambda r: model.canonical_density(params, t, r), 0.0, math.inf
         )
-        worst_mass = max(worst_mass, abs(mass - model.extinction_tail(params, t)))
+        worst_mass = np.maximum(worst_mass, abs(mass - model.extinction_tail(params, t)))
         mean = specfun.adaptive_quad(
             lambda r: r * model.canonical_density(params, t, r), 0.0, math.inf
         )
         decay = math.exp(-2.0 * params.beta * params.theta * t)
-        worst_mean = max(worst_mean, abs(mean - decay))
+        worst_mean = np.maximum(worst_mean, abs(mean - decay))
     out.append(("surviving-mass density total = c(t)", worst_mass < 1e-9, f"max dev {worst_mass:.2e}"))
     out.append(("surviving-mass density mean = decay", worst_mean < 1e-9, f"max dev {worst_mean:.2e}"))
     dev = abs(model.kesten_expectation(params, 1.0, lambda r: 1.0) - 1.0)
@@ -127,10 +132,11 @@ def suite_quadrature_identities(
     return out
 
 
+@np.errstate(over="ignore")  # a depth beyond the float range fails the KS check
 def _tmrca_replicate(args, rng, count: int) -> np.ndarray:
     """Population TMRCA of ``count`` genealogies: each one's deepest branch."""
     params, n, z0 = args
-    return sample_block(params, n, rng, count, condition_z0=z0)[2].max(axis=1)
+    return params.time_unit * sample_block(n, rng, count, params.model_size(z0))[2].max(axis=1)
 
 
 def suite_tmrca_law(params: model.ModelParams, reps: int, seed: int, margin: float) -> list[Check]:
@@ -223,5 +229,10 @@ SUITES = {
 def run_suite(
     name: str, params: model.ModelParams, reps: int, seed: int, margin: float
 ) -> list[Check]:
-    suites = SUITES.values() if name == "all" else [SUITES[name]]
-    return [check for suite in suites for check in suite(params, reps, seed, margin)]
+    checks = []
+    for suite in SUITES if name == "all" else [name]:
+        try:
+            checks += SUITES[suite](params, reps, seed, margin)
+        except (ArithmeticError, specfun.QuadratureError) as exc:  # a suite with no result fails
+            checks.append((f"{suite} suite", False, f"no finite result: {exc}"))
+    return checks

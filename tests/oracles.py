@@ -1,13 +1,19 @@
-"""Per-replicate references for the block routes of the package.
+"""Per-replicate references for the block routes of the package, the
+queries of the explicit tree, and the laws no command evaluates.
 
 The package draws and renders whole blocks of genealogies as arrays; these
 rebuild the same results one replicate at a time through the record types
 and the explicit tree, whose attach walk shares no code with the block
-build.
+build.  The consecutive-leaf TMRCA read from the depths, and the MRCA
+depth and per-count edge lengths read from the tree, are criterion 1's
+two sides.
 """
 
+import math
+
 from cbsfs.genealogy import LeafConfig, ZetaVector, sample_block
-from cbsfs.tree import build_tree, drop_mutations, newick_export
+from cbsfs.model import ModelParams
+from cbsfs.tree import GenealogyTree, StructuralError, build_tree, drop_mutations, newick_export
 
 
 def block_records(positions, labels, depths):
@@ -20,12 +26,14 @@ def block_records(positions, labels, depths):
 
 
 def sample_records(args, rng, count=1):
-    """The block function of ``cbsfs sample`` built tree by tree: each row's
-    records, its tree from ``build_tree``, then its mutations and Newick
-    text from that tree."""
+    """The block function of ``cbsfs sample`` built tree by tree: the block
+    drawn in model units and scaled to the units of ``params``, then each
+    row's records, its tree from ``build_tree``, then its mutations and
+    Newick text from that tree."""
     params, n, z0, mode = args
+    positions, labels, depths = sample_block(n, rng, count, None if z0 is None else 2.0 * params.theta * z0)
     records = []
-    for config, zetas in block_records(*sample_block(params, n, rng, count, condition_z0=z0)):
+    for config, zetas in block_records(positions * params.size_unit, labels, depths * params.time_unit):
         tree = build_tree(config, zetas, mode)
         overlay = drop_mutations(tree, params, rng)
         records.append({
@@ -35,3 +43,71 @@ def sample_records(args, rng, count=1):
             "newick": newick_export(tree),
         })
     return records
+
+
+def laplace_u(params: ModelParams, t: float, lam: float) -> float:
+    """u(t, lambda) = 2 theta lambda / ((2 theta + lambda) e^{2 b th t} - lambda).
+
+    Evaluated with the exponential folded into the numerator so large t
+    cannot overflow; u(t, 0) = 0 and u(t, lambda) -> c(t) as lambda -> inf.
+    """
+    if not t > 0:
+        raise ValueError(f"laplace_u requires t > 0, got {t}")
+    if lam < 0:
+        raise ValueError(f"laplace_u requires lam >= 0, got {lam}")
+    decay = math.exp(-2.0 * params.beta * params.theta * t)
+    return 2.0 * params.theta * lam * decay / (2.0 * params.theta + lam - lam * decay)
+
+
+def z0_density(params: ModelParams, z: float) -> float:
+    """Stationary population-size density: Gamma(2, rate 2 theta)."""
+    if not z > 0:
+        raise ValueError(f"z0_density requires z > 0, got {z}")
+    rate = 2.0 * params.theta
+    return rate * rate * z * math.exp(-rate * z)
+
+
+def tmrca_consecutive(config: LeafConfig, zetas: ZetaVector, j: int, l: int) -> float:
+    """Depth of the MRCA of the consecutive leaves at ranks j..l: the
+    deepest gap between them (0 for a single leaf).  The gap depths are the
+    branch depths of ranks 1..n without the spine's 0."""
+    n = config.n
+    if not (1 <= j <= l <= n):
+        raise IndexError(f"need 1 <= j <= l <= n, got j={j}, l={l}, n={n}")
+    if j == l:
+        return 0.0
+    z, s = zetas.zetas, config.spine_index
+    return max((z[1:s] + z[s + 1 : n + 1])[j - 1 : l - 1])
+
+
+def tree_tmrca(tree: GenealogyTree, leaf_ids: list[int] | tuple[int, ...]) -> float:
+    """Depth of the MRCA of a leaf set, by upward traversal."""
+    if not leaf_ids:
+        raise IndexError("leaf set must be nonempty")
+    first, *rest = leaf_ids
+    path = []
+    v = first
+    while v is not None:
+        path.append(v)
+        v = tree.nodes[v].parent
+    ancestors = {node_id: i for i, node_id in enumerate(path)}
+    deepest = 0
+    for leaf in rest:
+        v = leaf
+        while v not in ancestors:
+            parent = tree.nodes[v].parent
+            if parent is None:
+                raise StructuralError("walked past the root without meeting")
+            v = parent
+        deepest = max(deepest, ancestors[v])
+    return tree.depth(path[deepest])
+
+
+def edge_lengths_by_count(tree: GenealogyTree) -> dict[int, float]:
+    """Total edge length subtending exactly c sample leaves, for each c."""
+    counts = tree.leaf_counts()
+    out: dict[int, float] = {}
+    for child, _, length in tree.edges():
+        c = counts[child]
+        out[c] = out.get(c, 0.0) + length
+    return out

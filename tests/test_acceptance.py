@@ -31,11 +31,11 @@ from cbsfs.genealogy import (
     Lk_all,
     sample_population,
     sample_zetas,
-    tmrca_consecutive,
 )
 from cbsfs.model import ModelParams
 from cbsfs.sfs import expected_sfs, g1, g2_residual
-from cbsfs.tree import RootMode, build_tree, edge_lengths_by_count, tree_tmrca
+from cbsfs.tree import RootMode, build_tree
+from oracles import edge_lengths_by_count, tmrca_consecutive, tree_tmrca
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 ALPHA_ONE = ModelParams(beta=1.0, theta=1.0, mu=2.0)

@@ -120,12 +120,13 @@ class TestSampleCommand:
     def test_collision_warnings_stay_silent(self, tmp_path):
         # the redraw warnings go to the package logger, which shows nothing
         # unless the application configures logging
-        proc = run_python("-m", "cbsfs.cli", "sample", "--n", "200", "--z0", "1e-320",
+        proc = run_python("-m", "cbsfs.cli", "sample", "--n", "200", "--z0", "5e-321",
                           "--reps", "1", "--out", str(tmp_path / "x"))
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
-            "cbsfs: could not draw 200 distinct leaf positions on an interval "
-            "of size z0=1e-320 in 64 attempts"
+            "cbsfs: no finite result at --beta 1.0 --theta 1.0 --mu 1.0 --seed 1 --reps 1 --n 200 "
+            "--z0 5e-321 --root-mode population: could not draw 200 distinct leaf positions on an "
+            "interval of size x0 = 1e-320 in 64 attempts"
         ]
         assert list(tmp_path.iterdir()) == []
 
@@ -330,6 +331,37 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "[PASS]" in captured.out and "[FAIL]" not in captured.out
         assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "flags, failed",
+        [
+            # alpha = mu / (2 beta theta) overflows before a replicate is drawn
+            (("--suite", "sfs-mc", "--mu", "1e308", "--beta", "0.01"),
+             ["sfs-mc suite — no finite result: alpha = mu / (2 beta theta) overflows"]),
+            # the squares behind the standard error overflow: an SE of inf
+            # once gave |z| = 0
+            (("--suite", "sfs-mc", "--theta", "1e-300"),
+             [f"simulated spectrum vs expected at z0 = {i}/theta (4 SE) — max |z| = inf over k=1..9 "
+              "at 2000 reps" for i in (1, 2)]),
+            # 1 - e^{-2 beta theta t} underflows: the density terms are inf and
+            # their difference nan, which max() skipped
+            (("--suite", "quadrature-identities", "--beta", "5e-324"),
+             ["density = branch + spine quadratures — max dev nan",
+              "density asymptotes — r->0 inf, r->inf inf",
+              "surviving-mass density total = c(t) — max dev inf",
+              "surviving-mass density mean = decay — max dev 1.00e+00"]),
+        ],
+        ids=["sfs-mc-alpha-overflow", "sfs-mc-se-overflow", "quadrature-beta-5e-324"],
+    )
+    def test_checks_on_values_that_are_not_finite_fail(self, tmp_path, capsys, flags, failed):
+        report = tmp_path / "report.txt"
+        assert run("verify", *flags, "--out", report) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert [line[len("[FAIL] "):] for line in lines if line.startswith("[FAIL]")] == failed
+        assert lines[-1].endswith(f"checks passed in suite {flags[1]!r}")
+        assert report.read_text().splitlines() == lines
 
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -547,8 +579,8 @@ class TestBadFlags:
              "--n-max 400 --statistic zpow_r: Out of range float values are not CSV compliant: inf"),
             (["sample", "--n", "200", "--z0", "1e-320", "--reps", "1"], ""),
             (["sfs", "--mode", "simulate", "--n", "200", "--z0", "1e-320", "--reps", "2"], ""),
-            # 2 theta z0 v underflows to 0 at the smallest quadrature node
-            (["sfs", "--n", "5", "--z0", "1e-310"], "z0 = 1e-310"),
+            # x0 v = 2 theta z0 v underflows to 0 at the smallest quadrature node
+            (["sfs", "--n", "5", "--z0", "1e-310"], "--z0 1e-310 --format csv --mode expected --sim-mode expected-lengths: x0 = 2e-310 is too small"),
             # the density underflows to 0 at the end of the grid
             (["density", "--r-max", "400"], "density values must be positive"),
             # the grid points coincide
@@ -563,25 +595,40 @@ class TestBadFlags:
              "lower --mu, or raise --beta or --theta"),
             (["sfs", "--mode", "simulate", "--sim-mode", "poisson-counts", "--mu", "1e300",
               "--n", "5", "--reps", "2"], "lower --mu, or raise --beta or --theta"),
-            # every depth underflows to 0, so the tree has edges of length 0
-            (["sample", "--n", "50", "--reps", "5", "--beta", "1e305", "--theta", "1e3"],
-             "lower --beta or --theta"),
-            # every depth underflows to 0, with or without a tree edge between them
+            # in their unit every depth underflows to 0, so the tree has edges of length 0
+            (["sample", "--n", "50", "--reps", "5", "--beta", "1e305", "--theta", "700", "--z0", "1e-317"],
+             "--z0 1e-317 --root-mode population: tied branch depths give a tree edge of length 0"),
+            # 2 beta theta overflows: the time unit is 0
             (["sfs", "--mode", "simulate", "--n", "5", "--reps", "20", "--beta", "1e305",
-              "--theta", "1e3"], "lower --beta or --theta"),
+              "--theta", "1e3"], "the time unit 1 / (2 beta theta) is 0.0, not a positive finite float"),
             (["sample", "--n", "1", "--reps", "2", "--beta", "1e305", "--theta", "1e3"],
-             "lower --beta or --theta"),
-            # the expected lengths, the averaged sizes or alpha overflow
-            (["sfs", "--beta", "5e-324", "--z0", "1"], "expected_L must be finite and >= 0"),
-            (["sfs", "--theta", "5e-324"], "the stationary sizes, of mean 1 / theta, overflow"),
+             "the time unit 1 / (2 beta theta) is 0.0, not a positive finite float"),
+            # the time unit overflows
+            (["sample", "--n", "3", "--reps", "2", "--beta", "5e-324", "--mu", "0"],
+             "the time unit 1 / (2 beta theta) is inf, not a positive finite float"),
+            (["sfs", "--mode", "simulate", "--n", "3", "--reps", "20", "--theta", "1e-310"],
+             "the time unit 1 / (2 beta theta) is inf, not a positive finite float"),
+            (["sfs", "--beta", "5e-324", "--z0", "1"], "the time unit 1 / (2 beta theta) is inf"),
+            (["sfs", "--theta", "5e-324"], "the time unit 1 / (2 beta theta) is inf"),
+            # alpha overflows
             (["clonal", "--beta", "5e-324", "--statistic", "zpow"], "alpha = mu / (2 beta theta) overflows"),
             # Z0^4 is finite, its square is not
             (["clonal", "--mode", "simulate", "--theta", "1e-38", "--mu", "0", "--reps", "100"],
              "not CSV compliant: inf"),
-            # the depths, or the positions before them, overflow
-            (["sample", "--n", "3", "--reps", "2", "--beta", "5e-324"], "raise --beta or --theta"),
-            (["sfs", "--mode", "simulate", "--n", "3", "--reps", "20", "--theta", "1e-310"],
-             "raise --beta or --theta"),
+            # the units are finite, but a depth, a position or a length times its unit is not
+            (["sample", "--n", "3", "--reps", "50", "--beta", "5e-309", "--mu", "0"],
+             "a position or branch depth leaves the float range in its unit"),
+            (["sample", "--n", "3", "--reps", "50", "--theta", "6e-309", "--beta", "1e10", "--mu", "0"],
+             "a position or branch depth leaves the float range in its unit"),
+            (["sfs", "--beta", "3e-309", "--z0", "1", "--mu", "0"], "not CSV compliant: inf"),
+            # sizes below the float range, as leaf positions on their interval
+            (["sample", "--n", "200", "--z0", "5e-321", "--reps", "1"], "could not draw 200 distinct"),
+            # a conditioned size beyond the draw's range
+            (["sfs", "--mode", "simulate", "--n", "3", "--reps", "2", "--z0", "1e300"],
+             "the size x0 = 2e+300 is outside (0, 1e+250]"),
+            # the points of a grid, beyond the bound
+            (["density", "--points", str(cli.MAX_POINTS + 1)], f"--points must be <= {cli.MAX_POINTS}"),
+            (["g1", "--u-points", str(cli.MAX_POINTS + 1)], f"--u-points must be <= {cli.MAX_POINTS}"),
         ],
         ids=["density-r-max-inf", "density-ratio-overflow", "g1-z-inf", "g1-z-1e308",
              "sfs-z0-inf", "sample-z0-inf", "clonal-mu-1e300", "clonal-n-max-400",
@@ -591,7 +638,10 @@ class TestBadFlags:
              "sample-tied-depths-beta-1e305", "sfs-zero-depths-beta-1e305",
              "sample-zero-depths-beta-1e305", "sample-depth-overflow-beta-5e-324",
              "sfs-position-overflow-theta-1e-310", "sfs-lengths-overflow-beta-5e-324",
-             "sfs-sizes-overflow-theta-5e-324", "clonal-alpha-overflow", "clonal-se-overflow"],
+             "sfs-sizes-overflow-theta-5e-324", "clonal-alpha-overflow", "clonal-se-overflow",
+             "sample-depth-overflow-beta-5e-309", "sample-position-overflow-theta-6e-309",
+             "sfs-lengths-overflow-beta-3e-309", "sample-collisions-z0-5e-321", "sfs-z0-1e300",
+             "density-points-above-the-bound", "g1-u-points-above-the-bound"],
     )
     # numpy's warning, printed before the one-line message, is an error here
     @pytest.mark.filterwarnings("error::RuntimeWarning")

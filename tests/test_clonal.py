@@ -8,7 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from cbsfs._mc import replicate_rng
 from cbsfs.clonal import (
+    _clonal_replicate,
     clonal_summary,
     e_zcl_pow,
     e_zcl_pow_r,
@@ -17,14 +19,32 @@ from cbsfs.clonal import (
     v_representation_check,
     zcl_moment_ratio_scaled,
 )
-from cbsfs.genealogy import population_tree_length, sample_population, sample_zetas
+from cbsfs.genealogy import population_tree_length, sample_block, sample_population, sample_zetas
 from cbsfs.model import ModelParams, z0_moment
 from cbsfs.specfun import beta_fn
+from oracles import block_records
 
 # alpha = mu/(2 beta theta) = 1
 ALPHA_ONE = ModelParams(beta=1.0, theta=1.0, mu=2.0)
 ALPHA_HALF = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 NO_MUTATION = ModelParams(beta=1.0, theta=1.0, mu=0.0)
+
+
+@pytest.mark.parametrize("statistic", ["zpow_r", "zpow"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_replicate_by_replicate_call_is_a_one_block_draw(n, statistic):
+    # perfbench/make_reference.py calls the block function with its default
+    # count of one: the row is Z0^p e^{-mu L_n} of the one-row block drawn
+    # in model units from the same generator, in the units of the parameters
+    params = ModelParams(beta=0.7, theta=1.3, mu=1.1)
+    for i in range(20):
+        row = _clonal_replicate((params, n, statistic), replicate_rng(0, i))
+        ((config, zetas),) = block_records(*sample_block(n, replicate_rng(0, i), 1))
+        z0 = params.size_unit * config.z0
+        length = params.time_unit * population_tree_length(config, zetas)
+        power = n - 1 if statistic == "zpow_r" else n
+        assert row.shape == (1,)
+        assert row[0] == pytest.approx(z0**power * math.exp(-params.mu * length), rel=1e-13)
 
 
 class TestUMoment:

@@ -18,12 +18,11 @@ from cbsfs.genealogy import (
     sample_population,
     sample_tree_length,
     sample_zetas,
-    tmrca_consecutive,
 )
 from cbsfs.model import ModelParams, extinction_tail
-from cbsfs.tree import RootMode, build_tree, edge_lengths_by_count, tree_tmrca
+from cbsfs.tree import RootMode, build_tree
 
-from oracles import block_records
+from oracles import block_records, edge_lengths_by_count, tmrca_consecutive, tree_tmrca
 from replay import leaf_config_from_dict, zeta_vector_from_dict
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
@@ -118,12 +117,13 @@ class TestSamplePopulation:
 
 
 class TestSampleBlock:
-    """The batched draw against the per-replicate sampler and statistics."""
+    """The batched draw, in model units, against the per-replicate sampler
+    and statistics."""
 
-    @pytest.mark.parametrize("z0", [None, 1.5])
+    @pytest.mark.parametrize("x0", [None, 1.5])
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
-    def test_rows_match_per_replicate_statistics(self, n, z0):
-        positions, labels, depths = sample_block(UNIT, n, np.random.default_rng(30 + n), 200, z0)
+    def test_rows_match_per_replicate_statistics(self, n, x0):
+        positions, labels, depths = sample_block(n, np.random.default_rng(30 + n), 200, x0)
         assert positions.shape == (200, n + 2) and labels.shape == (200, n)
         lengths, lk = block_tree_length(depths), block_Lk(depths)
         assert lk.shape == (200, n - 1)
@@ -131,64 +131,68 @@ class TestSampleBlock:
             # each depth belongs to the gap its rank owns toward the spine
             owned = np.delete(intervals(config), config.spine_index)
             np.testing.assert_array_equal(owned, np.diff(positions[r]))
-            if z0 is not None:
-                assert config.e_g + config.e_d == z0
+            if x0 is not None:
+                assert config.e_g + config.e_d == x0
             assert lengths[r] == pytest.approx(population_tree_length(config, zetas), rel=1e-12)
             np.testing.assert_allclose(lk[r], Lk_all(config, zetas), rtol=1e-12, atol=0.0)
 
     def test_law_matches_per_replicate_sampler(self):
-        # two-sample KS on Z0, the spine rank, the tree length and L_1 at n = 4
+        # two-sample KS on Z0, the spine rank, the tree length and L_1 at
+        # n = 4: the per-replicate sampler draws at (beta, theta) itself, the
+        # block in model units, scaled by 1 / (2 theta) and 1 / (2 beta theta)
         reps = 20_000
+        params = ModelParams(beta=0.7, theta=1.3)
         rng = np.random.default_rng(40)
-        per_replicate = [_draw(UNIT, 4, rng) for _ in range(reps)]
-        positions, labels, depths = sample_block(UNIT, 4, np.random.default_rng(41), reps)
+        per_replicate = [_draw(params, 4, rng) for _ in range(reps)]
+        positions, labels, depths = sample_block(4, np.random.default_rng(41), reps)
+        size, time = params.size_unit, params.time_unit
         pairs = {
-            "z0": ([c.z0 for c, _ in per_replicate], positions[:, -1] - positions[:, 0]),
+            "z0": ([c.z0 for c, _ in per_replicate], size * (positions[:, -1] - positions[:, 0])),
             "spine": ([c.spine_index for c, _ in per_replicate], np.argmax(labels == 0, axis=1) + 1),
-            "length": ([population_tree_length(c, z) for c, z in per_replicate], block_tree_length(depths)),
-            "L_1": ([Lk_all(c, z)[0] for c, z in per_replicate], block_Lk(depths)[:, 0]),
+            "length": ([population_tree_length(c, z) for c, z in per_replicate], time * block_tree_length(depths)),
+            "L_1": ([Lk_all(c, z)[0] for c, z in per_replicate], time * block_Lk(depths)[:, 0]),
         }
         for name, (a, b) in pairs.items():
             assert stats.ks_2samp(a, b).statistic < KS_COEFF * math.sqrt(2.0 / reps), name
 
     def test_closed_form_laws(self):
-        # one vectorised block each: Z0 ~ Gamma(2, scale 1/(2 theta)), and
-        # given Z0 = 3 the left arm is Uniform(0, 3)
+        # one vectorised block each: in model units Z0 ~ Gamma(2, 1), and
+        # given the size 3 the left arm is Uniform(0, 3)
         reps = 100_000
-        positions = sample_block(UNIT, 3, np.random.default_rng(43), reps)[0]
+        positions = sample_block(3, np.random.default_rng(43), reps)[0]
         z0s = positions[:, -1] - positions[:, 0]
-        result = stats.kstest(z0s, stats.gamma(a=2.0, scale=0.5 / UNIT.theta).cdf)
+        result = stats.kstest(z0s, stats.gamma(a=2.0).cdf)
         assert result.statistic < KS_COEFF / math.sqrt(reps)
-        positions = sample_block(UNIT, 3, np.random.default_rng(44), reps, condition_z0=3.0)[0]
+        positions = sample_block(3, np.random.default_rng(44), reps, x0=3.0)[0]
         result = stats.kstest(-positions[:, 0], stats.uniform(loc=0.0, scale=3.0).cdf)
         assert result.statistic < KS_COEFF / math.sqrt(reps)
 
     def test_collisions_redraw_their_rows(self, caplog):
         # on an interval 200 subnormal steps long, leaf positions often
         # coincide: only the colliding rows are redrawn, each with a warning.
-        # The positions do not depend on the parameters given z0; at unit
-        # ones some depths underflow to 0, which is rejected, and these
-        # keep every depth positive
-        z0 = 1e-321
-        params = ModelParams(beta=1e-10, theta=1e10, mu=1.0)
+        # The depths log1p(gap / E) of such gaps are subnormal or 0
+        x0 = 1e-321
         with caplog.at_level("WARNING", logger="cbsfs.genealogy"):
-            positions, labels, depths = sample_block(params, 3, np.random.default_rng(42), 500, z0)
+            positions, labels, depths = sample_block(3, np.random.default_rng(42), 500, x0)
         assert 0 < len(caplog.records) < 500 * 64
         assert np.all(np.diff(positions, axis=1) > 0.0)
-        assert np.all(positions[:, -1] - positions[:, 0] == z0)
-        assert np.all(np.isfinite(depths) & (depths > 0.0))
+        assert np.all(positions[:, -1] - positions[:, 0] == x0)
+        assert np.all(np.isfinite(depths) & (depths >= 0.0)) and np.any(depths == 0.0)
         assert sorted(map(tuple, np.sort(labels, axis=1))) == [(0, 1, 2)] * 500
-        with pytest.raises(ValueError, match="lower --beta or --theta"):
-            sample_block(UNIT, 3, np.random.default_rng(42), 500, z0)
+
+    def test_depths_stay_finite_at_the_largest_size(self):
+        depths = sample_block(50, np.random.default_rng(45), 1000, x0=1e250)[2]
+        assert np.all(np.isfinite(depths) & (depths > 0.0))
 
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_block(UNIT, 0, rng, 10)
-        with pytest.raises(ValueError):
-            sample_block(UNIT, 2, rng, 10, condition_z0=0.0)
-        with pytest.raises(ValueError, match="in 64 attempts"):
-            sample_block(UNIT, 200, rng, 3, condition_z0=1e-320)
+            sample_block(0, rng, 10)
+        for x0 in (0.0, -1.0, math.nan, 2e250, math.inf):
+            with pytest.raises(FloatingPointError, match="outside"):
+                sample_block(2, rng, 10, x0=x0)
+        with pytest.raises(FloatingPointError, match="in 64 attempts"):
+            sample_block(200, rng, 3, x0=1e-320)
 
 
 class TestIntervals:

@@ -7,16 +7,16 @@ import pytest
 from scipy import integrate
 
 from cbsfs.model import (
+    MODEL_UNITS,
     ModelParams,
     canonical_density,
     extinction_tail,
     kesten_expectation,
-    laplace_u,
     tmrca_cdf,
-    z0_density,
     z0_moment,
 )
 from cbsfs.specfun import adaptive_quad
+from oracles import laplace_u, z0_density
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 
@@ -36,6 +36,29 @@ class TestModelParams:
         assert ModelParams(1e-320, 1e-10, 0.0).alpha == 0.0
         with pytest.raises(FloatingPointError, match="2 beta theta underflows to 0"):
             ModelParams(1e-320, 1e-10, 1e-300).alpha
+
+    def test_units(self):
+        params = ModelParams(0.25, 2.0, 3.0)
+        assert (params.time_unit, params.size_unit, params.model_size(1.5)) == (1.0, 0.25, 6.0)
+        assert (MODEL_UNITS.time_unit, MODEL_UNITS.size_unit, MODEL_UNITS.model_size(0.7)) == (1.0, 1.0, 0.7)
+        assert ModelParams(1.0, 1.0, 2.0).alpha == 1.0
+
+    @pytest.mark.parametrize(
+        "params, unit",
+        [(ModelParams(5e-324, 1.0), "time_unit"),  # 1 / (2 beta theta) overflows
+         (ModelParams(1e300, 1e300), "time_unit"),  # 2 beta theta overflows, its inverse is 0
+         (ModelParams(1.0, 5e-324), "size_unit"),
+         (ModelParams(1.0, 1e308), "size_unit")],
+        ids=["time-inf", "time-0", "size-inf", "size-0"],
+    )
+    def test_unit_out_of_float_range(self, params, unit):
+        with pytest.raises(FloatingPointError, match="not a positive finite float"):
+            getattr(params, unit)
+
+    @pytest.mark.parametrize("theta, z0", [(1e10, 1e300), (1e-10, 1e-320)], ids=["inf", "0"])
+    def test_model_size_out_of_float_range(self, theta, z0):
+        with pytest.raises(FloatingPointError, match="x0 = 2 theta z0 is"):
+            ModelParams(1.0, theta).model_size(z0)
 
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0.0, "theta": 1.0},
@@ -115,6 +138,12 @@ class TestCanonicalDensity:
         vals = [canonical_density(UNIT, 1.0, r) for r in rs]
         assert all(v > 0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_zero_where_the_age_underflows(self):
+        # 1 - e^{-2 beta theta t} is 0 in floats: the t -> 0 limit, once a
+        # division by zero
+        assert canonical_density(ModelParams(5e-324, 1.0), 0.1, 1.0) == 0.0
+        assert canonical_density(UNIT, 1e-320, 1.0) == 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -211,6 +240,15 @@ class TestKestenExpectation:
             lambda r: grow * r * r * canonical_density(UNIT, t, r), 0.0, 60.0
         )
         assert result == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-300, 1e300])
+    def test_finite_at_extreme_ages(self, beta):
+        # the old 4 theta^2 / (1 - e^{-2 beta theta t})^2 divided by zero at
+        # beta = 5e-324; the mean size is (1 - e^{-2 beta theta t}) / theta
+        params = ModelParams(beta, 1.0)
+        assert kesten_expectation(params, 1.0, lambda r: 1.0) == pytest.approx(1.0, abs=1e-9)
+        closed = -math.expm1(-2.0 * beta) / params.theta
+        assert kesten_expectation(params, 1.0, lambda r: r) == pytest.approx(closed, rel=1e-9)
 
     def test_domain(self):
         with pytest.raises(ValueError):

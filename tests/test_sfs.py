@@ -8,11 +8,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from cbsfs.genealogy import Lk_all, sample_population, sample_zetas
+from cbsfs.genealogy import Lk_all, sample_block, sample_population, sample_zetas
 from cbsfs.model import ModelParams
 from cbsfs.sfs import (
     _expected_lengths,
     _laguerre_rule,
+    _sfs_replicate,
     density_branch_check,
     density_spine_check,
     expected_sfs,
@@ -23,6 +24,7 @@ from cbsfs.sfs import (
     s_table,
     simulate_sfs,
 )
+from oracles import block_records
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 
@@ -143,9 +145,10 @@ class TestSTable:
     def test_domain(self):
         with pytest.raises(ValueError):
             s_table(UNIT, 0, 1.0)
-        with pytest.raises(ValueError):
+        # z0 gives no size x0 = 2 theta z0 that is a positive finite float
+        with pytest.raises(FloatingPointError):
             s_table(UNIT, 5, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError):
             expected_sfs(UNIT, 3, math.inf)
 
 
@@ -182,7 +185,7 @@ class TestExpectedLk:
         for k in range(1, 6):
             scalar = (6 - k) * (2.0 * s[k] - s[k - 1] - s[k + 1]) + s[k + 1] - s[k - 1]
             assert lk[k - 1] == pytest.approx(scalar, rel=1e-9)
-            single = _expected_lengths(UNIT, 6, 1.5, 1.0, np.array([k]))[0]
+            single = UNIT.time_unit * _expected_lengths(6, UNIT.model_size(1.5), 1.0, np.array([k]))[0]
             assert lk[k - 1] == pytest.approx(single, rel=1e-14)
 
     @pytest.mark.parametrize("n, k, z0", [(8, 1, 1e-7), (20, 9, 2.0), (200, 50, 2.0), (200, 150, 2.0)])
@@ -199,7 +202,7 @@ class TestExpectedLk:
         # numerical stability of the size-average: doubling the node count
         # moves nothing beyond the slow log-type convergence of the rule
         t, w = _laguerre_rule(80)
-        fine = _expected_lengths(UNIT, 6, t / (2.0 * UNIT.theta), w, np.arange(1, 6))
+        fine = UNIT.time_unit * _expected_lengths(6, t, w, np.arange(1, 6))
         assert lk == pytest.approx(fine, rel=1e-4)
 
     def test_average_is_the_weighted_sum_of_conditioned_tables(self):
@@ -374,17 +377,31 @@ class TestG2Residual:
 
 
 def test_rule_tables_that_overflow_raise_without_a_warning():
-    # at beta = 5e-324 the integrand z0 v / beta overflows: one check in the
-    # shared rule serves the S-table, the spectrum and the residual
+    # at beta = 5e-324 the time unit 1 / (2 beta theta) overflows: the tables
+    # that take it raise, and the residual, free of units, is finite
     tiny_beta = ModelParams(5e-324, 1.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError, match="S must be finite and >= 0, got inf at l=1"):
+        with pytest.raises(FloatingPointError, match="the time unit 1 / \\(2 beta theta\\) is inf"):
             s_table(tiny_beta, 5, 1.0)
-        with pytest.raises(FloatingPointError, match="expected_L must be finite and >= 0, got nan at k=2"):
-            g2_residual(tiny_beta, 5, 2, 1.0)
-        with pytest.raises(FloatingPointError, match="expected_L must be finite and >= 0, got nan at k=1"):
+        with pytest.raises(FloatingPointError, match="the time unit 1 / \\(2 beta theta\\) is inf"):
             expected_sfs(tiny_beta, 5, 1.0)
+        assert g2_residual(tiny_beta, 5, 2, 1.0) == g2_residual(UNIT, 5, 2, 1.0)
+
+
+@pytest.mark.parametrize("z0", [None, 2.0])
+def test_block_call_is_mu_times_the_lengths_of_the_block(z0):
+    # perfbench/make_reference.py calls the block function directly: its rows
+    # are mu L_k of the block drawn in model units from the same generator,
+    # the lengths in the time unit
+    params = ModelParams(beta=0.7, theta=1.3, mu=1.1)
+    rows = _sfs_replicate((params, 8, z0, "expected-lengths"), np.random.default_rng(5), 50)
+    x0 = None if z0 is None else 2.0 * params.theta * z0
+    records = list(block_records(*sample_block(8, np.random.default_rng(5), 50, x0)))
+    assert rows.shape == (50, 7)
+    for row, (config, zetas) in zip(rows, records):
+        lengths = params.time_unit * Lk_all(config, zetas)
+        np.testing.assert_allclose(row, params.mu * lengths, rtol=1e-13, atol=0.0)
 
 
 class TestSimulateSfs:

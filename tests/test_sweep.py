@@ -19,11 +19,11 @@ Sizes are kept small, so no case allocates more than a few tens of MB:
 ``--workers`` at most 2, ``--n`` at most 60, ``--reps`` at most 300,
 ``--points`` at most 50, ``--u-points`` at most 30, ``--n-max`` at most 12,
 and ``verify`` runs only its analytic suites.  ``sample``'s atom budget is
-lowered to 10 000 atoms per block.  Not swept: large ``--n``, ``--points``
-and ``--u-points``.  Their memory grows without bound (one block of
-``sample`` or ``sfs --mode simulate`` takes about 90 bytes per row and
-leaf), and no limit rejects them yet, so a case there could exhaust the
-machine instead of exiting 1.
+lowered to 10 000 atoms per block.  Not swept: large ``--n``, whose memory
+grows without bound (one block of ``sample`` or ``sfs --mode simulate``
+takes about 90 bytes per row and leaf) and which no limit rejects yet, so
+a case there could exhaust the machine instead of exiting 1; and
+``--points`` and ``--u-points`` near their bound, ``cli.MAX_POINTS``.
 """
 
 import math

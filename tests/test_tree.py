@@ -15,10 +15,10 @@ from cbsfs.tree import (
     TreeNode,
     build_tree,
     drop_mutations,
-    edge_lengths_by_count,
     newick_export,
 )
 
+from oracles import edge_lengths_by_count
 from replay import parse_newick, tree_from_dict
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
