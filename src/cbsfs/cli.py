@@ -23,7 +23,7 @@ import numpy as np
 from . import verify
 from ._mc import replicate_blocks
 from .clonal import MC_STATISTICS, clonal_summary, e_zcl_pow, e_zcl_pow_r, mc_clonal
-from .genealogy import block_parents, block_tree_length, sample_block
+from .genealogy import block_parents, block_tree_length, leaf_positions, sample_block
 from .model import MODEL_UNITS, ModelParams
 from .reports import fmt_value, write_csv, write_json_doc, write_sample, write_text
 from .sfs import SIMULATE_MODES, expected_sfs, g1, mean_density, simulate_sfs
@@ -153,16 +153,18 @@ def _sample_replicate(args, rng, count: int) -> list[dict]:
     """``count`` sampled genealogies as replay records (without their
     indices): each one's draw, from which ``build_tree`` rebuilds the tree
     that the atoms' edge ids name, with the spine's depth 0 put back at its
-    rank.  The block is drawn in model units and its positions and depths
-    take their units once; one that then overflows, or positions that no
-    longer increase, are a FloatingPointError.  The trees of the block come
-    from one parent array, and their mutations are dropped after all its
-    genealogies are drawn, tree by tree.  A block whose expected atom count
-    exceeds :data:`ATOM_BUDGET` is a ValueError, raised before its mutations
-    are drawn."""
+    rank.  The block's gaps and depths are drawn in model units, then its
+    leaf positions and labels; positions and depths take their units once.
+    One that then overflows, or two positions that round to one float, are
+    a FloatingPointError.  The trees of the block come from one parent
+    array, and their mutations are dropped after all its genealogies are
+    drawn, tree by tree.  A block whose expected atom count exceeds
+    :data:`ATOM_BUDGET` is a ValueError, raised before its mutations are
+    drawn."""
     params, n, z0, mode = args
     x0 = None if z0 is None else params.model_size(z0)
-    positions, labels, depths = sample_block(n, rng, count, x0)
+    gaps, depths = sample_block(n, rng, count, x0)
+    positions, labels = leaf_positions(gaps, rng)
     # mu L = alpha L in model units bounds the mean of either root mode
     atoms = params.alpha * float(block_tree_length(depths).sum())
     if not atoms <= ATOM_BUDGET:
@@ -172,10 +174,12 @@ def _sample_replicate(args, rng, count: int) -> list[dict]:
         )
     positions *= params.size_unit
     depths *= params.time_unit
-    increasing = np.all(positions[:, 1:] > positions[:, :-1])
     # an overflow reaches the interval ends first
-    if not (increasing and np.all(np.isfinite(positions[:, [0, -1]])) and np.all(depths < math.inf)):
+    if not (np.all(np.isfinite(positions[:, [0, -1]])) and np.all(depths < math.inf)):
         raise FloatingPointError("a position or branch depth leaves the float range in its unit")
+    if not np.all(positions[:, 1:] > positions[:, :-1]):
+        longer = "raise --z0" if z0 is not None else "lower --theta"
+        raise FloatingPointError(f"two of the {n} leaf positions round to one float; {longer}")
     labels = labels.tolist()
     trees = block_trees(block_parents(depths, mode is RootMode.POPULATION_MRCA), depths, labels, params, rng)
     records = []

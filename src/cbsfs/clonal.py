@@ -133,10 +133,11 @@ MC_STATISTICS = ("zpow_r", "zpow")
 def _clonal_replicate(args, rng, count: int = 1) -> np.ndarray:
     """Z0^p e^{-mu L_n} for ``count`` unconditioned genealogies (one by
     default: ``perfbench/make_reference.py`` draws replicate by replicate),
-    from a draw in model units: (size unit * x0)^p e^{-alpha L_n}."""
+    from a draw in model units: (size unit * x0)^p e^{-alpha L_n}, the size
+    x0 being the row's sum of gaps."""
     params, n, statistic = args
-    positions, _, depths = sample_block(n, rng, count)
-    z0 = params.size_unit * (positions[:, -1] - positions[:, 0])
+    gaps, depths = sample_block(n, rng, count)
+    z0 = params.size_unit * gaps.sum(axis=1)
     power = n - 1 if statistic == "zpow_r" else n
     return z0**power * np.exp(-params.alpha * block_tree_length(depths))
 

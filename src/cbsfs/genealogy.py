@@ -14,14 +14,19 @@ the explicit tree in :mod:`cbsfs.tree`, built by a separate attach walk,
 is the geometric oracle it is tested against.
 
 The Monte-Carlo routes draw many replicates at once, in model units (see
-:mod:`cbsfs.model`), and apply the units where a value leaves the package:
-:func:`sample_block` returns each replicate's flank and gap depths as one
-row of an array, and :func:`block_Lk` and :func:`block_tree_length`
-compute the statistics of all rows together.  :func:`block_parents` derives every tree of a block
+:mod:`cbsfs.model`), and apply the units where a value leaves the package.
+Given the size, the n sample points (the spine included) are iid uniform
+on the interval, so its n+1 spacings are the size times X / sum(X) with X
+iid Exp(1): :func:`sample_block` draws each replicate's gaps and branch
+depths as one row of an array each, with no positions, sort or labels.
+:func:`block_Lk` and :func:`block_tree_length` compute the statistics of
+all rows together, and :func:`block_parents` derives every tree of a block
 from the same rows, as one parent array over the node ids of
-:func:`cbsfs.tree.build_tree`; the ``sample`` command renders its trees from
-that array, and the attach walk is its oracle.  The per-replicate sampler
-and statistics are the reference of the block functions.
+:func:`cbsfs.tree.build_tree`.  Only the ``sample`` command places leaves:
+:func:`leaf_positions` gives each row its positions and labels, and the
+command renders its trees from the parent array, with the attach walk as
+its oracle.  The per-replicate sampler and statistics are the reference of
+the block functions.
 
 Each record stores only what it cannot derive: a :class:`LeafConfig` is
 its ordered positions and leaf labels, a :class:`ZetaVector` its depths.
@@ -158,71 +163,50 @@ def sample_population(
 
 
 def sample_block(n: int, rng: np.random.Generator, count: int,
-                 x0: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 x0: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``count`` independent replicates of :func:`sample_population` followed
     by :func:`sample_zetas` at :data:`cbsfs.model.MODEL_UNITS`, drawn as
     arrays with one row per replicate.
 
-    Returns ``(positions, labels, depths)``.  A row of ``positions``
-    (count, n+2) and of ``labels`` (count, n) are the fields of a
-    :class:`LeafConfig`.  A row of ``depths`` (count, n+1) holds the branch
-    depths of the n+1 ranks other than the spine, in rank order: the left
-    flank, the n-1 gap depths, the right flank.  Those ranks own, in order,
-    the n+1 gaps between consecutive positions, so each depth is drawn from
-    its gap as log1p(gap / E).  The block draws both arms (each Exp(1), or
-    summing to the size ``x0``), then all leaf uniforms, then one unit
-    exponential E per gap; a row with a (probability-zero) position
-    collision redraws its arms and uniforms, and a row with a zero
-    exponential redraws its exponentials, as the per-replicate sampler does.
-    A collision in every attempt, or an ``x0`` outside (0, 1e250], is a
-    FloatingPointError.
+    Returns ``(gaps, depths)``, both of shape (count, n+1).  A row of
+    ``gaps`` holds the n+1 spacings of the interval in rank order, from its
+    left end through the n leaves to its right end, and sums to the size; a
+    row of ``depths`` holds the branch depths of the n+1 ranks other than
+    the spine, which own those gaps in the same order: the left flank, the
+    n-1 gap depths, the right flank.  Each row draws its size (Gamma(2, 1),
+    or ``x0``), then n+1 spacings X and n+1 exponentials E as one array of
+    Exp(1) draws, redrawn whole where any of them is exactly 0; the gaps are
+    size * X / sum(X) and the depths log1p(gap / E).  An ``x0`` outside
+    (0, 1e250] is a FloatingPointError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if x0 is not None and not 0.0 < x0 <= _X0_MAX:
         raise FloatingPointError(f"the size x0 = {x0!r} is outside (0, {_X0_MAX:g}], where every depth is finite")
-
-    def arms_and_leaves(rows: int) -> tuple[np.ndarray, np.ndarray]:
-        if x0 is None:
-            e_g, e_d = rng.exponential(size=rows), rng.exponential(size=rows)
-        else:
-            e_g = rng.uniform(0.0, x0, size=rows)
-            e_d = x0 - e_g
-        positions = np.empty((rows, n + 2))
-        positions[:, 0], positions[:, -1] = -e_g, e_d
-        leaves = positions[:, 1:-1]  # a view; column 0 is the spine individual
-        leaves[:, 0] = 0.0
-        np.multiply((e_g + e_d)[:, None], rng.uniform(size=(rows, n - 1)), out=leaves[:, 1:])
-        leaves[:, 1:] -= e_g[:, None]
-        order = np.argsort(leaves, axis=1, kind="stable")
-        leaves[:] = np.take_along_axis(leaves, order, axis=1)
-        return positions, order
-
-    def collide(positions: np.ndarray) -> np.ndarray:
-        return np.any(np.diff(positions, axis=1) <= 0.0, axis=1)
-
-    positions, labels = arms_and_leaves(count)
-    redraw = np.flatnonzero(collide(positions))
-    for _ in range(_MAX_REDRAWS - 1):
-        if not redraw.size:
-            break
-        for _ in redraw:
-            logger.warning("position collision (probability-zero); redrawing replicate")
-        positions[redraw], labels[redraw] = arms_and_leaves(redraw.size)
-        redraw = redraw[collide(positions[redraw])]
-    if redraw.size:
-        size = float(positions[redraw[0], -1] - positions[redraw[0], 0])
-        raise FloatingPointError(
-            f"could not draw {n} distinct leaf positions on an interval of size "
-            f"x0 = {size!r} in {_MAX_REDRAWS} attempts"
-        )
-    e = rng.exponential(size=(count, n + 1))
-    while (zero := np.flatnonzero(np.any(e == 0.0, axis=1))).size:  # underflow guard
-        e[zero] = rng.exponential(size=(zero.size, n + 1))
-    depths = np.diff(positions, axis=1)  # the gaps, turned into depths in place
-    depths /= e
+    size = rng.gamma(2.0, size=count) if x0 is None else np.full(count, x0)
+    draws = rng.exponential(size=(count, 2 * (n + 1)))
+    while (zero := np.flatnonzero(np.any(draws == 0.0, axis=1))).size:  # underflow guard
+        draws[zero] = rng.exponential(size=(zero.size, 2 * (n + 1)))
+    spacings, e = draws[:, : n + 1], draws[:, n + 1 :]
+    gaps = spacings * (size / spacings.sum(axis=1))[:, None]
+    depths = gaps / e
     np.log1p(depths, out=depths)
-    return positions, labels, depths
+    return gaps, depths
+
+
+def leaf_positions(gaps: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The fields of a :class:`LeafConfig` for each row of a
+    :func:`sample_block` ``gaps`` array: ``(positions, labels)`` of shapes
+    (count, n+2) and (count, n).  Each row's labels are a uniform
+    permutation of 0..n-1; its positions are the cumulative gaps, shifted so
+    that the spine, the rank holding label 0, sits at exactly 0.0.  A gap
+    below the rounding of its position ties two positions."""
+    count, width = gaps.shape
+    labels = rng.permuted(np.broadcast_to(np.arange(width - 1), (count, width - 1)), axis=1)
+    positions = np.zeros((count, width + 1))
+    np.cumsum(gaps, axis=1, out=positions[:, 1:])
+    positions -= positions[np.arange(count), np.argmax(labels == 0, axis=1) + 1][:, None]
+    return positions, labels
 
 
 def intervals(config: LeafConfig) -> np.ndarray:

@@ -23,7 +23,7 @@ from contextlib import ExitStack, contextmanager
 from itertools import chain
 from pathlib import Path
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def fmt_value(x) -> str:

@@ -242,7 +242,7 @@ def _sfs_replicate(args, rng, count: int) -> np.ndarray:
     means, for ``count`` genealogies."""
     params, n, z0, mode = args
     x0 = None if z0 is None else params.model_size(z0)
-    means = params.alpha * block_Lk(sample_block(n, rng, count, x0)[2])
+    means = params.alpha * block_Lk(sample_block(n, rng, count, x0)[1])
     if mode == "poisson-counts":
         return poisson_counts(rng, means).astype(float)
     return means

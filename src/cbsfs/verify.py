@@ -136,7 +136,7 @@ def suite_quadrature_identities(
 def _tmrca_replicate(args, rng, count: int) -> np.ndarray:
     """Population TMRCA of ``count`` genealogies: each one's deepest branch."""
     params, n, z0 = args
-    return params.time_unit * sample_block(n, rng, count, params.model_size(z0))[2].max(axis=1)
+    return params.time_unit * sample_block(n, rng, count, params.model_size(z0))[1].max(axis=1)
 
 
 def suite_tmrca_law(params: model.ModelParams, reps: int, seed: int, margin: float) -> list[Check]:

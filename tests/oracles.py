@@ -11,27 +11,36 @@ two sides.
 
 import math
 
-from cbsfs.genealogy import LeafConfig, ZetaVector, sample_block
+from cbsfs.genealogy import LeafConfig, ZetaVector, leaf_positions, sample_block
 from cbsfs.model import ModelParams
 from cbsfs.tree import GenealogyTree, StructuralError, build_tree, drop_mutations, newick_export
 
 
 def block_records(positions, labels, depths):
-    """Each row of a ``sample_block`` draw as a ``(LeafConfig, ZetaVector)``
-    pair, with the spine's depth 0 put back at its rank."""
+    """Each row of a ``sample_block`` draw, placed by ``leaf_positions``, as
+    a ``(LeafConfig, ZetaVector)`` pair, with the spine's depth 0 put back
+    at its rank."""
     for row_positions, row_labels, row_depths in zip(positions, labels, depths):
         config = LeafConfig(positions=tuple(row_positions.tolist()), labels=tuple(row_labels.tolist()))
         spine, row_depths = config.spine_index, row_depths.tolist()
         yield config, ZetaVector(zetas=(*row_depths[:spine], 0.0, *row_depths[spine:]))
 
 
+def drawn_records(n, rng, count, x0=None):
+    """A ``sample_block`` draw in model units, placed by ``leaf_positions``
+    from the same generator, as the records of ``block_records``."""
+    gaps, depths = sample_block(n, rng, count, x0)
+    return block_records(*leaf_positions(gaps, rng), depths)
+
+
 def sample_records(args, rng, count=1):
     """The block function of ``cbsfs sample`` built tree by tree: the block
-    drawn in model units and scaled to the units of ``params``, then each
-    row's records, its tree from ``build_tree``, then its mutations and
-    Newick text from that tree."""
+    drawn in model units, its leaves placed, and scaled to the units of
+    ``params``, then each row's records, its tree from ``build_tree``, then
+    its mutations and Newick text from that tree."""
     params, n, z0, mode = args
-    positions, labels, depths = sample_block(n, rng, count, None if z0 is None else 2.0 * params.theta * z0)
+    gaps, depths = sample_block(n, rng, count, None if z0 is None else 2.0 * params.theta * z0)
+    positions, labels = leaf_positions(gaps, rng)
     records = []
     for config, zetas in block_records(positions * params.size_unit, labels, depths * params.time_unit):
         tree = build_tree(config, zetas, mode)

@@ -58,7 +58,7 @@ class TestSampleCommand:
         lines = out.with_suffix(".nwk").read_text().strip().splitlines()
         assert len(lines) == 3
         doc = json.loads(out.with_suffix(".json").read_text())
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert len(doc["data"]) == 3
         for i, record in enumerate(doc["data"]):
             # each record holds its draw once: no tree, no derived key
@@ -118,15 +118,15 @@ class TestSampleCommand:
         assert drawn == all_records(sample_records, args, BLOCK + 1, seed=3)
 
     def test_collision_warnings_stay_silent(self, tmp_path):
-        # the redraw warnings go to the package logger, which shows nothing
-        # unless the application configures logging
+        # on an interval of subnormal size the cumulative gaps tie: the
+        # command says so in one line, naming --z0, and logs nothing else
         proc = run_python("-m", "cbsfs.cli", "sample", "--n", "200", "--z0", "5e-321",
                           "--reps", "1", "--out", str(tmp_path / "x"))
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
             "cbsfs: no finite result at --beta 1.0 --theta 1.0 --mu 1.0 --seed 1 --reps 1 --n 200 "
-            "--z0 5e-321 --root-mode population: could not draw 200 distinct leaf positions on an "
-            "interval of size x0 = 1e-320 in 64 attempts"
+            "--z0 5e-321 --root-mode population: two of the 200 leaf positions round to one float; "
+            "raise --z0"
         ]
         assert list(tmp_path.iterdir()) == []
 
@@ -214,7 +214,7 @@ class TestSfsCommand:
         assert run("sfs", "--mode", "expected", "--n", 4, "--z0", 1.0,
                    "--format", "json", "--out", out) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert [row["k"] for row in doc["data"]] == [1, 2, 3]
 
     def test_simulate_keeps_expected_columns(self, tmp_path):
@@ -452,7 +452,7 @@ class TestHeaderProvenance:
         out = tmp_path / "x.csv"
         assert run(*argv, "--out", out) == 0
         lines = out.read_text().splitlines()
-        assert lines[:2] == [f"# cbsfs {argv[0]}", "# schema_version=3"]
+        assert lines[:2] == [f"# cbsfs {argv[0]}", "# schema_version=4"]
         keys = [line[2:].split("=", 1)[0] for line in lines[2:] if line.startswith("#")]
         assert keys == _settings(argv[0]) + extra
 
@@ -612,8 +612,10 @@ class TestBadFlags:
             (["sfs", "--theta", "5e-324"], "the time unit 1 / (2 beta theta) is inf"),
             # alpha overflows
             (["clonal", "--beta", "5e-324", "--statistic", "zpow"], "alpha = mu / (2 beta theta) overflows"),
-            # Z0^4 is finite, its square is not
-            (["clonal", "--mode", "simulate", "--theta", "1e-38", "--mu", "0", "--reps", "100"],
+            # Z0^4 is finite, its square is not: at the size unit 5e38, Z0^4 is
+            # 6e154 x0^4, and the squared deviations overflow unless 100 sizes
+            # x0 ~ Gamma(2, 1) all hold x0^4 within 0.2 of their mean
+            (["clonal", "--mode", "simulate", "--theta", "1e-39", "--mu", "0", "--reps", "100"],
              "not CSV compliant: inf"),
             # the units are finite, but a depth, a position or a length times its unit is not
             (["sample", "--n", "3", "--reps", "50", "--beta", "5e-309", "--mu", "0"],
@@ -622,7 +624,8 @@ class TestBadFlags:
              "a position or branch depth leaves the float range in its unit"),
             (["sfs", "--beta", "3e-309", "--z0", "1", "--mu", "0"], "not CSV compliant: inf"),
             # sizes below the float range, as leaf positions on their interval
-            (["sample", "--n", "200", "--z0", "5e-321", "--reps", "1"], "could not draw 200 distinct"),
+            (["sample", "--n", "200", "--z0", "5e-321", "--reps", "1"],
+             "two of the 200 leaf positions round to one float; raise --z0"),
             # a conditioned size beyond the draw's range
             (["sfs", "--mode", "simulate", "--n", "3", "--reps", "2", "--z0", "1e300"],
              "the size x0 = 2e+300 is outside (0, 1e+250]"),
@@ -667,7 +670,7 @@ class TestWholeFiles:
         records = [{"newick": f"(X0:{i}.5);", "zetas": {"zetas": [0.0, i / 3]}} for i in range(5)]
         pairs = [("n", 1), ("z0", None), ("root_mode", "sample")]
         write_sample(tmp_path / "s", pairs, iter([records[:2], [], records[2:]]))
-        doc = {"command": "sample", "schema_version": 3, "config": dict(pairs),
+        doc = {"command": "sample", "schema_version": 4, "config": dict(pairs),
                "data": [{"replicate": i, **record} for i, record in enumerate(records)]}
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         assert (tmp_path / "s.json").read_text() == text + "\n"

@@ -19,10 +19,10 @@ from cbsfs.clonal import (
     v_representation_check,
     zcl_moment_ratio_scaled,
 )
-from cbsfs.genealogy import population_tree_length, sample_block, sample_population, sample_zetas
+from cbsfs.genealogy import population_tree_length, sample_population, sample_zetas
 from cbsfs.model import ModelParams, z0_moment
 from cbsfs.specfun import beta_fn
-from oracles import block_records
+from oracles import drawn_records
 
 # alpha = mu/(2 beta theta) = 1
 ALPHA_ONE = ModelParams(beta=1.0, theta=1.0, mu=2.0)
@@ -39,7 +39,7 @@ def test_replicate_by_replicate_call_is_a_one_block_draw(n, statistic):
     params = ModelParams(beta=0.7, theta=1.3, mu=1.1)
     for i in range(20):
         row = _clonal_replicate((params, n, statistic), replicate_rng(0, i))
-        ((config, zetas),) = block_records(*sample_block(n, replicate_rng(0, i), 1))
+        ((config, zetas),) = drawn_records(n, replicate_rng(0, i), 1)
         z0 = params.size_unit * config.z0
         length = params.time_unit * population_tree_length(config, zetas)
         power = n - 1 if statistic == "zpow_r" else n

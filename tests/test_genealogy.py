@@ -13,6 +13,7 @@ from cbsfs.genealogy import (
     block_Lk,
     block_tree_length,
     intervals,
+    leaf_positions,
     population_tree_length,
     sample_block,
     sample_population,
@@ -117,22 +118,28 @@ class TestSamplePopulation:
 
 
 class TestSampleBlock:
-    """The batched draw, in model units, against the per-replicate sampler
-    and statistics."""
+    """The batched draw, in model units, and the leaves placed on it,
+    against the per-replicate sampler and statistics and the closed-form
+    laws of the spacings."""
 
     @pytest.mark.parametrize("x0", [None, 1.5])
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
     def test_rows_match_per_replicate_statistics(self, n, x0):
-        positions, labels, depths = sample_block(n, np.random.default_rng(30 + n), 200, x0)
+        rng = np.random.default_rng(30 + n)
+        gaps, depths = sample_block(n, rng, 200, x0)
+        positions, labels = leaf_positions(gaps, rng)
+        assert gaps.shape == depths.shape == (200, n + 1)
         assert positions.shape == (200, n + 2) and labels.shape == (200, n)
         lengths, lk = block_tree_length(depths), block_Lk(depths)
         assert lk.shape == (200, n - 1)
         for r, (config, zetas) in enumerate(block_records(positions, labels, depths)):
-            # each depth belongs to the gap its rank owns toward the spine
+            # each depth belongs to the gap its rank owns toward the spine,
+            # which the cumulative gaps reproduce within rounding
             owned = np.delete(intervals(config), config.spine_index)
             np.testing.assert_array_equal(owned, np.diff(positions[r]))
+            _within_roundings(np.diff(positions[r]), gaps[r], 2, config.z0)
             if x0 is not None:
-                assert config.e_g + config.e_d == x0
+                _within_roundings(config.e_g + config.e_d, x0, n + 1, x0)
             assert lengths[r] == pytest.approx(population_tree_length(config, zetas), rel=1e-12)
             np.testing.assert_allclose(lk[r], Lk_all(config, zetas), rtol=1e-12, atol=0.0)
 
@@ -144,7 +151,9 @@ class TestSampleBlock:
         params = ModelParams(beta=0.7, theta=1.3)
         rng = np.random.default_rng(40)
         per_replicate = [_draw(params, 4, rng) for _ in range(reps)]
-        positions, labels, depths = sample_block(4, np.random.default_rng(41), reps)
+        rng = np.random.default_rng(41)
+        gaps, depths = sample_block(4, rng, reps)
+        positions, labels = leaf_positions(gaps, rng)
         size, time = params.size_unit, params.time_unit
         pairs = {
             "z0": ([c.z0 for c, _ in per_replicate], size * (positions[:, -1] - positions[:, 0])),
@@ -156,32 +165,38 @@ class TestSampleBlock:
             assert stats.ks_2samp(a, b).statistic < KS_COEFF * math.sqrt(2.0 / reps), name
 
     def test_closed_form_laws(self):
-        # one vectorised block each: in model units Z0 ~ Gamma(2, 1), and
-        # given the size 3 the left arm is Uniform(0, 3)
-        reps = 100_000
-        positions = sample_block(3, np.random.default_rng(43), reps)[0]
-        z0s = positions[:, -1] - positions[:, 0]
-        result = stats.kstest(z0s, stats.gamma(a=2.0).cdf)
+        # one vectorised block each, in model units: the size (a row's sum
+        # of gaps) is Gamma(2, 1); given the size 3 a row sums to 3 within
+        # its roundings, a gap over the size is Beta(1, n), the spine rank
+        # is uniform on 1..n and the spine's position is Uniform(-3, 0)
+        # from the left end
+        reps, n = 100_000, 3
+        gaps = sample_block(n, np.random.default_rng(43), reps)[0]
+        result = stats.kstest(gaps.sum(axis=1), stats.gamma(a=2.0).cdf)
         assert result.statistic < KS_COEFF / math.sqrt(reps)
-        positions = sample_block(3, np.random.default_rng(44), reps, x0=3.0)[0]
+        rng = np.random.default_rng(44)
+        gaps = sample_block(n, rng, reps, x0=3.0)[0]
+        _within_roundings(gaps.sum(axis=1), 3.0, n + 1, 3.0)
+        result = stats.kstest(gaps[:, 1] / 3.0, stats.beta(1, n).cdf)
+        assert result.statistic < KS_COEFF / math.sqrt(reps)
+        positions, labels = leaf_positions(gaps, rng)
+        np.testing.assert_array_equal(np.sort(labels, axis=1), np.broadcast_to(np.arange(n), (reps, n)))
+        ranks = np.bincount(np.argmax(labels == 0, axis=1), minlength=n)
+        assert stats.chisquare(ranks).pvalue > 0.01
         result = stats.kstest(-positions[:, 0], stats.uniform(loc=0.0, scale=3.0).cdf)
         assert result.statistic < KS_COEFF / math.sqrt(reps)
 
-    def test_collisions_redraw_their_rows(self, caplog):
-        # on an interval 200 subnormal steps long, leaf positions often
-        # coincide: only the colliding rows are redrawn, each with a warning.
-        # The depths log1p(gap / E) of such gaps are subnormal or 0
-        x0 = 1e-321
-        with caplog.at_level("WARNING", logger="cbsfs.genealogy"):
-            positions, labels, depths = sample_block(3, np.random.default_rng(42), 500, x0)
-        assert 0 < len(caplog.records) < 500 * 64
-        assert np.all(np.diff(positions, axis=1) > 0.0)
-        assert np.all(positions[:, -1] - positions[:, 0] == x0)
-        assert np.all(np.isfinite(depths) & (depths >= 0.0)) and np.any(depths == 0.0)
-        assert sorted(map(tuple, np.sort(labels, axis=1))) == [(0, 1, 2)] * 500
+    def test_subnormal_sizes_draw_silently(self, caplog):
+        # on an interval 200 subnormal steps long, gaps round to a few steps
+        # or to 0: the depths log1p(gap / E) are subnormal or 0, and nothing
+        # is redrawn or logged
+        with caplog.at_level("DEBUG", logger="cbsfs.genealogy"):
+            depths = sample_block(3, np.random.default_rng(42), 500, x0=1e-321)[1]
+        assert caplog.records == []
+        assert np.all(np.isfinite(depths) & (depths >= 0.0))
 
     def test_depths_stay_finite_at_the_largest_size(self):
-        depths = sample_block(50, np.random.default_rng(45), 1000, x0=1e250)[2]
+        depths = sample_block(50, np.random.default_rng(45), 1000, x0=1e250)[1]
         assert np.all(np.isfinite(depths) & (depths > 0.0))
 
     def test_validation(self):
@@ -191,8 +206,13 @@ class TestSampleBlock:
         for x0 in (0.0, -1.0, math.nan, 2e250, math.inf):
             with pytest.raises(FloatingPointError, match="outside"):
                 sample_block(2, rng, 10, x0=x0)
-        with pytest.raises(FloatingPointError, match="in 64 attempts"):
-            sample_block(200, rng, 3, x0=1e-320)
+
+
+def _within_roundings(value, exact, count, scale):
+    """Assert that ``value`` is within ``count`` roundings of ``exact``,
+    elementwise: a rounding is one unit in the last place of ``scale``, the
+    size of the operands, at most."""
+    np.testing.assert_allclose(value, exact, rtol=0.0, atol=count * 2.0**-52 * scale)
 
 
 class TestIntervals:

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cbsfs.genealogy import Lk_all, sample_block, sample_population, sample_zetas
+from cbsfs.genealogy import Lk_all, sample_population, sample_zetas
 from cbsfs.model import ModelParams
 from cbsfs.sfs import (
     _expected_lengths,
@@ -24,7 +24,7 @@ from cbsfs.sfs import (
     s_table,
     simulate_sfs,
 )
-from oracles import block_records
+from oracles import drawn_records
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 
@@ -397,7 +397,7 @@ def test_block_call_is_mu_times_the_lengths_of_the_block(z0):
     params = ModelParams(beta=0.7, theta=1.3, mu=1.1)
     rows = _sfs_replicate((params, 8, z0, "expected-lengths"), np.random.default_rng(5), 50)
     x0 = None if z0 is None else 2.0 * params.theta * z0
-    records = list(block_records(*sample_block(8, np.random.default_rng(5), 50, x0)))
+    records = list(drawn_records(8, np.random.default_rng(5), 50, x0))
     assert rows.shape == (50, 7)
     for row, (config, zetas) in zip(rows, records):
         lengths = params.time_unit * Lk_all(config, zetas)

@@ -20,8 +20,9 @@ Sizes are kept small, so no case allocates more than a few tens of MB:
 ``--points`` at most 50, ``--u-points`` at most 30, ``--n-max`` at most 12,
 and ``verify`` runs only its analytic suites.  ``sample``'s atom budget is
 lowered to 10 000 atoms per block.  Not swept: large ``--n``, whose memory
-grows without bound (one block of ``sample`` or ``sfs --mode simulate``
-takes about 90 bytes per row and leaf) and which no limit rejects yet, so
+grows without bound (by ``tracemalloc``, one block of 1024 rows peaks at
+about 81 bytes per row and leaf in ``sfs --mode simulate`` and 180 in
+``sample`` at ``--mu 0``, at n = 1000) and which no limit rejects yet, so
 a case there could exhaust the machine instead of exiting 1; and
 ``--points`` and ``--u-points`` near their bound, ``cli.MAX_POINTS``.
 """

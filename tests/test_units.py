@@ -3,15 +3,17 @@ is its output in model units times 1 / (2 beta theta) for a time and
 1 / (2 theta) for a size.
 
 Each case draws beta and theta log-uniformly over 1e-300..1e300 and runs
-`sfs --mode simulate` and `sample` at the fixed alpha = mu / (2 beta theta)
-and size x0 = 2 theta z0, and again at beta = theta = 1 with the same alpha
-and x0 (the unit run), from the same seed.  Values free of units (the
-simulated mean, its standard error and E[xi_k]) must be equal; E[L_k],
-the leaf positions, the branch depths and the Newick branch lengths must be
-the unit run's, scaled, within one rounding (for a branch length, one
-rounding of the depths it is the difference of).  Where a unit or a scaled
-output leaves the float range, the command exits 1 with one line and writes
-no file.
+`sfs --mode simulate`, `sample` and `clonal --mode simulate` at the fixed
+alpha = mu / (2 beta theta) and size x0 = 2 theta z0, and again at
+beta = theta = 1 with the same alpha and x0 (the unit run), from the same
+seed.  Values free of units (the simulated mean, its standard error and
+E[xi_k]) must be equal; E[L_k], the leaf positions, the branch depths and
+the Newick branch lengths must be the unit run's, scaled, within one
+rounding (for a branch length, one rounding of the depths it is the
+difference of); the clonal mean and standard error of Z0^p e^{-mu L} must
+be the unit run's times the size unit to the power p, within 1e-12
+relative.  Where a unit or a scaled output leaves the float range, the
+command exits 1 with one line and writes no file.
 """
 
 import json
@@ -27,6 +29,7 @@ from cbsfs.cli import main
 
 ALPHA, X0 = 0.5, 3.0
 TINY = 2.0**-1022  # the smallest normal float
+CLONAL_REPS = 100
 
 
 def _run(tmp_path, name, argv):
@@ -55,6 +58,21 @@ def _one_rounding(value, exact, scale=None):
 def _fine(values):
     """Whether every value is finite and 0 or a normal float."""
     return all(v == 0.0 or TINY <= abs(v) < math.inf for v in values)
+
+
+def _scaled(value, factor, power):
+    """``value`` times ``factor`` to the ``power``, inf where that overflows."""
+    try:
+        return value * factor**power
+    except OverflowError:
+        return math.inf
+
+
+def _squares_fine(mean, se):
+    """Whether a clonal row's per-replicate values, each at most CLONAL_REPS
+    times their mean, square without overflow, and its squared deviations,
+    of the order of the squared standard error, are normal floats."""
+    return CLONAL_REPS * (CLONAL_REPS * mean) * (CLONAL_REPS * mean) < math.inf and (se == 0.0 or se * se >= TINY)
 
 
 def _sample_values(path):
@@ -87,17 +105,21 @@ def test_beta_and_theta_only_set_the_units(tmp_path_factory, log_beta, log_theta
     alpha = mu / scale if units_fine else ALPHA
     x0 = 2.0 * theta * z0
     flags = {"sfs": ["sfs", "--mode", "simulate", "--n", 6, "--reps", 40, "--seed", 7],
-             "sample": ["sample", "--n", 6, "--reps", 3, "--seed", 7]}
+             "sample": ["sample", "--n", 6, "--reps", 3, "--seed", 7],
+             "clonal": ["clonal", "--mode", "simulate", "--n-max", 3, "--reps", CLONAL_REPS, "--seed", 7]}
     for command, argv in flags.items():
-        unit = _run(tmp_path, f"{command}-unit", argv + ["--mu", repr(2.0 * alpha), "--z0", repr(x0 / 2.0)])
+        # clonal draws no conditioned size
+        unit_z0, z0_flag = ([], []) if command == "clonal" else (["--z0", repr(x0 / 2.0)], ["--z0", repr(z0)])
+        unit = _run(tmp_path, f"{command}-unit", argv + ["--mu", repr(2.0 * alpha)] + unit_z0)
         assert unit[0] == 0, unit[1]
         code, err, written = _run(tmp_path, command, argv + ["--beta", repr(beta), "--theta", repr(theta),
-                                                             "--mu", repr(mu), "--z0", repr(z0)])
+                                                             "--mu", repr(mu)] + z0_flag)
         if code != 0:
             assert code == 1 and err.startswith("cbsfs: ") and err.count("\n") == 1, err
             assert written == [], written
         if not units_fine:
-            assert code == 1, (beta, theta)
+            # clonal reads no time unit: where 2 beta theta underflows it runs at alpha = 0
+            assert code == 1 or command == "clonal", (beta, theta)
             continue
         # the unit run's outputs are in units of 1/2
         if command == "sfs":
@@ -109,6 +131,15 @@ def test_beta_and_theta_only_set_the_units(tmp_path_factory, log_beta, log_theta
             for row_u, row, length in zip(unit_rows, _table(written[0]), lengths):
                 assert row[2:] == row_u[2:]  # expected_xi, mc_mean, mc_se
                 assert _one_rounding(float(row[1]), length)
+        elif command == "clonal":
+            # row n holds the moments of Z0^(n-1) e^{-mu L}: mc_mean, mc_se
+            expected = [[_scaled(float(v), size / 0.5, int(row[0]) - 1) for v in row[2:]]
+                        for row in _table(unit[2][0])]
+            if not all(_fine(row) and _squares_fine(*row) for row in expected):
+                continue
+            assert code == 0, err
+            for row, e_row in zip(_table(written[0]), expected):
+                assert all(math.isclose(float(v), e, rel_tol=1e-12) for v, e in zip(row[2:], e_row))
         else:
             expected = [([size * (p / 0.5) for p in positions], [time * (d / 0.5) for d in depths],
                          [time * (x / 0.5) for x in lengths], time * (deepest / 0.5))
