@@ -11,7 +11,7 @@ E[xi_k]) must be equal; E[L_k], the leaf positions, the branch depths and
 the Newick branch lengths must be the unit run's, scaled, within one
 rounding (for a branch length, one rounding of the depths it is the
 difference of); the clonal mean and standard error of Z0^p e^{-mu L} must
-be the unit run's times the size unit to the power p, within 1e-12
+be the unit run's, scaled by the size unit to the power p, within 1e-12
 relative.  Where a unit or a scaled output leaves the float range, the
 command exits 1 with one line and writes no file.
 """
@@ -72,7 +72,8 @@ def _squares_fine(mean, se):
     """Whether a clonal row's per-replicate values, each at most CLONAL_REPS
     times their mean, square without overflow, and its squared deviations,
     of the order of the squared standard error, are normal floats."""
-    return CLONAL_REPS * (CLONAL_REPS * mean) * (CLONAL_REPS * mean) < math.inf and (se == 0.0 or se * se >= TINY)
+    bound = CLONAL_REPS * mean
+    return CLONAL_REPS * bound * bound < math.inf and (se == 0.0 or se * se >= TINY)
 
 
 def _sample_values(path):
