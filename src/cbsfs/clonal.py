@@ -4,10 +4,11 @@ The clonal mass at time 0 — individuals carrying the genotype of the
 population MRCA — has conditional moments E[Z_cl^n | Z0] =
 E[Z0^n e^{-mu L_n} | Z0] with L_n the population-rooted tree length, which
 reduce to signed combinations of Euler Beta factors in the rescaled
-mutation rate alpha = mu/(2 beta theta).  The Beta combinations nearly
-cancel for large n, so each factor is evaluated through log-Gamma and the
-(n-1)- and (n-1)(n-2)-weighted terms are assembled as pre-multiplied
-brackets that vanish identically at n = 1, 2 instead of dividing by zero.
+mutation rate alpha = mu/(2 beta theta).  With e = 1/(1+alpha), n times
+each Beta factor is f(x) = prod_{j<=n} 1/(1 + x/j) at x = -e, e or 2e, and
+the combinations collect into two differences of f, each summed from
+positive terms, so that no digits cancel at any alpha.  The size factor
+E[Z0^n] (1+alpha)^{-n} is one exactly rounded ratio of integers.
 
 Two independent Monte-Carlo routes back the closed forms: the genealogy
 route (sample a replicate, compute L_n from the branch depths) and the
@@ -23,7 +24,7 @@ import numpy as np
 
 from ._mc import map_replicates, mean_and_se, replicate_rng
 from .genealogy import block_tree_length, sample_block
-from .model import ModelParams, z0_moment
+from .model import ModelParams, positive_finite, shrunk_z0_moment, z0_moment
 from .specfun import beta_fn
 
 
@@ -37,72 +38,62 @@ def u_moment(alpha: float, k: int, a: float) -> float:
     return beta_fn(k, 1.0 + b) / (1.0 + alpha)
 
 
-def e_zcl_pow_r(params: ModelParams, n: int) -> float:
-    """E[Z_cl^{n-1} R], the joint clonal-mass / clonal-fraction moment.
+@np.errstate(over="ignore")  # j alpha past the float range: its terms are 0
+def _differences(a: float, n: int) -> tuple[float, float]:
+    """alpha S and alpha X for f(x) = prod_{j<=n} 1/(1 + x/j) = n B(n, 1 + x) at
+    e = 1/(1+alpha): S = f(-e) + f(e) - 2 = n (B0 + B2 - 2/n) and
+    X = f(2e) - f(e) - f(0) + f(-e), each summed from positive terms.  Below
+    alpha = 1, alpha f(-e) dominates, its j = 1 factor kept out of the exponential."""
+    j = np.arange(1.0, n + 1.0)
+    k = j - 1.0 + j * a  # j / e - 1, exact at j = 1
+    if a < 1.0:
+        k = k[1:]
+        up, um, uq = map(math.fsum, np.log1p([1.0 / k, 1.0 / (k + 1.0), 2.0 / (k + 1.0)]).tolist())
+        fm = (1.0 + a) * math.exp(up)  # alpha f(-e)
+        fp = a * (1.0 + a) / (2.0 + a) * math.exp(-um)  # alpha f(e)
+        fq = a * (1.0 + a) / (3.0 + a) * math.exp(-uq)  # alpha f(2e)
+        return (fm - 2.0 * a) + fp, (fm - a) + (fq - fp)
+    # halves of log f(-e), -log f(2e), -log f(e) and (m, mx) of the sums that cancel as their
+    # differences: S = 2(e^m cosh d - 1) at d = dm + dp; X pairs f(2e) + f(-e), f(e) + f(0)
+    r = 1.0 / k
+    terms = np.log1p([r / (k + 2.0), 2.0 * r / (k + 3.0), r, 2.0 / (k + 1.0), 1.0 / (k + 1.0)])
+    m, mx, dm, dq, dp = (0.5 * math.fsum(row) for row in terms.tolist())
+    s = 2.0 * (math.expm1(m) + 2.0 * math.exp(m) * math.sinh(0.5 * (dm + dp)) ** 2)
+    d = dm + dq
+    x = 2.0 * math.exp(-dp) * (math.expm1(mx) * math.cosh(d)
+                               + 2.0 * math.sinh(0.5 * (d + dp)) * math.sinh(0.5 * (d - dp)))
+    return a * s, a * x
 
-    alpha = 0 means no mutations, so the clone is the whole population and
-    the value is E[Z0^{n-1}] exactly (the Beta factor at argument
-    alpha/(1+alpha) diverges there; its alpha-weighted limit is 1).
-    """
+
+def e_zcl_pow_r(params: ModelParams, n: int) -> float:
+    """E[Z_cl^{n-1} R] = alpha/(1+alpha)^n (B0 + B2 - 2/n) E[Z0^{n-1}], with
+    B0, B2 = B(n, alpha/(1+alpha)), B(n, (2+alpha)/(1+alpha)); exactly
+    E[Z0^{n-1}] at alpha = 0, where the clone is the whole population."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a = params.alpha
-    if a == 0.0:
-        return z0_moment(params, n - 1)
-    bracket = (
-        beta_fn(n, (2.0 + a) / (1.0 + a))
-        + beta_fn(n, a / (1.0 + a))
-        - 2.0 / n
-    )
-    return a / (1.0 + a) ** n * bracket * z0_moment(params, n - 1)
+    weight = 1.0 if a == 0.0 else _differences(a, n)[0] / ((1.0 + a) * n)
+    return positive_finite(f"E[Z_cl^{n - 1} R]", weight * shrunk_z0_moment(params, n - 1, a))
 
 
 def zcl_moment_ratio_scaled(params: ModelParams, n: int) -> float:
-    """(1+alpha)^n E[Z_cl^n] / E[Z0^n], the overflow-free moment ratio.
-
-    This is the quantity whose n^{alpha/(1+alpha)}-scaled limit is
-    (2 alpha/(2+alpha)) Gamma(alpha/(1+alpha)).
-    """
+    """(1+alpha)^n E[Z_cl^n] / E[Z0^n] = 2 alpha (S + X/n) / ((n+1)(2+alpha)),
+    the closed form's six Beta brackets collected (S, X of `_differences`);
+    exactly 1 at alpha = 0.  Its n^{alpha/(1+alpha)}-scaled limit is
+    (2 alpha/(2+alpha)) Gamma(alpha/(1+alpha))."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a = params.alpha
     if a == 0.0:
         return 1.0
-    q0 = a / (1.0 + a)
-    b_q2 = beta_fn(n, (2.0 + a) / (1.0 + a))
-    b_q3 = beta_fn(n, (3.0 + a) / (1.0 + a))
-    b_q1 = beta_fn(n, 1.0 / (1.0 + a))
-    b_q0 = beta_fn(n, q0)
-    # (n-1) beta(n-1, q0) continued through Gamma(n)Gamma(q0)/Gamma(n-1+q0)
-    nm1_beta = math.exp(math.lgamma(n) + math.lgamma(q0) - math.lgamma(n - 1 + q0))
-    # the six Beta brackets with their (1+alpha)^{-n} prefactor stripped:
-    # A carries no further prefactor; A2, B0, B carry 1/(n-1); B2 carries
-    # 1/((n-1)(n-2)) -- all pre-multiplied out
-    A = 1.0 / n - b_q2
-    A0 = 1.0 / n - 2.0 * b_q2 + b_q3
-    B = a * b_q0 - 2.0 * (1.0 + a) / n + (2.0 + a) * b_q2
-    A2 = ((1.0 + a) - (2.0 + a) * b_q2 - b_q1 + (3.0 + a) * b_q3) / (2.0 + a)
-    B0 = a * b_q0 - 3.0 * (1.0 + a) / n + 3.0 * (2.0 + a) * b_q2 - (3.0 + a) * b_q3
-    B2 = (
-        a * (1.0 + a) * nm1_beta
-        - (2.0 + 2.0 * a) * (1.0 + a) / n
-        - 2.0 * (1.0 + a) ** 2
-        + 2.0 * (3.0 + 2.0 * a) * (2.0 + a) * b_q2
-        + (2.0 + a) * b_q1
-        - (4.0 + 2.0 * a) * (3.0 + a) * b_q3
-    ) / (2.0 + a)
-    inner = 3.0 * A0 + 2.0 * ((n - 1) * A - A2 + B0) + (n - 2) * B - B2
-    return 2.0 / (n + 1) * inner
+    s, x = _differences(a, n)
+    return 2.0 * (s + x / n) / ((n + 1) * (2.0 + a))
 
 
 def e_zcl_pow(params: ModelParams, n: int) -> float:
-    """E[Z_cl^n]; may overflow to inf for n large enough that E[Z0^n] does
-    (use zcl_moment_ratio_scaled for asymptotics)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    # at alpha = 0 both factors before E[Z0^n] are exactly 1.0
-    ratio = zcl_moment_ratio_scaled(params, n)
-    return ratio * (1.0 + params.alpha) ** (-n) * z0_moment(params, n)
+    """E[Z_cl^n], the ratio times the exact E[Z0^n] (1+alpha)^{-n}."""
+    moment = zcl_moment_ratio_scaled(params, n) * shrunk_z0_moment(params, n, params.alpha)
+    return positive_finite(f"E[Z_cl^{n}]", moment)
 
 
 def clonal_summary(params: ModelParams) -> dict[str, float]:

@@ -51,10 +51,7 @@ class ModelParams:
 
     def model_size(self, z0: float) -> float:
         """x0 = 2 theta z0, the population size z0 in the size unit."""
-        x0 = 2.0 * self.theta * z0
-        if not 0.0 < x0 < math.inf:
-            raise FloatingPointError(f"the size x0 = 2 theta z0 is {x0!r}, not a positive finite float")
-        return x0
+        return positive_finite("the size x0 = 2 theta z0", 2.0 * self.theta * z0)
 
     @property
     def alpha(self) -> float:
@@ -71,10 +68,14 @@ class ModelParams:
 
 def _unit(scale: float, name: str) -> float:
     """1 / scale, which must be a positive finite float."""
-    unit = 1.0 / scale if scale > 0.0 else math.inf
-    if not 0.0 < unit < math.inf:
-        raise FloatingPointError(f"the {name} is {unit!r}, not a positive finite float")
-    return unit
+    return positive_finite(f"the {name}", 1.0 / scale if scale > 0.0 else math.inf)
+
+
+def positive_finite(name: str, value: float) -> float:
+    """``value`` if it is a positive finite float, else a FloatingPointError naming it."""
+    if not 0.0 < value < math.inf:
+        raise FloatingPointError(f"{name} is {value!r}, not a positive finite float")
+    return value
 
 
 # The parameters whose two units are 1, at which alpha = mu and x0 = z0.
@@ -118,14 +119,20 @@ def tmrca_cdf(params: ModelParams, t: float, z: float) -> float:
 
 def z0_moment(params: ModelParams, k: int) -> float:
     """E[Z0^k] = (k+1)! / (2 theta)^k for the stationary marginal."""
+    return positive_finite(f"E[Z0^{k}]", shrunk_z0_moment(params, k, 0.0))
+
+
+def shrunk_z0_moment(params: ModelParams, k: int, alpha: float) -> float:
+    """E[Z0^k] (1+alpha)^{-k} = (k+1)! / (2 theta (1+alpha))^k (inf beyond the
+    float range): theta and alpha are binary fractions, so it is a ratio of
+    integers, which int / int rounds once."""
     if k < 0 or k != int(k):
         raise ValueError(f"z0_moment requires integer k >= 0, got {k}")
     k = int(k)
-    if k <= 150:
-        return math.factorial(k + 1) / (2.0 * params.theta) ** k
-    log_m = math.lgamma(k + 2) - k * math.log(2.0 * params.theta)
+    t, u = params.theta.as_integer_ratio()
+    a, b = alpha.as_integer_ratio()
     try:
-        return math.exp(log_m)
+        return math.factorial(k + 1) * (u * b) ** k / (2 * t * (a + b)) ** k
     except OverflowError:
         return math.inf
 

@@ -301,6 +301,17 @@ class TestClonalCommand:
             assert float(row[1]) == pytest.approx(e_zcl_pow_r(params, n), rel=1e-12)
             assert row[2] == "" and row[3] == ""
 
+    @pytest.mark.parametrize("statistic", ["zpow_r", "zpow"])
+    def test_large_alpha_rows_are_positive(self, tmp_path, statistic):
+        # alpha = 1000: every moment up to n = 120 is a normal float
+        # (E[Z_cl^106] is 7.52e-185), so no row is written as 0.0
+        out = tmp_path / "clonal.csv"
+        assert run("clonal", "--mu", 2000, "--n-max", 120, "--statistic", statistic, "--out", out) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if line and not line.startswith("#")][1:]
+        assert [int(row[0]) for row in rows] == list(range(1, 121))
+        assert all(float(row[1]) > 1e-300 for row in rows)
+
     def test_mu_zero_with_underflowing_two_beta_theta(self, tmp_path, capsys):
         # 2 beta theta underflows to 0: alpha is 0 at mu = 0 and undefined above
         out = tmp_path / "clonal.csv"
@@ -576,7 +587,7 @@ class TestBadFlags:
             (["clonal", "--mu", "1e300"], ""),
             # the command's settings, as flags, name where the result overflowed
             (["clonal", "--n-max", "400"],
-             "--n-max 400 --statistic zpow_r: Out of range float values are not CSV compliant: inf"),
+             "--n-max 400 --statistic zpow_r: E[Z_cl^215 R] is inf, not a positive finite float"),
             (["sample", "--n", "200", "--z0", "1e-320", "--reps", "1"], ""),
             (["sfs", "--mode", "simulate", "--n", "200", "--z0", "1e-320", "--reps", "2"], ""),
             # x0 v = 2 theta z0 v underflows to 0 at the smallest quadrature node
@@ -632,6 +643,10 @@ class TestBadFlags:
             # the points of a grid, beyond the bound
             (["density", "--points", str(cli.MAX_POINTS + 1)], f"--points must be <= {cli.MAX_POINTS}"),
             (["g1", "--u-points", str(cli.MAX_POINTS + 1)], f"--u-points must be <= {cli.MAX_POINTS}"),
+            # the moment of a row leaves the float range: the row loop stops there
+            (["clonal", "--theta", "1e262", "--n-max", "3"], "E[Z_cl^2 R] is 0.0, not a positive finite float"),
+            (["clonal", "--theta", "1e-178", "--n-max", "3"], "E[Z_cl^0 R] is 0.0, not a positive finite float"),
+            (["clonal", "--mu", "0", "--n-max", "100000"], "E[Z_cl^196 R] is inf, not a positive finite float"),
         ],
         ids=["density-r-max-inf", "density-ratio-overflow", "g1-z-inf", "g1-z-1e308",
              "sfs-z0-inf", "sample-z0-inf", "clonal-mu-1e300", "clonal-n-max-400",
@@ -644,7 +659,9 @@ class TestBadFlags:
              "sfs-sizes-overflow-theta-5e-324", "clonal-alpha-overflow", "clonal-se-overflow",
              "sample-depth-overflow-beta-5e-309", "sample-position-overflow-theta-6e-309",
              "sfs-lengths-overflow-beta-3e-309", "sample-collisions-z0-5e-321", "sfs-z0-1e300",
-             "density-points-above-the-bound", "g1-u-points-above-the-bound"],
+             "density-points-above-the-bound", "g1-u-points-above-the-bound",
+             "clonal-moment-underflow-theta-1e262", "clonal-moment-underflow-theta-1e-178",
+             "clonal-first-row-out-of-range"],
     )
     # numpy's warning, printed before the one-line message, is an error here
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,6 +1,7 @@
 """Closed-form clonal moments against exact rationals and two MC routes."""
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -87,6 +88,15 @@ class TestJointMoment:
         expected = Fraction(2, 1) / (Fraction(2) * Fraction(3))
         assert e_zcl_pow_r(ALPHA_ONE, 1) == pytest.approx(float(expected), rel=1e-12)
 
+    def test_mean_fraction_within_ulps_of_the_rational(self):
+        # E[R] = 2/((alpha+1)(alpha+2)) from the bracket at n = 1, over a
+        # dense grid: its Beta factors nearly cancel at large alpha, and the
+        # exponential of their logarithms loses digits at small alpha
+        for alpha in np.logspace(-9, 100, 500).tolist():
+            params = ModelParams(beta=1.0, theta=0.5, mu=alpha)  # alpha = mu
+            e_r = clonal_summary(params)["e_r"]
+            assert abs(e_zcl_pow_r(params, 1) - e_r) <= 8 * math.ulp(e_r), alpha
+
     def test_zero_rate_degenerates_to_size_moment(self):
         for n in (1, 2, 4):
             assert e_zcl_pow_r(NO_MUTATION, n) == pytest.approx(
@@ -115,16 +125,69 @@ class TestJointMoment:
                 assert float(abs(e_zcl_pow_r(params, n) - ref) / ref) < 1e-13
 
 
-class TestSizeMomentLogGamma:
-    @pytest.mark.parametrize("k", [151, 300])
-    def test_mpmath_oracle(self, k):
-        # beyond k = 150 z0_moment goes through lgamma(k + 2); theta = 50
-        # keeps (k+1)!/(2 theta)^k finite at k = 300.  Its logarithm is ~1400,
-        # so each rounding costs ~1.5e-13 relative
-        params = ModelParams(beta=1.0, theta=50.0, mu=1.0)
-        with mpmath.workdps(40):
-            ref = mpmath.factorial(k + 1) / (2 * mpmath.mpf(params.theta)) ** k
-            assert float(abs(z0_moment(params, k) - ref) / ref) < 1e-12
+class TestSizeMoment:
+    @pytest.mark.parametrize("theta", [0.3, 1.3, 56.0])
+    def test_one_rounding_from_mpmath(self, theta):
+        # E[Z0^k] = (k+1)!/(2 theta)^k is one correctly rounded ratio of
+        # integers; beyond the float range it is an error that names it
+        params = ModelParams(beta=1.0, theta=theta)
+        with mpmath.workdps(50):
+            for k in range(701):
+                ref = mpmath.factorial(k + 1) / (2 * mpmath.mpf(theta)) ** k
+                if ref < sys.float_info.max:
+                    value = z0_moment(params, k)
+                    assert abs(value - ref) <= math.ulp(value) / 2, k
+                else:
+                    with pytest.raises(FloatingPointError, match=rf"^E\[Z0\^{k}\] is inf"):
+                        z0_moment(params, k)
+
+
+def _ratio_six_brackets(alpha: float, n: int, dps: int) -> mpmath.mpf:
+    """(1+alpha)^n E[Z_cl^n] / E[Z0^n] as six Beta brackets, each summed
+    apart, in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        q0 = a / (1 + a)
+        b0, b1, b2, b3 = (mpmath.beta(n, q) for q in (q0, 1 / (1 + a), (2 + a) / (1 + a), (3 + a) / (1 + a)))
+        nm1_beta = mpmath.gamma(n) * mpmath.gamma(q0) / mpmath.gamma(n - 1 + q0)
+        inv_n = 1 / mpmath.mpf(n)
+        A = inv_n - b2
+        A0 = inv_n - 2 * b2 + b3
+        B = a * b0 - 2 * (1 + a) * inv_n + (2 + a) * b2
+        A2 = ((1 + a) - (2 + a) * b2 - b1 + (3 + a) * b3) / (2 + a)
+        B0 = a * b0 - 3 * (1 + a) * inv_n + 3 * (2 + a) * b2 - (3 + a) * b3
+        B2 = (
+            a * (1 + a) * nm1_beta - (2 + 2 * a) * (1 + a) * inv_n - 2 * (1 + a) ** 2
+            + 2 * (3 + 2 * a) * (2 + a) * b2 + (2 + a) * b1 - (4 + 2 * a) * (3 + a) * b3
+        ) / (2 + a)
+        return 2 / mpmath.mpf(n + 1) * (3 * A0 + 2 * ((n - 1) * A - A2 + B0) + (n - 2) * B - B2)
+
+
+class TestMomentRatio:
+    @pytest.mark.parametrize("alpha", [1e-9, 0.5, 1.0, 20.0])
+    def test_six_bracket_oracle(self, alpha):
+        # the bound admits the six brackets summed apart in floats, which
+        # lose up to 1.3e-11 at alpha = 20 (n = 50)
+        params = ModelParams(beta=1.0, theta=0.5, mu=alpha)  # alpha = mu
+        for n in [*range(1, 11), 50, 200]:
+            ref = _ratio_six_brackets(alpha, n, 60)
+            assert float(abs(zcl_moment_ratio_scaled(params, n) - ref) / ref) < 5e-11, n
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.5, 1.0, 20.0, 500.0, 1000.0, 1e6, 1e12])
+    def test_both_moments_match_mpmath(self, alpha):
+        # theta = 1/(1+alpha) keeps E[Z0^n] (1+alpha)^{-n} near (n+1)!/2^n;
+        # the Beta brackets cancel to about (1+alpha)^-3, which the digits cover
+        params = ModelParams(beta=1.0, theta=1.0 / (1.0 + alpha), mu=2.0 * alpha / (1.0 + alpha))
+        dps = 40 + int(4 * math.log10(1.0 + alpha))
+        with mpmath.workdps(dps):
+            a, theta = mpmath.mpf(params.alpha), mpmath.mpf(params.theta)
+            for n in (1, 2, 3, 5, 50, 120):
+                size = mpmath.factorial(n) / (2 * theta) ** (n - 1)
+                bracket = mpmath.beta(n, (2 + a) / (1 + a)) + mpmath.beta(n, a / (1 + a)) - 2 / mpmath.mpf(n)
+                ref_r = a / (1 + a) ** n * bracket * size
+                ref = _ratio_six_brackets(params.alpha, n, dps) * (n + 1) * size / (2 * theta * (1 + a) ** n)
+                assert float(abs(e_zcl_pow_r(params, n) - ref_r) / ref_r) < 1e-13, n
+                assert float(abs(e_zcl_pow(params, n) - ref) / ref) < 1e-13, n
 
 
 class TestClonalMassMoment:
