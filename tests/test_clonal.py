@@ -142,6 +142,18 @@ class TestSizeMoment:
                         z0_moment(params, k)
 
 
+class TestSizeMomentLogGamma:
+    @pytest.mark.parametrize("k", [151, 300])
+    def test_mpmath_oracle(self, k):
+        # large k, where a route through lgamma(k + 2) would lose ~1.5e-13
+        # per rounding of a logarithm near 1400; theta = 50 keeps
+        # (k+1)!/(2 theta)^k finite at k = 300
+        params = ModelParams(beta=1.0, theta=50.0, mu=1.0)
+        with mpmath.workdps(40):
+            ref = mpmath.factorial(k + 1) / (2 * mpmath.mpf(params.theta)) ** k
+            assert float(abs(z0_moment(params, k) - ref) / ref) < 1e-12
+
+
 def _ratio_six_brackets(alpha: float, n: int, dps: int) -> mpmath.mpf:
     """(1+alpha)^n E[Z_cl^n] / E[Z0^n] as six Beta brackets, each summed
     apart, in mpmath at ``dps`` digits."""
