@@ -1,11 +1,6 @@
 """Exact sampled genealogies, site frequency spectra and clonal statistics
 for a stationary population driven by a quadratic branching mechanism."""
 
-import logging
-
-# Library logging: the application decides whether warnings are shown.
-logging.getLogger("cbsfs").addHandler(logging.NullHandler())
-
 # The command-level API: what the documented commands compute.  Everything
 # else is imported from its submodule.
 from .clonal import clonal_summary, e_zcl_pow, e_zcl_pow_r, mc_clonal

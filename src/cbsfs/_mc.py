@@ -18,7 +18,6 @@ them.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Executor
 from itertools import islice
 
 import numpy as np
@@ -39,15 +38,15 @@ def _run_chunk(fn, args, seed, lo, hi):
     return fn(args, replicate_rng(seed, lo // BLOCK), hi - lo)
 
 
-def replicate_blocks(fn, args, reps: int, seed: int, pool: Executor | None = None):
+def replicate_blocks(fn, args, reps: int, seed: int, pool=None):
     """Yield the results of the block function ``fn`` for ``reps``
     replicates, one block at a time and in replicate order: each an array
     with one row per replicate, or a list.
 
-    Without ``pool`` every block is drawn here.  With one (the command opens
-    it and reuses it for all its runs), every block runs in a pool process;
-    the blocks are yielded in submission order, and each one is released
-    once yielded.  Blocks are submitted as the consumer asks for them, at
+    Without ``pool`` every block is drawn here.  With one (a
+    ``concurrent.futures`` executor, which the command opens and reuses for
+    all its runs), every block runs in a pool process; the blocks are
+    yielded in submission order, and each one is released once yielded.  Blocks are submitted as the consumer asks for them, at
     most twice the pool's size ahead: the block being yielded and those
     submitted after it number at most that many, so a slow consumer holds a
     bounded number of finished blocks whatever ``reps`` is.  Closing the
@@ -77,7 +76,7 @@ def replicate_blocks(fn, args, reps: int, seed: int, pool: Executor | None = Non
             future.cancel()
 
 
-def map_replicates(fn, args, reps: int, seed: int, pool: Executor | None = None) -> np.ndarray:
+def map_replicates(fn, args, reps: int, seed: int, pool=None) -> np.ndarray:
     """``reps`` results of the array block function ``fn``, in replicate
     order, as one array with one row per replicate.  ``pool`` is as for
     :func:`replicate_blocks`.

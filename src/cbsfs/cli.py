@@ -24,7 +24,7 @@ from . import verify
 from ._mc import replicate_blocks
 from .clonal import MC_STATISTICS, clonal_summary, e_zcl_pow, e_zcl_pow_r, mc_clonal
 from .genealogy import block_parents, block_tree_length, leaf_positions, sample_block
-from .model import MODEL_UNITS, ModelParams
+from .model import ModelParams
 from .reports import fmt_value, write_csv, write_json_doc, write_sample, write_text
 from .sfs import SIMULATE_MODES, expected_sfs, g1, mean_density, simulate_sfs
 from .specfun import QuadratureError
@@ -235,7 +235,7 @@ def cmd_sfs(args, params: ModelParams) -> int:
         mc_mean, mc_se = mean.tolist(), se.tolist()
     # in model units: E[L_k] is the time unit times a length, E[xi_k] alpha times it
     x0 = None if args.z0 is None else params.model_size(args.z0)
-    lk = expected_sfs(MODEL_UNITS, args.n, x0).tolist()
+    lk = expected_sfs(args.n, x0).tolist()
     columns = ["k", "expected_L", "expected_xi", "mc_mean", "mc_se"]
     rows = [
         [k, unit * length, alpha * length, m, s]

@@ -18,7 +18,6 @@ uniform product representation over n+1 independent uniforms.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor
 
 import numpy as np
 
@@ -139,7 +138,7 @@ def mc_clonal(
     reps: int,
     seed: int,
     statistic: str = "zpow_r",
-    pool: Executor | None = None,
+    pool=None,
 ) -> tuple[float, float]:
     """Genealogy-route Monte Carlo for E[Z_cl^{n-1} R] or E[Z_cl^n]: the
     mean over replicates and its standard error.

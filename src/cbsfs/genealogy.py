@@ -34,15 +34,12 @@ its ordered positions and leaf labels, a :class:`ZetaVector` its depths.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -111,9 +108,6 @@ class ZetaVector:
         return {"zetas": list(self.zetas)}
 
 
-# Attempts at a replicate without a (probability-zero) position collision.
-_MAX_REDRAWS = 64
-
 # The largest conditioned size: up to it, a depth log1p(gap / E) overflows
 # only for a unit exponential E below 1e-58, which no draw reaches.
 _X0_MAX = 1e250
@@ -130,42 +124,36 @@ def sample_population(
     Unconditioned, the two interval arms are independent Exp(2 theta).
     Conditioned on total size z, the left arm is Uniform(0, z) — the
     conditional law of an exponential given the sum.  Position ties are a
-    probability-zero event; if floating point produces one the replicate
-    is logged and redrawn rather than perturbed.
+    probability-zero event; one that floating point produces is a
+    ValueError naming n and the size.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if condition_z0 is not None and not condition_z0 > 0:
         raise ValueError(f"condition_z0 must be positive, got {condition_z0}")
-    scale = 1.0 / (2.0 * params.theta)
-    for _ in range(_MAX_REDRAWS):
-        if condition_z0 is None:
-            e_g = rng.exponential(scale)
-            e_d = rng.exponential(scale)
-        else:
-            e_g = rng.uniform(0.0, condition_z0)
-            e_d = condition_z0 - e_g
-        z0 = e_g + e_d
-        leaves = np.empty(n)
-        leaves[0] = 0.0  # the spine individual
-        if n > 1:
-            leaves[1:] = z0 * rng.uniform(size=n - 1) - e_g
-        order = np.argsort(leaves, kind="stable")
-        positions = np.concatenate(([-e_g], leaves[order], [e_d]))
-        if np.any(np.diff(positions) <= 0.0):
-            logger.warning("position collision (probability-zero); redrawing replicate")
-            continue
-        return LeafConfig(positions=tuple(positions.tolist()), labels=tuple(order.tolist()))
-    raise ValueError(
-        f"could not draw {n} distinct leaf positions on an interval of size "
-        f"z0={z0!r} in {_MAX_REDRAWS} attempts"
-    )
+    if condition_z0 is None:
+        scale = 1.0 / (2.0 * params.theta)
+        e_g = rng.exponential(scale)
+        e_d = rng.exponential(scale)
+    else:
+        e_g = rng.uniform(0.0, condition_z0)
+        e_d = condition_z0 - e_g
+    z0 = e_g + e_d
+    leaves = np.empty(n)
+    leaves[0] = 0.0  # the spine individual
+    if n > 1:
+        leaves[1:] = z0 * rng.uniform(size=n - 1) - e_g
+    order = np.argsort(leaves, kind="stable")
+    positions = np.concatenate(([-e_g], leaves[order], [e_d]))
+    if np.any(np.diff(positions) <= 0.0):
+        raise ValueError(f"two of the n = {n} leaf positions on an interval of size z0 = {z0!r} tie")
+    return LeafConfig(positions=tuple(positions.tolist()), labels=tuple(order.tolist()))
 
 
 def sample_block(n: int, rng: np.random.Generator, count: int,
                  x0: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``count`` independent replicates of :func:`sample_population` followed
-    by :func:`sample_zetas` at :data:`cbsfs.model.MODEL_UNITS`, drawn as
+    by :func:`sample_zetas` in model units (beta = 1, theta = 1/2), drawn as
     arrays with one row per replicate.
 
     Returns ``(gaps, depths)``, both of shape (count, n+1).  A row of

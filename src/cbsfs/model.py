@@ -10,7 +10,9 @@ As c(t) = 2 theta / (e^{2 beta theta t} - 1), beta and theta only set the
 units, 1 / (2 beta theta) of time and 1 / (2 theta) of size: a quantity at
 (beta, theta, mu, z0) is its unit times its value in model units, at
 (1, 1/2, alpha, x0 = 2 theta z0).  The replicate draw and the spectrum
-tables run in model units; these laws, in physical ones, check that.
+tables take model units only, and :class:`ModelParams` converts once,
+where a value enters or leaves them; these laws, in physical units, check
+that.
 """
 
 from __future__ import annotations
@@ -76,10 +78,6 @@ def positive_finite(name: str, value: float) -> float:
     if not 0.0 < value < math.inf:
         raise FloatingPointError(f"{name} is {value!r}, not a positive finite float")
     return value
-
-
-# The parameters whose two units are 1, at which alpha = mu and x0 = z0.
-MODEL_UNITS = ModelParams(beta=1.0, theta=0.5)
 
 
 def extinction_tail(params: ModelParams, t: float) -> float:

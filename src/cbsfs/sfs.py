@@ -3,13 +3,15 @@
 The analytic route is the order-statistic expectation S_l, the
 Beta(l, n-l+1) mean of the mean tallest-excursion height, combined into
 per-class expected branch lengths E[L_k | Z0] and mutation counts
-mu * E[L_k | Z0].  One fixed composite Gauss-Legendre rule, derived from n
-alone, serves every l at once: the Beta densities on its nodes form a
-matrix (built in blocks of l), the size nodes (one x0 = 2 theta z0, or the
-Laguerre nodes of the size average) are summed with their weights into one
-integrand, and each table is one matrix-vector product per block.  The
-rule runs in model units (:mod:`cbsfs.model`), and each table takes the
-time unit 1 / (2 beta theta) once.  The lengths take their second
+mu * E[L_k | Z0].  Every table here is in model units (:mod:`cbsfs.model`):
+a function of n and the scaled size x0 = 2 theta z0 alone, which the
+caller turns into physical units once (a length is the time unit
+1 / (2 beta theta) times it, a mutation count alpha times it).  One fixed
+composite Gauss-Legendre rule, derived from n alone, serves every l at
+once: the Beta densities on its nodes form a matrix (built in blocks of
+l), the size nodes (one x0, or the Laguerre nodes of the size average)
+are summed with their weights into one integrand, and each table is one
+matrix-vector product per block.  The lengths take their second
 difference in l on the densities, node by node, rather than between
 rounded S_l.  :func:`s_ell` keeps the per-l adaptive quadrature as the
 reference the tests compare against; it alone runs to a tighter,
@@ -27,13 +29,12 @@ mu * L_k directly or draws Poisson counts with those means.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor
 
 import numpy as np
 
 from ._mc import map_replicates, mean_and_se
 from .genealogy import block_Lk, sample_block
-from .model import ModelParams, canonical_density
+from .model import ModelParams, canonical_density, positive_finite
 from .specfun import EULER_GAMMA, H_closed, _ein, _exp_e1, adaptive_quad, gamma_upper_zero
 from .tree import poisson_counts
 
@@ -57,26 +58,24 @@ def _log_beta_norm(n: int, ell):
     return math.log(n) + partial[np.asarray(ell) - 1]
 
 
-def s_ell(params: ModelParams, n: int, ell: int, z0: float) -> float:
-    """Mean tallest-excursion height over the l-th of n ordered uniforms.
+def s_ell(n: int, ell: int, x0: float) -> float:
+    """Mean tallest-excursion height over the l-th of n ordered uniforms, in
+    model units at the size x0.
 
-    S_0 = 0; otherwise the Beta(l, n-l+1) expectation of
-    (z0 v / beta) * H(2 theta z0 v), by adaptive quadrature with
-    breakpoints at the Beta bulk (the density is a sharp spike for large n),
-    to the reference tolerances above.
+    S_0 = 0; otherwise the Beta(l, n-l+1) expectation of (x0 v) H(x0 v), by
+    adaptive quadrature with breakpoints at the Beta bulk (the density is a
+    sharp spike for large n), to the reference tolerances above.
     """
     if not (0 <= ell <= n):
         raise IndexError(f"need 0 <= ell <= n, got ell={ell}, n={n}")
-    if not z0 > 0:
-        raise ValueError(f"z0 must be positive, got {z0}")
+    positive_finite("the size x0", x0)
     if ell == 0:
         return 0.0
     log_norm = float(_log_beta_norm(n, ell))
-    two_theta_z0 = 2.0 * params.theta * z0
 
     def integrand(v: float) -> float:
         log_pdf = log_norm + (ell - 1) * math.log(v) + (n - ell) * math.log1p(-v)
-        return math.exp(log_pdf) * (z0 * v / params.beta) * H_closed(two_theta_z0 * v)
+        return math.exp(log_pdf) * (x0 * v) * H_closed(x0 * v)
 
     mean = ell / (n + 1)
     sd = math.sqrt(mean * (1 - mean) / (n + 2))
@@ -133,34 +132,6 @@ def _rule_sums(n: int, x0, weight, ells: np.ndarray, kernel) -> np.ndarray:
     return np.concatenate([kernel(ells[lo:lo + _ELL_BLOCK, None], v) @ f for lo in blocks])
 
 
-def s_table(params: ModelParams, n: int, z0: float) -> np.ndarray:
-    """S_0..S_n for one z0 from the fixed rule (:func:`s_ell` is the per-l reference)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    unit, x0 = params.time_unit, params.model_size(z0)
-    s = _rule_sums(n, x0, 1.0, np.arange(1, n + 1), lambda ell, v: _beta_pdf(n, ell, v))
-    return unit * np.concatenate([[0.0], s])
-
-
-def _expected_lengths(n: int, x0, weight, ks: np.ndarray) -> np.ndarray:
-    """E[L_k | x0] in model units for each k in ks (within 1..n-1), or its
-    average over size nodes with weights (as for :func:`_rule_sums`).
-
-    The second difference (n-k)(2 S_k - S_{k-1} - S_{k+1}) + S_{k+1} - S_{k-1}
-    is taken on the Beta densities before integrating: with
-    w_{k-1} = w_k (k-1)(1-v)/((n-k+1) v) and w_{k+1} = w_k (n-k) v/(k (1-v)),
-    the kernel is w_k(v) [2(n-k) - (k-1)(1-v)/v - (n-k-1)(n-k) v/(k(1-v))].
-    Differencing rounded S_l instead multiplies their relative error by
-    about 4 (n-k) S_k / E[L_k]: 1e-9 at n = 200, 2e-5 at n = 3000.
-    """
-    def kernel(k, v):
-        ratio = v / (1.0 - v)
-        bracket = 2.0 * (n - k) - (k - 1) / ratio - (n - k - 1) * (n - k) * ratio / k
-        return _beta_pdf(n, k, v) * bracket
-
-    return _rule_sums(n, x0, weight, ks, kernel)
-
-
 def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes and weights for the weight t e^{-t} on (0, inf).
 
@@ -186,21 +157,34 @@ def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 _Z0_NODES = 40
 
 
-@np.errstate(over="ignore")  # a length beyond the float range is inf, which no writer takes
-def expected_sfs(params: ModelParams, n: int, z0: float | None = None) -> np.ndarray:
-    """E[L_k] for k = 1..n-1 (entry k-1), conditioned on z0 (one node of
-    weight 1) or averaged over the stationary population-size law when z0
-    is None (the Gauss-Laguerre nodes, summed into the one integrand).
-    E[xi_k] is mu times it, alpha times the lengths in model units."""
+def expected_sfs(n: int, x0: float | None = None) -> np.ndarray:
+    """E[L_k | x0] in model units for k = 1..n-1 (entry k-1), conditioned on
+    the size x0 (one node of weight 1), or averaged over the stationary size
+    law, under which x0 is Gamma(2, 1), when x0 is None (the Gauss-Laguerre
+    nodes, summed into the one integrand).  E[L_k] is the time unit times
+    it, E[xi_k] alpha times it.
+
+    The second difference (n-k)(2 S_k - S_{k-1} - S_{k+1}) + S_{k+1} - S_{k-1}
+    is taken on the Beta densities before integrating: with
+    w_{k-1} = w_k (k-1)(1-v)/((n-k+1) v) and w_{k+1} = w_k (n-k) v/(k (1-v)),
+    the kernel is w_k(v) [2(n-k) - (k-1)(1-v)/v - (n-k-1)(n-k) v/(k(1-v))].
+    Differencing rounded S_l instead multiplies their relative error by
+    about 4 (n-k) S_k / E[L_k]: 1e-9 at n = 200, 2e-5 at n = 3000.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    unit = params.time_unit
-    if z0 is None:
-        # the rule for t e^{-t} integrates the Gamma(2, 1) law of x0 = 2 theta Z0 exactly
+    if x0 is None:
+        # the rule for t e^{-t} integrates the Gamma(2, 1) law of x0 exactly
         x0, weight = _laguerre_rule(_Z0_NODES)
     else:
-        x0, weight = params.model_size(z0), 1.0
-    return unit * _expected_lengths(n, x0, weight, np.arange(1, n))
+        x0, weight = positive_finite("the size x0", x0), 1.0
+
+    def kernel(k, v):
+        ratio = v / (1.0 - v)
+        bracket = 2.0 * (n - k) - (k - 1) / ratio - (n - k - 1) * (n - k) * ratio / k
+        return _beta_pdf(n, k, v) * bracket
+
+    return _rule_sums(n, x0, weight, np.arange(1, n), kernel)
 
 
 def g1(z: float, u: float) -> float:
@@ -225,15 +209,14 @@ def g1(z: float, u: float) -> float:
     return u * (2.0 * exp_e1 * (1.0 - z * (1.0 - u)) - 1.0)
 
 
-def g2_residual(params: ModelParams, n: int, k: int, z0: float) -> float:
-    """Scaled remainder after the 1/k and g1/k terms are removed, free of units:
-    (n^2/sqrt(k)) * (E[L_k|x0]/x0 - 1/k - g1(x0/2, k/n)/k), E[L_k|x0] in model units."""
-    if not (1 <= k <= n - 1):
-        raise IndexError(f"need 1 <= k <= n-1, got k={k}")
-    x0 = params.model_size(z0)
-    lk = float(_expected_lengths(n, x0, 1.0, np.array([k]))[0])
-    lead = 1.0 / k + g1(x0 / 2.0, k / n) / k
-    return (n * n / math.sqrt(k)) * (lk / x0 - lead)
+def g2_residual(n: int, x0: float) -> np.ndarray:
+    """Scaled remainder after the 1/k and g1/k terms are removed, for
+    k = 1..n-1 (entry k-1):
+    (n^2/sqrt(k)) * (E[L_k|x0]/x0 - 1/k - g1(x0/2, k/n)/k), free of units."""
+    lk = expected_sfs(n, x0)
+    k = np.arange(1, n)
+    lead = 1.0 / k + np.array([g1(x0 / 2.0, j / n) for j in range(1, n)]) / k
+    return (n * n / np.sqrt(k)) * (lk / x0 - lead)
 
 
 @np.errstate(over="ignore")  # alpha L near the float limit: the written table is checked
@@ -258,7 +241,7 @@ def simulate_sfs(
     seed: int,
     z0: float | None = None,
     mode: str = "expected-lengths",
-    pool: Executor | None = None,
+    pool=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo spectrum over seeded replicates: the mean of the
     per-replicate values for k = 1..n-1 and its standard error.

@@ -169,7 +169,7 @@ def suite_sfs_mc(params: model.ModelParams, reps: int, seed: int, margin: float)
     for i, scale in enumerate((1.0, 2.0)):
         z0 = scale / params.theta
         mean, se = sfs.simulate_sfs(params, n, reps, seed + i, z0=z0)
-        xi = params.mu * sfs.expected_sfs(params, n, z0)
+        xi = params.alpha * sfs.expected_sfs(n, params.model_size(z0))
         worst = max(map(_z_score, mean.tolist(), xi.tolist(), se.tolist()))
         out.append(
             (

@@ -1,5 +1,6 @@
 """Per-replicate references for the block routes of the package, the
-queries of the explicit tree, and the laws no command evaluates.
+queries of the explicit tree, the laws no command evaluates, and the
+order-statistic table S_0..S_n of the spectrum rule.
 
 The package draws and renders whole blocks of genealogies as arrays; these
 rebuild the same results one replicate at a time through the record types
@@ -11,8 +12,11 @@ two sides.
 
 import math
 
+import numpy as np
+
 from cbsfs.genealogy import LeafConfig, ZetaVector, leaf_positions, sample_block
 from cbsfs.model import ModelParams
+from cbsfs.sfs import _beta_pdf, _rule_sums
 from cbsfs.tree import GenealogyTree, StructuralError, build_tree, drop_mutations, newick_export
 
 
@@ -52,6 +56,13 @@ def sample_records(args, rng, count=1):
             "newick": newick_export(tree),
         })
     return records
+
+
+def s_table(n: int, x0: float) -> np.ndarray:
+    """S_0..S_n in model units at the size x0 from the package's fixed rule,
+    one Beta density per l (:func:`cbsfs.sfs.s_ell` is the per-l reference)."""
+    s = _rule_sums(n, x0, 1.0, np.arange(1, n + 1), lambda ell, v: _beta_pdf(n, ell, v))
+    return np.concatenate([[0.0], s])
 
 
 def laplace_u(params: ModelParams, t: float, lam: float) -> float:

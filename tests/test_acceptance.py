@@ -105,7 +105,7 @@ def test_criterion_3_residual_bounded():
     z0 = 2.0 / UNIT.theta
     max_by_n = {}
     for n in (10, 30, 100, 300):
-        max_by_n[n] = max(abs(g2_residual(UNIT, n, k, z0)) for k in range(1, n))
+        max_by_n[n] = float(max(abs(g2_residual(n, UNIT.model_size(z0)))))
     elapsed = time.perf_counter() - start
     bound = 2.0 * max_by_n[10]
     worst = max(max_by_n.values())
@@ -129,7 +129,7 @@ def test_criterion_3_limit_convergence():
         for n in (20, 80, 320):
             k = int(round(u * n))
             limit = (UNIT.mu * z0 / UNIT.beta) * (1.0 + g1(z, u))
-            errors.append(abs(k * UNIT.mu * expected_sfs(UNIT, n, z0)[k - 1] - limit))
+            errors.append(abs(k * UNIT.alpha * expected_sfs(n, UNIT.model_size(z0))[k - 1] - limit))
         ok = ok and errors[0] > errors[1] > errors[2]
         details.append(f"u={u}: " + "->".join(f"{e:.1e}" for e in errors))
     elapsed = time.perf_counter() - start

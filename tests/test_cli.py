@@ -17,7 +17,7 @@ from cbsfs.cli import _sample_replicate, build_parser, main
 from cbsfs.clonal import e_zcl_pow_r
 from cbsfs.model import ModelParams
 from cbsfs.reports import write_sample, write_text
-from cbsfs.sfs import g1
+from cbsfs.sfs import expected_sfs, g1
 from cbsfs.tree import RootMode, build_tree, newick_export
 from oracles import sample_records
 from replay import leaf_config_from_dict, zeta_vector_from_dict
@@ -232,6 +232,20 @@ class TestSfsCommand:
         assert rows[0] == rows[1] and len(rows[0]) == 7
         for _, length, xi in rows[0]:
             assert xi == repr(0.7 * float(length))
+
+    @pytest.mark.parametrize("z0", [None, 0.7], ids=["averaged", "z0"])
+    @pytest.mark.parametrize("beta, theta, mu", [(1.0, 1.0, 1.0), (0.5, 3.0, 2.0), (1e-3, 1e4, 0.7)])
+    def test_columns_are_the_library_table(self, tmp_path, beta, theta, mu, z0):
+        # expected_L is the time unit and expected_xi alpha times the table
+        # in model units at x0 = 2 theta z0, bit for bit
+        params, n, out = ModelParams(beta, theta, mu), 20, tmp_path / "sfs.csv"
+        given = [] if z0 is None else ["--z0", z0]
+        assert run("sfs", "--mode", "expected", "--n", n, "--beta", beta, "--theta", theta,
+                   "--mu", mu, *given, "--out", out) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+        table = expected_sfs(n, None if z0 is None else params.model_size(z0)).tolist()
+        assert [float(row[1]) for row in rows] == [params.time_unit * length for length in table]
+        assert [float(row[2]) for row in rows] == [params.alpha * length for length in table]
 
 
 @pytest.mark.parametrize(
@@ -752,11 +766,13 @@ def test_commands_leave_scipy_unloaded(tmp_path, argv):
 )
 def test_single_process_commands_leave_the_pool_unloaded(tmp_path, argv):
     # concurrent.futures.process loads multiprocessing, which a command
-    # needs only when it starts a pool (--workers > 1)
+    # needs only when it starts a pool (--workers > 1); the package logs
+    # nothing, so it loads no logging either
+    modules = ("multiprocessing", "concurrent.futures", "concurrent.futures.process", "logging")
     code = (
         "import sys; from cbsfs.cli import main; "
         "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
-        "print(rc, [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+        f"print(rc, [m for m in {modules!r} if m in sys.modules])"
     )
     out = ["--out", str(tmp_path / "out")] if argv else []
     proc = run_python("-c", code, *argv, *out, cwd=tmp_path)

@@ -93,6 +93,12 @@ class TestSamplePopulation:
         with pytest.raises(ValueError):
             sample_population(UNIT, 2, np.random.default_rng(0), condition_z0=-1.0)
 
+    def test_tied_positions_raise(self):
+        # 200 leaves on an interval a few subnormal steps long must tie: the
+        # draw is not repeated, and the error names n and the size
+        with pytest.raises(ValueError, match=r"n = 200 leaf positions on an interval of size z0 = 5e-321 tie"):
+            sample_population(UNIT, 200, np.random.default_rng(0), condition_z0=5e-321)
+
     @pytest.mark.parametrize(
         "positions,labels",
         [

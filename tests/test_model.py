@@ -7,7 +7,6 @@ import pytest
 from scipy import integrate
 
 from cbsfs.model import (
-    MODEL_UNITS,
     ModelParams,
     canonical_density,
     extinction_tail,
@@ -40,7 +39,9 @@ class TestModelParams:
     def test_units(self):
         params = ModelParams(0.25, 2.0, 3.0)
         assert (params.time_unit, params.size_unit, params.model_size(1.5)) == (1.0, 0.25, 6.0)
-        assert (MODEL_UNITS.time_unit, MODEL_UNITS.size_unit, MODEL_UNITS.model_size(0.7)) == (1.0, 1.0, 0.7)
+        # beta = 1, theta = 1/2: both units are 1, so alpha = mu and x0 = z0
+        model = ModelParams(1.0, 0.5)
+        assert (model.time_unit, model.size_unit, model.model_size(0.7)) == (1.0, 1.0, 0.7)
         assert ModelParams(1.0, 1.0, 2.0).alpha == 1.0
 
     @pytest.mark.parametrize(

@@ -2,7 +2,6 @@
 
 import functools
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -11,7 +10,6 @@ import pytest
 from cbsfs.genealogy import Lk_all, sample_population, sample_zetas
 from cbsfs.model import ModelParams
 from cbsfs.sfs import (
-    _expected_lengths,
     _laguerre_rule,
     _sfs_replicate,
     density_branch_check,
@@ -21,42 +19,39 @@ from cbsfs.sfs import (
     g2_residual,
     mean_density,
     s_ell,
-    s_table,
     simulate_sfs,
 )
-from oracles import drawn_records
+from oracles import drawn_records, s_table
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 
 
 class TestSEll:
     def test_zeroth_is_zero(self):
-        assert s_ell(UNIT, 10, 0, 2.0) == 0.0
+        assert s_ell(10, 0, 4.0) == 0.0
 
     def test_monte_carlo_oracle_single_sample(self):
-        # defining expectation: mean of log(1 + 2 theta z0 U / E)/(2 beta theta)
+        # defining expectation in model units: mean of log(1 + x0 U / E)
         # with one uniform order statistic (n = l = 1)
-        z0 = 2.0
+        x0 = 4.0
         rng = np.random.default_rng(50)
         u = rng.uniform(size=1_000_000)
         e = rng.exponential(size=1_000_000)
-        draws = np.log1p(2.0 * UNIT.theta * z0 * u / e) / (2.0 * UNIT.beta * UNIT.theta)
+        draws = np.log1p(x0 * u / e)
         se = draws.std(ddof=1) / math.sqrt(len(draws))
-        assert abs(s_ell(UNIT, 1, 1, z0) - draws.mean()) < 3.0 * se
+        assert abs(s_ell(1, 1, x0) - draws.mean()) < 3.0 * se
 
     def test_increasing_in_rank(self):
-        vals = [s_ell(UNIT, 8, ell, 1.5) for ell in range(9)]
+        vals = [s_ell(8, ell, 3.0) for ell in range(9)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_scales_with_beta(self):
-        slow = ModelParams(beta=2.0, theta=1.0, mu=1.0)
-        assert s_ell(slow, 5, 3, 1.0) == pytest.approx(s_ell(UNIT, 5, 3, 1.0) / 2.0, rel=1e-9)
 
     def test_domain(self):
         with pytest.raises(IndexError):
-            s_ell(UNIT, 5, 6, 1.0)
-        with pytest.raises(ValueError):
-            s_ell(UNIT, 5, 2, 0.0)
+            s_ell(5, 6, 2.0)
+        # an x0 that is not a positive finite float
+        for x0 in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(FloatingPointError, match="the size x0 is"):
+                s_ell(5, 2, x0)
 
 
 def s_ell_mpmath(params, n, ell, z0, dps=40):
@@ -93,40 +88,28 @@ TABLE_CASES = [
 ]
 
 
-# the distinct theta z0 of TABLE_CASES: S(beta, theta, z0) = S(1, 1, theta z0)/(beta theta)
-THETA_Z0S = (1e-3, 2.0, 50.0, 50.0 * E3)
+# the distinct sizes x0 = 2 theta z0 of TABLE_CASES
+X0S = (2e-3, 4.0, 100.0, 100.0 * E3)
 
 
 @functools.cache
-def unit_s_reference(n, theta_z0):
-    """Per-l quadrature S_1..S_n at beta = theta = 1, shared by every case."""
-    return np.array([s_ell(UNIT, n, ell, theta_z0) for ell in range(1, n + 1)])
-
-
-def scaled_s_reference(params, n, z0):
-    """Per-l reference for (beta, theta, z0) from the unit one at theta z0."""
-    theta_z0 = next(x for x in THETA_Z0S if math.isclose(params.theta * z0, x, rel_tol=1e-14))
-    return unit_s_reference(n, theta_z0) / (params.beta * params.theta)
+def s_reference(n, x0):
+    """Per-l quadrature S_1..S_n in model units, shared by every case."""
+    return np.array([s_ell(n, ell, x0) for ell in range(1, n + 1)])
 
 
 class TestSTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 1000])
     @pytest.mark.parametrize("params, z0s", TABLE_CASES, ids=["unit", "beta_e3", "theta_e3"])
     def test_matches_per_ell_quadrature(self, n, params, z0s):
+        # in physical units: S(beta, theta, z0) is the time unit times S at x0
         for z0 in z0s:
-            row = s_table(params, n, z0)
+            x0 = params.model_size(z0)
+            row = params.time_unit * s_table(n, x0)
             assert row.shape == (n + 1,) and row[0] == 0.0
-            rel = np.abs(row[1:] / scaled_s_reference(params, n, z0) - 1.0)
+            reference = s_reference(n, next(x for x in X0S if math.isclose(x0, x, rel_tol=1e-14)))
+            rel = np.abs(row[1:] / (reference / (2.0 * params.beta * params.theta)) - 1.0)
             assert rel.max() <= 1e-12, (z0, int(rel.argmax()) + 1)
-
-    @pytest.mark.parametrize("params, z0s", TABLE_CASES[1:], ids=["beta_e3", "theta_e3"])
-    def test_per_ell_quadrature_scaling(self, params, z0s):
-        # the identity behind the shared unit references, checked on the
-        # per-l quadrature itself (the unit pair is the identity map)
-        n = 10
-        for z0 in z0s:
-            direct = np.array([s_ell(params, n, ell, z0) for ell in range(1, n + 1)])
-            np.testing.assert_allclose(direct, scaled_s_reference(params, n, z0), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize(
         "n, ell, z0",
@@ -136,33 +119,37 @@ class TestSTable:
     def test_against_mpmath(self, n, ell, z0):
         # z0 = 1e-7 keeps every 2 theta z0 v below 3e-7, in H's small-x
         # branch, where the direct closed form would cancel to ~1e-9; at
-        # n = 1000 a log-gamma difference in the Beta normaliser costs 1e-12
+        # n = 1000 a log-gamma difference in the Beta normaliser costs 1e-12.
+        # The oracle is in physical units, the tables in model units.
         params = ModelParams(0.7, 1.3, 1.0)
         oracle = s_ell_mpmath(params, n, ell, z0)
-        assert abs(mpmath.mpf(s_table(params, n, z0)[ell]) / oracle - 1) <= 1e-13
-        assert abs(mpmath.mpf(s_ell(params, n, ell, z0)) / oracle - 1) <= 1e-12
+        unit, x0 = params.time_unit, params.model_size(z0)
+        assert abs(mpmath.mpf(unit * s_table(n, x0)[ell]) / oracle - 1) <= 1e-13
+        assert abs(mpmath.mpf(unit * s_ell(n, ell, x0)) / oracle - 1) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            s_table(UNIT, 0, 1.0)
-        # z0 gives no size x0 = 2 theta z0 that is a positive finite float
-        with pytest.raises(FloatingPointError):
-            s_table(UNIT, 5, 0.0)
-        with pytest.raises(FloatingPointError):
-            expected_sfs(UNIT, 3, math.inf)
+            expected_sfs(1, 1.0)
+        # an x0 that is not a positive finite float
+        with pytest.raises(FloatingPointError, match="the size x0 is inf"):
+            expected_sfs(3, math.inf)
+        with pytest.raises(FloatingPointError, match="the size x0 is 0.0"):
+            expected_sfs(5, 0.0)
+        with pytest.raises(FloatingPointError, match="the size x0 is nan"):
+            g2_residual(5, math.nan)
 
 
 class TestExpectedLk:
     def test_top_class_reduces_to_two_terms(self):
-        n, z0 = 9, 1.7
-        lhs = expected_sfs(UNIT, n, z0)[n - 2]
-        rhs = 2.0 * (s_ell(UNIT, n, n - 1, z0) - s_ell(UNIT, n, n - 2, z0))
+        n, x0 = 9, 3.4
+        lhs = expected_sfs(n, x0)[n - 2]
+        rhs = 2.0 * (s_ell(n, n - 1, x0) - s_ell(n, n - 2, x0))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_nonnegative_across_parameters(self):
         for params in (UNIT, ModelParams(0.5, 2.0, 1.0), ModelParams(2.0, 0.5, 1.0)):
             for z0 in (0.5 / params.theta, 2.0 / params.theta):
-                assert np.all(expected_sfs(params, 8, z0) >= 0.0)
+                assert np.all(expected_sfs(8, params.model_size(z0)) >= 0.0)
 
     def test_monte_carlo_agreement_light(self):
         # light version of the acceptance check: n = 6, one z0
@@ -175,43 +162,42 @@ class TestExpectedLk:
             totals[i] = Lk_all(config, zetas)
         mean = totals.mean(axis=0)
         se = totals.std(axis=0, ddof=1) / math.sqrt(reps)
-        assert np.all(np.abs(mean - expected_sfs(UNIT, n, z0)) < 4.0 * se)
+        lengths = UNIT.time_unit * expected_sfs(n, UNIT.model_size(z0))
+        assert np.all(np.abs(mean - lengths) < 4.0 * se)
 
     def test_table_matches_scalar_route(self):
         # the table against the second difference of per-l adaptive quadratures
-        # and against the single-k route that g2_residual reads
-        lk = expected_sfs(UNIT, 6, 1.5)
-        s = [s_ell(UNIT, 6, ell, 1.5) for ell in range(7)]
+        lk = expected_sfs(6, 3.0)
+        s = [s_ell(6, ell, 3.0) for ell in range(7)]
         for k in range(1, 6):
             scalar = (6 - k) * (2.0 * s[k] - s[k - 1] - s[k + 1]) + s[k + 1] - s[k - 1]
             assert lk[k - 1] == pytest.approx(scalar, rel=1e-9)
-            single = UNIT.time_unit * _expected_lengths(6, UNIT.model_size(1.5), 1.0, np.array([k]))[0]
-            assert lk[k - 1] == pytest.approx(single, rel=1e-14)
 
     @pytest.mark.parametrize("n, k, z0", [(8, 1, 1e-7), (20, 9, 2.0), (200, 50, 2.0), (200, 150, 2.0)])
     def test_against_mpmath(self, n, k, z0):
         # differencing S_l rounded to double precision loses about
         # 4 (n-k) S_k / E[L_k] in relative accuracy (1e-9 at n = 200); the
-        # lengths difference the Beta densities before integrating instead
+        # lengths difference the Beta densities before integrating instead.
+        # The oracle is in physical units.
         oracle = lk_mpmath(UNIT, n, k, z0)
-        assert abs(mpmath.mpf(expected_sfs(UNIT, n, z0)[k - 1]) / oracle - 1) <= 1e-11
+        lk = UNIT.time_unit * expected_sfs(n, UNIT.model_size(z0))[k - 1]
+        assert abs(mpmath.mpf(lk) / oracle - 1) <= 1e-11
 
     def test_averaged_over_stationary_size(self):
-        lk = expected_sfs(UNIT, 6, z0=None)
+        lk = expected_sfs(6)
         assert np.all(lk > 0)
         # numerical stability of the size-average: doubling the node count
         # moves nothing beyond the slow log-type convergence of the rule
         t, w = _laguerre_rule(80)
-        fine = UNIT.time_unit * _expected_lengths(6, t, w, np.arange(1, 6))
+        fine = w @ np.array([expected_sfs(6, x0) for x0 in t])
         assert lk == pytest.approx(fine, rel=1e-4)
 
     def test_average_is_the_weighted_sum_of_conditioned_tables(self):
         # the nodes are summed into the integrand before the Beta kernel;
         # the sum of the conditioned tables takes them in the other order
-        params = ModelParams(0.5, 3.0, 1.0)
         t, w = _laguerre_rule(40)
-        tables = [expected_sfs(params, 50, z0) for z0 in t / (2.0 * params.theta)]
-        np.testing.assert_allclose(expected_sfs(params, 50), w @ np.array(tables), rtol=1e-12, atol=0.0)
+        tables = [expected_sfs(50, x0) for x0 in t]
+        np.testing.assert_allclose(expected_sfs(50), w @ np.array(tables), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("beta, theta", [(1.0, 1.0), (0.5, 3.0)])
     def test_averaged_against_exact_values(self, beta, theta):
@@ -228,7 +214,7 @@ class TestExpectedLk:
         params = ModelParams(beta=beta, theta=theta, mu=1.0)
         for n, values in exact.items():
             expected = np.array(values) / (beta * theta)
-            np.testing.assert_allclose(expected_sfs(params, n), expected, rtol=1e-5, atol=0.0)
+            np.testing.assert_allclose(params.time_unit * expected_sfs(n), expected, rtol=1e-5, atol=0.0)
 
 
 class TestLaguerreRule:
@@ -354,39 +340,22 @@ class TestG1:
 class TestG2Residual:
     def test_finite_on_grid(self):
         for n in (10, 30):
-            for k in (1, 2, n // 2, n - 1):
-                val = g2_residual(UNIT, n, k, 2.0)
-                assert math.isfinite(val)
+            row = g2_residual(n, 4.0)
+            assert row.shape == (n - 1,) and np.all(np.isfinite(row))
 
     def test_consistency_with_parts(self):
-        n, k, z0 = 12, 5, 2.0
-        residual = g2_residual(UNIT, n, k, z0)
-        recon = (
-            1.0 / k
-            + g1(UNIT.theta * z0, k / n) / k
-            + math.sqrt(k) / n**2 * residual
-        )
-        lk = expected_sfs(UNIT, n, z0)[k - 1]
-        assert recon == pytest.approx(UNIT.beta * lk / z0, rel=1e-9)
-
-    @pytest.mark.parametrize("k", [-1, 0, 12])
-    def test_k_outside_classes(self, k):
-        # a negative k must not wrap round to the top classes
-        with pytest.raises(IndexError):
-            g2_residual(UNIT, 12, k, 2.0)
-
-
-def test_rule_tables_that_overflow_raise_without_a_warning():
-    # at beta = 5e-324 the time unit 1 / (2 beta theta) overflows: the tables
-    # that take it raise, and the residual, free of units, is finite
-    tiny_beta = ModelParams(5e-324, 1.0, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError, match="the time unit 1 / \\(2 beta theta\\) is inf"):
-            s_table(tiny_beta, 5, 1.0)
-        with pytest.raises(FloatingPointError, match="the time unit 1 / \\(2 beta theta\\) is inf"):
-            expected_sfs(tiny_beta, 5, 1.0)
-        assert g2_residual(tiny_beta, 5, 2, 1.0) == g2_residual(UNIT, 5, 2, 1.0)
+        # in physical units at z0 = 2: E[L_k | z0] beta / z0 = E[L_k | x0] / x0
+        n, z0 = 12, 2.0
+        x0 = UNIT.model_size(z0)
+        residual = g2_residual(n, x0)
+        lk = UNIT.time_unit * expected_sfs(n, x0)
+        for k in range(1, n):
+            recon = (
+                1.0 / k
+                + g1(UNIT.theta * z0, k / n) / k
+                + math.sqrt(k) / n**2 * residual[k - 1]
+            )
+            assert recon == pytest.approx(UNIT.beta * lk[k - 1] / z0, rel=1e-9), k
 
 
 @pytest.mark.parametrize("z0", [None, 2.0])
@@ -415,7 +384,7 @@ class TestSimulateSfs:
 
     def test_matches_analytic(self):
         mean, se = simulate_sfs(UNIT, 6, 4000, seed=8, z0=1.5)
-        xi = UNIT.mu * expected_sfs(UNIT, 6, 1.5)
+        xi = UNIT.alpha * expected_sfs(6, UNIT.model_size(1.5))
         assert np.all(np.abs(mean - xi) < 4.0 * se)
 
     def test_zero_rate_all_zero(self):
