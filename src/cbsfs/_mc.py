@@ -9,15 +9,17 @@ drawn, in replicate order, so a caller that writes them out holds one block
 at a time.  The block size is a constant, so output is a pure function of
 (seed, reps) no matter how the blocks are spread over worker processes.  A
 block function ``fn(args, rng, count)`` returns ``count`` results as an
-array with one row per replicate (numbers for the Monte-Carlo means) or a
-list (records for the sampled trees, which are written block by block).
-``map_replicates`` concatenates the arrays, and ``mean_and_se`` reduces
-them.
+array with one row per replicate (numbers for the Monte-Carlo means), or
+yields them one row at a time (the text of the sampled trees, which is
+written as it is drawn; a pool process collects its block's rows into a
+list to send them back).  ``map_replicates`` concatenates the arrays, and
+``mean_and_se`` reduces them.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from itertools import islice
 
 import numpy as np
@@ -33,23 +35,27 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
-def _run_chunk(fn, args, seed, lo, hi):
-    """The results of replicates lo..hi-1: one block, lo a multiple of BLOCK."""
-    return fn(args, replicate_rng(seed, lo // BLOCK), hi - lo)
+def _run_chunk(fn, args, seed, lo, hi, pooled=False):
+    """The results of replicates lo..hi-1: one block, lo a multiple of BLOCK.
+    In a pool process (``pooled``) the rows of a block function that yields
+    them are collected into a list, which is sent back whole."""
+    block = fn(args, replicate_rng(seed, lo // BLOCK), hi - lo)
+    return list(block) if pooled and isinstance(block, Iterator) else block
 
 
 def replicate_blocks(fn, args, reps: int, seed: int, pool=None):
     """Yield the results of the block function ``fn`` for ``reps``
     replicates, one block at a time and in replicate order: each an array
-    with one row per replicate, or a list.
+    with one row per replicate, or an iterator of rows (a list from a pool).
 
     Without ``pool`` every block is drawn here.  With one (a
     ``concurrent.futures`` executor, which the command opens and reuses for
     all its runs), every block runs in a pool process; the blocks are
-    yielded in submission order, and each one is released once yielded.  Blocks are submitted as the consumer asks for them, at
-    most twice the pool's size ahead: the block being yielded and those
-    submitted after it number at most that many, so a slow consumer holds a
-    bounded number of finished blocks whatever ``reps`` is.  Closing the
+    yielded in submission order, and each one is released once yielded.
+    Blocks are submitted as the consumer asks for them, at most twice the
+    pool's size ahead: the block being yielded and those submitted after it
+    number at most that many, so a slow consumer holds a bounded number of
+    finished blocks whatever ``reps`` is.  Closing the
     generator early cancels the blocks that have not started.  ``fn`` must
     be a module-level callable, and its results must pickle.
     """
@@ -67,7 +73,7 @@ def replicate_blocks(fn, args, reps: int, seed: int, pool=None):
         while True:
             for lo in islice(starts, window - len(futures)):
                 hi = min(lo + BLOCK, reps)
-                futures.append(pool.submit(_run_chunk, fn, args, seed, lo, hi))
+                futures.append(pool.submit(_run_chunk, fn, args, seed, lo, hi, True))
             if not futures:
                 return
             yield futures.popleft().result()

@@ -3,8 +3,9 @@
 Every command is reproducible from (config file, flags, seed); each
 output file header echoes the settings that command takes.  The
 --workers flag only distributes replicates and never changes output bytes.
-``sample`` hands its blocks of records to the writer as they are drawn, so
-it holds one block at a time; the other commands write a finished table.
+``sample`` hands each record to the writer as text as soon as it is drawn,
+so it holds one block's arrays and one record at a time; the other commands
+write a finished table.
 
 Exit codes: 0 ok, 1 failed verification check or rejected value, 2 usage
 error.
@@ -142,57 +143,56 @@ MAX_WORKERS = 256
 # The most --points (density) and --u-points (g1): a grid is held in memory.
 MAX_POINTS = 100_000
 
-# The mutation atoms one block of `sample` may draw, in expectation.  Held
-# as records, an atom takes 117-184 bytes of peak RSS (runs of 0.4 to 4.3
-# million atoms), so a block stays within about 200 MB.
+# The mutation atoms one block of `sample` may draw, in expectation.  Written
+# one record at a time, they add 0-4 bytes of peak RSS per atom of a block
+# (runs of 0.4 to 4.1 million atoms at n = 50).  A pool process returns its
+# block as text: at --workers 2, whose window holds four blocks, the peak
+# grew by 52-123 bytes per atom of a block, so about 130 MB at this budget.
 ATOM_BUDGET = 2**20
 
 
-@np.errstate(over="ignore")  # a position or depth beyond the float range is checked below
-def _sample_replicate(args, rng, count: int) -> list[dict]:
-    """``count`` sampled genealogies as replay records (without their
-    indices): each one's draw, from which ``build_tree`` rebuilds the tree
-    that the atoms' edge ids name, with the spine's depth 0 put back at its
-    rank.  The block's gaps and depths are drawn in model units, then its
-    leaf positions and labels; positions and depths take their units once.
-    One that then overflows, or two positions that round to one float, are
-    a FloatingPointError.  The trees of the block come from one parent
-    array, and their mutations are dropped after all its genealogies are
-    drawn, tree by tree.  A block whose expected atom count exceeds
-    :data:`ATOM_BUDGET` is a ValueError, raised before its mutations are
-    drawn."""
+def _sample_replicate(args, rng, count: int):
+    """Yield ``count`` sampled genealogies, one row of text at a time: the
+    ``(newick, labels, positions, atoms, zetas)`` of
+    :func:`cbsfs.reports.sample_item`.  A row holds the draw from which
+    ``build_tree`` rebuilds the tree that the atoms' edge ids name, with the
+    spine's depth 0 put back at its rank.  The block's gaps and depths are
+    drawn in model units, then its leaf positions and labels; positions and
+    depths take their units once.  One that is then not finite, or two
+    positions that round to one float, are a FloatingPointError, and a
+    block whose expected atom count exceeds :data:`ATOM_BUDGET` is a
+    ValueError, all raised before the first row.  The trees of the block
+    come from one parent array, and their mutations are dropped after all
+    its genealogies are drawn, tree by tree, as each row is rendered."""
     params, n, z0, mode = args
     x0 = None if z0 is None else params.model_size(z0)
     gaps, depths = sample_block(n, rng, count, x0)
     positions, labels = leaf_positions(gaps, rng)
+    del gaps
     # mu L = alpha L in model units bounds the mean of either root mode
-    atoms = params.alpha * float(block_tree_length(depths).sum())
-    if not atoms <= ATOM_BUDGET:
+    length = float(block_tree_length(depths).sum())
+    with np.errstate(over="ignore"):  # a value beyond the float range is refused below
+        positions *= params.size_unit
+        depths *= params.time_unit
+    if not (np.isfinite(positions).all() and np.isfinite(depths).all()):
+        raise FloatingPointError("a position or branch depth leaves the float range in its unit")
+    mean_atoms = params.alpha * length
+    if not mean_atoms <= ATOM_BUDGET:
         raise ValueError(
-            f"a block of {count} replicates would hold about {atoms:.3g} mutations, beyond the "
+            f"a block of {count} replicates would hold about {mean_atoms:.3g} mutations, beyond the "
             f"{ATOM_BUDGET} kept in memory; lower --mu, or raise --beta or --theta"
         )
-    positions *= params.size_unit
-    depths *= params.time_unit
-    # an overflow reaches the interval ends first
-    if not (np.all(np.isfinite(positions[:, [0, -1]])) and np.all(depths < math.inf)):
-        raise FloatingPointError("a position or branch depth leaves the float range in its unit")
     if not np.all(positions[:, 1:] > positions[:, :-1]):
         longer = "raise --z0" if z0 is not None else "lower --theta"
         raise FloatingPointError(f"two of the {n} leaf positions round to one float; {longer}")
-    labels = labels.tolist()
-    trees = block_trees(block_parents(depths, mode is RootMode.POPULATION_MRCA), depths, labels, params, rng)
-    records = []
-    for row_positions, row_labels, row_depths, (atoms, newick) in zip(positions, labels, depths, trees):
-        row_positions, row_depths = row_positions.tolist(), row_depths.tolist()
+    parents = block_parents(depths, mode is RootMode.POPULATION_MRCA)
+    trees = block_trees(parents, depths, labels, params, rng)
+    for row_positions, row_labels, (zetas, atoms, newick) in zip(positions, labels, trees):
+        row_positions = row_positions.tolist()
         spine = row_positions.index(0.0)
-        records.append({
-            "leaf_config": {"positions": row_positions, "labels": row_labels},
-            "zetas": {"zetas": [*row_depths[:spine], 0.0, *row_depths[spine:]]},
-            "mutations": {"atoms": atoms},
-            "newick": newick,
-        })
-    return records
+        labels_text = ",".join(map(str, row_labels.tolist()))
+        zetas_text = ",".join([*zetas[:spine], "0.0", *zetas[spine:]])
+        yield newick, labels_text, ",".join(map(repr, row_positions)), atoms, zetas_text
 
 
 def cmd_sample(args, params: ModelParams) -> int:

@@ -123,14 +123,30 @@ def z0_moment(params: ModelParams, k: int) -> float:
 def shrunk_z0_moment(params: ModelParams, k: int, alpha: float) -> float:
     """E[Z0^k] (1+alpha)^{-k} = (k+1)! / (2 theta (1+alpha))^k (inf beyond the
     float range): theta and alpha are binary fractions, so it is a ratio of
-    integers, which int / int rounds once."""
+    integers, which int / int rounds once.
+
+    A tiny alpha is a long binary fraction, and (1+alpha)^k would hold k
+    times its bits.  As 1 - k alpha <= (1+alpha)^{-k} <= 1, the ratio lies
+    between E[Z0^k] (1 - k alpha) and E[Z0^k], which need no power of
+    1 + alpha; where both ends round to one float, that is its rounding, and
+    only where they differ is the exact ratio taken."""
     if k < 0 or k != int(k):
         raise ValueError(f"z0_moment requires integer k >= 0, got {k}")
     k = int(k)
     t, u = params.theta.as_integer_ratio()
     a, b = alpha.as_integer_ratio()
+    num, den = math.factorial(k + 1) * u**k, (2 * t) ** k
+    if (k * a) << 64 < b:  # k alpha < 2^-64: the ends are a tiny part of an ulp apart
+        value = _quotient(num, den)
+        if value == _quotient(num * (b - k * a), den * b):
+            return value
+    return _quotient(num * b**k, den * (a + b) ** k)
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den rounded once, inf beyond the float range."""
     try:
-        return math.factorial(k + 1) * (u * b) ** k / (2 * t * (a + b)) ** k
+        return num / den
     except OverflowError:
         return math.inf
 

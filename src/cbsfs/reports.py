@@ -10,8 +10,10 @@ overflowed result writes no file.
 Every file is written whole or not at all: it goes to a temporary file
 beside its target that replaces the target only once complete.  The
 ``sample`` pair is streamed: :func:`write_sample` writes each record to both
-files as its block arrives and renames the two together after the last, so
-a run holds one block of records, not all of them.
+files as it is drawn and renames the two together after the last, so a run
+holds the arrays of one block and the text of one record, not all of them.
+A record arrives as text, already rendered, so the ``sample`` writer cannot
+refuse a float that is not finite; the block that draws it does.
 """
 
 from __future__ import annotations
@@ -109,20 +111,30 @@ def write_json_doc(
     _write(path, head + ",".join(_dumps(item) for item in payload) + tail)
 
 
+def sample_item(replicate: int, row: tuple[str, str, str, str, str]) -> str:
+    """The item of the ``sample`` document for the record ``replicate`` of
+    text ``row = (newick, labels, positions, atoms, zetas)``: the Newick
+    line and the JSON items of each list, joined by commas, put in the
+    layout of :func:`_dumps`, compact with the keys in sorted order."""
+    newick, labels, positions, atoms, zetas = row
+    return (
+        f'{{"leaf_config":{{"labels":[{labels}],"positions":[{positions}]}},"mutations":{{"atoms":[{atoms}]}},'
+        f'"newick":"{newick}","replicate":{replicate},"zetas":{{"zetas":[{zetas}]}}}}'
+    )
+
+
 def write_sample(base: Path, pairs: list[tuple[str, object]], blocks) -> None:
     """Write ``<base>.nwk`` and ``<base>.json`` from an iterable of blocks of
-    replay records, one block at a time.
-
-    A record's ``newick`` is its line of the ``.nwk`` file, and the record
-    with its ``replicate`` index is its item of the ``sample`` document.
-    """
+    rows, one row at a time: a row is the text of one replay record, whose
+    Newick text is its line of the ``.nwk`` file and which
+    :func:`sample_item` makes an item of the ``sample`` document."""
     head, tail = _json_envelope("sample", pairs)
     with _replacing(base.with_suffix(".nwk"), base.with_suffix(".json")) as (nwk, doc):
         doc.write(head)
         # chain drops each block before it asks for the next one to be drawn
-        for replicate, record in enumerate(chain.from_iterable(blocks)):
-            nwk.write(record["newick"] + "\n")
-            doc.write(("," if replicate else "") + _dumps({"replicate": replicate, **record}))
+        for replicate, row in enumerate(chain.from_iterable(blocks)):
+            nwk.write(row[0] + "\n")
+            doc.write(("," if replicate else "") + sample_item(replicate, row))
         doc.write(tail)
 
 

@@ -242,48 +242,54 @@ def drop_mutations(
 def block_trees(
     parents: np.ndarray,
     depths: np.ndarray,
-    labels: list[list[int]],
+    labels: np.ndarray,
     params: ModelParams,
     rng: np.random.Generator,
 ):
-    """The mutation atoms and Newick text of each tree of a block, row by row.
+    """The text of each tree of a block, row by row.
 
     ``parents`` is :func:`cbsfs.genealogy.block_parents` of the block's
-    ``depths``, and ``labels`` holds each row's leaf labels as a list.  Each
-    row yields the ``(atoms, newick)`` that :func:`drop_mutations` and
-    :func:`newick_export` give for :func:`build_tree` of the same row, with
-    the same draws: one Poisson count per edge, in child-id order, then one
-    uniform depth per mutation.  An edge's length is its parent's depth less
-    its own.  The Newick text renders the internal nodes by increasing
-    depth, so every node's two children, in id order, are rendered first.
+    ``depths``, and ``labels`` holds each row's leaf labels.  Each row
+    yields ``(depths, atoms, newick)``: the repr of each of its depths, in
+    order, the atoms of :func:`drop_mutations` as JSON pairs joined by
+    commas, and the Newick text of :func:`newick_export`, for
+    :func:`build_tree` of the same row, with the same draws: one Poisson
+    count per edge, in child-id order, then one uniform depth per mutation.
+    An edge's length is its parent's depth less its own, so a leaf's is its
+    parent's depth, whose repr is taken from ``depths``; every float is
+    rendered once.  The Newick text renders the internal nodes by
+    increasing depth, so every node's two children, in id order, are
+    rendered first.
     """
     n = parents.shape[1] // 2
     node_depth = np.zeros(2 * n)  # leaves, gaps, population root
-    for row_parents, row_depths, row_labels in zip(parents, depths, labels):
+    for row_parents, row_depths, row_labels in zip(parents, depths, map(np.ndarray.tolist, labels)):
         node_depth[n:-1] = row_depths[1:-1]
         node_depth[-1] = row_depths.max()
         up = row_parents[:-1]
-        length = node_depth[up] - node_depth[:-1]  # a parentless node's entry is unused
         child = np.flatnonzero(up >= 0)
-        edge_length = length[child]
+        edge_length = node_depth[up[child]] - node_depth[child]
         counts = poisson_counts(rng, params.mu * edge_length)
         where = rng.uniform(0.0, np.repeat(edge_length, counts))
-        atoms = [[edge, depth] for edge, depth in zip(np.repeat(child, counts).tolist(), where.tolist())]
-        if not child.size:
-            yield atoms, f"(X{row_labels[0]}:0.0);"
+        atoms = ",".join(map("[{},{!r}]".format, np.repeat(child, counts).tolist(), where.tolist()))
+        texts = list(map(repr, row_depths.tolist()))
+        if n == 1:  # one leaf, under the population root or alone
+            top = "0.0" if up[0] < 0 else texts[row_depths.argmax()]
+            yield texts, atoms, f"(X{row_labels[0]}:{top});"
             continue
         # nodes sorted by parent: the parentless ones, then each gap's two
         # children, then the population root's one child
         kids = np.argsort(row_parents, kind="stable").tolist()
         free = 2 * n - child.size
-        tail = [f":{x!r}" for x in length.tolist()]
-        if free == 2:  # the sample root is the root
-            tail[kids[0]] = ""
-        text = [f"X{label}{t}" for label, t in zip(row_labels, tail)] + tail[n:]
+        # a leaf's parent is gap node n+g, whose depth is column 1+g
+        text = [f"X{label}:{texts[c]}" for label, c in zip(row_labels, (row_parents[:n] - (n - 1)).tolist())]
+        text += [f":{x!r}" for x in edge_length[n:].tolist()]
+        if free == 2:  # the sample root is the root: it has no edge
+            text.insert(kids[0], "")
         for g in np.argsort(row_depths[1:-1]).tolist():
             a, b = kids[free + 2 * g], kids[free + 2 * g + 1]
             text[n + g] = f"({text[a]},{text[b]}){text[n + g]}"
-        yield atoms, (f"({text[kids[-1]]});" if free == 1 else text[kids[0]] + ";")
+        yield texts, atoms, (f"({text[kids[-1]]});" if free == 1 else text[kids[0]] + ";")
 
 
 def newick_export(tree: GenealogyTree) -> str:

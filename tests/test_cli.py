@@ -1,6 +1,8 @@
 """End-to-end CLI tests: determinism, formats, exit codes."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,11 +14,11 @@ import pytest
 
 import cbsfs
 from cbsfs import cli
-from cbsfs._mc import BLOCK, replicate_blocks
+from cbsfs._mc import BLOCK, replicate_blocks, replicate_rng
 from cbsfs.cli import _sample_replicate, build_parser, main
 from cbsfs.clonal import e_zcl_pow_r
 from cbsfs.model import ModelParams
-from cbsfs.reports import write_sample, write_text
+from cbsfs.reports import sample_item, write_sample, write_text
 from cbsfs.sfs import expected_sfs, g1
 from cbsfs.tree import RootMode, build_tree, newick_export
 from oracles import sample_records
@@ -30,6 +32,18 @@ def run(*argv):
 def all_records(fn, args, reps, seed):
     """Every record the block function ``fn`` draws, in replicate order."""
     return list(chain.from_iterable(replicate_blocks(fn, args, reps, seed)))
+
+
+def row_texts(rows):
+    """The Newick line and the JSON item of each ``sample`` row, in order."""
+    return [(row[0], sample_item(i, row)) for i, row in enumerate(rows)]
+
+
+def record_texts(records):
+    """The Newick text and the compact sorted-key ``json.dumps`` of each
+    oracle record with its replicate index, in order."""
+    dumps = [json.dumps({"replicate": i, **r}, sort_keys=True, separators=(",", ":")) for i, r in enumerate(records)]
+    return [(record["newick"], item) for record, item in zip(records, dumps)]
 
 
 def run_python(*args, cwd=None, env=None):
@@ -105,17 +119,18 @@ class TestSampleCommand:
     @pytest.mark.parametrize("root_mode", list(RootMode))
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 200])
     def test_block_trees_match_the_tree_by_tree_records(self, n, root_mode, mu, z0):
-        # the records from the block's parent array against each row's
-        # build_tree, drop_mutations and newick_export, draw for draw
+        # the text rows from the block's parent array against json.dumps of
+        # each row's build_tree, drop_mutations and newick_export records,
+        # draw for draw
         args = (ModelParams(beta=1.0, theta=1.0, mu=mu), n, z0, root_mode)
         drawn = all_records(_sample_replicate, args, 300, seed=n)
-        assert drawn == all_records(sample_records, args, 300, seed=n)
+        assert row_texts(drawn) == record_texts(all_records(sample_records, args, 300, seed=n))
 
     def test_block_trees_match_across_a_block_boundary(self):
         # the second block's trees use that block's own stream
         args = (ModelParams(beta=1.0, theta=1.0, mu=1.0), 10, None, RootMode.POPULATION_MRCA)
         drawn = all_records(_sample_replicate, args, BLOCK + 1, seed=3)
-        assert drawn == all_records(sample_records, args, BLOCK + 1, seed=3)
+        assert row_texts(drawn) == record_texts(all_records(sample_records, args, BLOCK + 1, seed=3))
 
     def test_collision_warnings_stay_silent(self, tmp_path):
         # on an interval of subnormal size the cumulative gaps tie: the
@@ -183,6 +198,44 @@ class TestSampleCommand:
 
         assert run("sample", "--n", 5, "--reps", 2, "--out", tmp_path / "x") == 0  # first-use caches
         assert peak(4 * BLOCK) <= 1.25 * peak(BLOCK)
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_one_block_peaks_below_fourteen_arrays(self, tmp_path, n):
+        # a block is drawn as arrays of shape (BLOCK, n+1) and its rows are
+        # written as they are rendered; holding the block's records as
+        # Python floats and strings, a run peaked at 20 to 23 such arrays
+        bound = 14 * BLOCK * (n + 1) * 8
+        assert run("sample", "--n", n, "--reps", 2, "--out", tmp_path / "x") == 0  # first-use caches
+        tracemalloc.start()
+        try:
+            assert run("sample", "--n", n, "--reps", BLOCK, "--out", tmp_path / "x") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (["--n", 50],
+             ("e1fa6a781a677176d993f41b0f34b3ac2518f33fcd35571d377f76074e18084d",
+              "e59810c3fd9a77086f67ab62915d2a7b6cbe65997526a9a7f5d7544146e86cf3")),
+            (["--n", 30, "--root-mode", "sample", "--z0", 0.5, "--mu", 30],
+             ("74174aacaf78e6df79860422a71531ec34931b8bca962f6e4661a91eda21a4b2",
+              "2985e1e6b714e818d135717f00a233e8420048a4e85402afb5da9fe85f66630c")),
+            (["--n", 1],
+             ("a19d743bbf9b93d5c3c3edecf9b960d62ef74d5ff85bbe2f719ecaa7a80bdf6b",
+              "1afe87f46431f2fdffcbb50e9db0673bb374c726656e91f8d0ea8674f7c0b67e")),
+        ],
+        ids=["population-root-n50", "sample-root-z0-mu30", "n1"],
+    )
+    def test_bytes_are_pinned(self, tmp_path, argv, digests):
+        # the SHA-256 of both files, as json.dumps wrote each record before
+        # the rows were rendered by hand: the bytes hold across versions
+        out = tmp_path / "s"
+        assert run("sample", *argv, "--reps", 20, "--seed", 7, "--out", out) == 0
+        got = tuple(hashlib.sha256(out.with_suffix(suffix).read_bytes()).hexdigest() for suffix in (".nwk", ".json"))
+        assert got == digests
 
 
 class TestSfsCommand:
@@ -685,6 +738,28 @@ class TestBadFlags:
         assert err.startswith("cbsfs: ") and message in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["depths", "positions"])
+    def test_a_block_value_that_is_not_finite_writes_nothing(self, tmp_path, capsys, monkeypatch, where, value):
+        # the rows are rendered by hand, not by json.dumps(allow_nan=False):
+        # the block refuses such a value before its first row
+        def spoiled(draw, which):
+            def spoil(*args):
+                arrays = draw(*args)
+                arrays[which][3, 2] = value
+                return arrays
+            return spoil
+
+        if where == "depths":
+            monkeypatch.setattr(cli, "sample_block", spoiled(cli.sample_block, 1))
+        else:
+            monkeypatch.setattr(cli, "leaf_positions", spoiled(cli.leaf_positions, 0))
+        assert run("sample", "--n", 5, "--reps", 10, "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cbsfs: no finite result at --beta 1.0 ") and err.count("\n") == 1
+        assert err.endswith(": a position or branch depth leaves the float range in its unit\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWholeFiles:
     def test_failed_write_keeps_previous_file(self, tmp_path):
@@ -698,9 +773,12 @@ class TestWholeFiles:
 
     def test_streamed_sample_matches_the_whole_documents(self, tmp_path):
         # the .json is the one compact sorted-key dump of the whole document
-        records = [{"newick": f"(X0:{i}.5);", "zetas": {"zetas": [0.0, i / 3]}} for i in range(5)]
-        pairs = [("n", 1), ("z0", None), ("root_mode", "sample")]
-        write_sample(tmp_path / "s", pairs, iter([records[:2], [], records[2:]]))
+        # of the oracle's records, over blocks of 2, 0 and 3 rows
+        args = (ModelParams(beta=1.0, theta=1.0, mu=3.0), 6, None, RootMode.SAMPLE_MRCA)
+        rows = list(_sample_replicate(args, replicate_rng(4, 0), 5))
+        records = sample_records(args, replicate_rng(4, 0), 5)
+        pairs = [("n", 6), ("z0", None), ("root_mode", "sample")]
+        write_sample(tmp_path / "s", pairs, iter([rows[:2], [], iter(rows[2:])]))
         doc = {"command": "sample", "schema_version": 4, "config": dict(pairs),
                "data": [{"replicate": i, **record} for i, record in enumerate(records)]}
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -21,7 +21,7 @@ from cbsfs.clonal import (
     zcl_moment_ratio_scaled,
 )
 from cbsfs.genealogy import population_tree_length, sample_population, sample_zetas
-from cbsfs.model import ModelParams, z0_moment
+from cbsfs.model import ModelParams, shrunk_z0_moment, z0_moment
 from cbsfs.specfun import beta_fn
 from oracles import drawn_records
 
@@ -140,6 +140,34 @@ class TestSizeMoment:
                 else:
                     with pytest.raises(FloatingPointError, match=rf"^E\[Z0\^{k}\] is inf"):
                         z0_moment(params, k)
+
+    @pytest.mark.parametrize("alpha", [1e-20, 1e-300])
+    def test_shrunk_one_rounding_from_mpmath(self, alpha):
+        # (k+1)!/(2 theta (1+alpha))^k is one correctly rounded ratio where
+        # 1 + alpha is a long binary fraction: at 1e-300 it holds 1050 bits,
+        # which 400 digits hold exactly
+        params = ModelParams(beta=1.0, theta=56.0)
+        with mpmath.workdps(400):
+            scale = 2 * mpmath.mpf(params.theta) * (1 + mpmath.mpf(alpha))
+            for k in range(763):
+                ref = mpmath.factorial(k + 1) / scale**k
+                value = shrunk_z0_moment(params, k, alpha)
+                if ref < sys.float_info.max:
+                    assert abs(value - ref) <= math.ulp(value) / 2, k
+                else:
+                    assert value == math.inf, k
+
+    @pytest.mark.parametrize(
+        "theta, alpha, k",
+        [(8.366671022402741, 4.6333151632981975e-20, 1), (2.6955418017560517, 4.681949476379654e-21, 9)],
+    )
+    def test_ends_that_round_apart_take_the_exact_ratio(self, theta, alpha, k):
+        # E[Z0^k] (1 - k alpha) and E[Z0^k] bound the value and round to two
+        # floats here, so neither end is the answer
+        size = Fraction(math.factorial(k + 1)) / (2 * Fraction(theta)) ** k
+        assert float(size * (1 - k * Fraction(alpha))) != float(size)
+        exact = size / (1 + Fraction(alpha)) ** k
+        assert shrunk_z0_moment(ModelParams(beta=1.0, theta=theta), k, alpha) == float(exact)
 
 
 class TestSizeMomentLogGamma:
