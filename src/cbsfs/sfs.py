@@ -9,13 +9,13 @@ caller turns into physical units once (a length is the time unit
 1 / (2 beta theta) times it, a mutation count alpha times it).  One fixed
 composite Gauss-Legendre rule, derived from n alone, serves every l at
 once: the Beta densities on its nodes form a matrix (built in blocks of
-l), the size nodes (one x0, or the Laguerre nodes of the size average)
-are summed with their weights into one integrand, and each table is one
-matrix-vector product per block.  The lengths take their second
-difference in l on the densities, node by node, rather than between
-rounded S_l.  :func:`s_ell` keeps the per-l adaptive quadrature as the
-reference the tests compare against; it alone runs to a tighter,
-relative-only tolerance than the package's quadratures.
+l of a fixed number of entries), the size nodes (one x0, or the frozen
+Laguerre nodes of the size average) are summed with their weights into
+one integrand, and each table is one matrix-vector product per block.
+The lengths take their second difference in l on the densities, node by
+node, rather than between rounded S_l.  :func:`s_ell` keeps the per-l
+adaptive quadrature as the reference the tests compare against; it alone
+runs to a tighter, relative-only tolerance than the package's quadratures.
 
 The large-n shape of k * E[xi_k] is the Kingman constant plus the
 distortion g1, one line in e^x E1(x); the bounded-remainder residual g2 is
@@ -85,8 +85,61 @@ def s_ell(n: int, ell: int, x0: float) -> float:
     )
 
 
-# Rows of Beta weights built at once: memory is O(block x nodes), not O(n x nodes).
-_ELL_BLOCK = 256
+# The spectrum rule's working set: no array it builds per block holds more
+# than about this many entries (256 KB of float64), whatever n is.  The
+# Beta kernel is built in blocks of rows, a multiple of 8 (OpenBLAS's dgemv
+# sums rows in groups of 8, so blocks of 8j rows give every row the bits of
+# one product over all rows; blocks of 1, 7 or 9 rows moved the n = 3000
+# tables by up to 8e-13), and the size integrand in chunks of whole panels.
+_ELL_BLOCK = 2**15
+
+# The 24-point Gauss-Legendre rule on (-1, 1): nodes, then weights, the
+# bits of numpy.polynomial.legendre.leggauss(24).  Plain floats, so that
+# importing the module runs no numpy operation.
+_LEGENDRE = (
+    (-0.9951872199970213, -0.9747285559713095, -0.9382745520027328, -0.8864155270044011,
+     -0.820001985973903, -0.7401241915785544, -0.6480936519369755, -0.5454214713888396,
+     -0.4337935076260451, -0.3150426796961634, -0.1911188674736163, -0.06405689286260563,
+     0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+     0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+     0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+    (0.01234122979998869, 0.02853138862893356, 0.04427743881741941, 0.05929858491543636,
+     0.07334648141108016, 0.0861901615319532, 0.09761865210411393, 0.10744427011596556,
+     0.11550566805372552, 0.1216704729278033, 0.12583745634682825, 0.12793819534675202,
+     0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+     0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+     0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869),
+)
+
+# The 40-node Gauss-Laguerre rule for the weight t e^{-t} on (0, inf), which
+# integrates the Gamma(2, 1) law of x0: nodes, then weights.  The tests
+# rebuild it from the roots of L_41' and check it against scipy.
+_LAGUERRE = (
+    (0.08954050659237958, 0.3002958377985001, 0.6319059872791065, 1.0848366277396009,
+     1.6597590728784573, 2.357538056982572, 3.179236636467165, 4.126124820498743,
+     5.1996906311140645, 6.401653564078322, 7.733980691913063, 9.198905774591644,
+     10.798951850934625, 12.53695790558015, 14.416110356358763, 16.43998029699863,
+     18.61256767493958, 20.93835390335719, 23.422364827864705, 26.07024653110651,
+     28.88835721961993, 31.883879481005728, 35.064958651743424, 38.44087508976156,
+     42.02226110217022, 45.821377618274184, 49.852472209152076, 54.132250066478804,
+     58.68050537859231, 63.520986359459755, 68.68261086422278, 74.2012266143853,
+     80.12225309107423, 86.50482398111559, 93.42864682201288, 101.00618781054932,
+     109.40644656538431, 118.90795125165516, 130.04405811287367, 144.18887015539497),
+    (0.012314463232501936, 0.06029781670040689, 0.13173423789774263,
+     0.18837302108490483, 0.2008204306707303, 0.16949085668778402,
+     0.11697191760224537, 0.06728114565704535, 0.032637420515432655,
+     0.013452280491050416, 0.004733220358807389, 0.0014255162567753151,
+     0.0003679502872947073, 8.140726289840545e-05, 1.5425593914236217e-05,
+     2.4992831569151935e-06, 3.4541708737679895e-07, 4.059453864580221e-08,
+     4.041157086414726e-09, 3.3918861216346593e-10, 2.387240696679645e-11,
+     1.3998917829113335e-12, 6.789087099241505e-14, 2.6996488553510248e-15,
+     8.7144660575932e-17, 2.257126694178667e-18, 4.627370464006783e-20,
+     7.389221711541716e-22, 9.016739463881932e-24, 8.21678591448723e-26,
+     5.437215389706771e-28, 2.5232556908772726e-30, 7.857889117175142e-33,
+     1.5505696933797076e-35, 1.7946143303809734e-38, 1.0927286939561277e-41,
+     2.974186305781184e-45, 2.7702050982715785e-49, 5.315281890038273e-54,
+     5.798688146781162e-60),
+)
 
 
 def _s_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -105,56 +158,60 @@ def _s_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     edges[-1] = 1.0
     splits = math.ceil(math.log(edges[1] * (n + 1) / 1e-10, 8.0))
     edges = np.concatenate([[0.0], edges[1] * 8.0 ** -np.arange(splits, 0, -1.0), edges[1:]])
-    t, w = np.polynomial.legendre.leggauss(24)
+    t, w = np.array(_LEGENDRE)
     half = np.diff(edges)[:, None] / 2.0
     return (edges[:-1, None] + half * (1.0 + t)).ravel(), (half * w).ravel()
 
 
-def _beta_pdf(n: int, ell: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Beta(l, n-l+1) densities at v, one row per entry of the column ell."""
-    return np.exp(_log_beta_norm(n, ell) + (ell - 1) * np.log(v) + (n - ell) * np.log1p(-v))
-
-
-def _rule_sums(n: int, x0, weight, ells: np.ndarray, kernel) -> np.ndarray:
+def _rule_sums(n: int, x0, weight, ells: np.ndarray, bracket) -> np.ndarray:
     """The rule applied to sum_j weight_j (x0_j v) H(x0_j v) kernel(l, v) for
-    every l in ells, in model units: the sizes x0 (scalar or array, weights
-    alike) are summed into one integrand first, then each block of l is one
-    matrix-vector product.  Every sum is finite where x0 v stays above 0."""
-    x = np.reshape(x0, (-1, 1))
+    every l in ells, in model units.  The kernel is the Beta(l, n-l+1)
+    density times a_l - b_l / r - c_l r / l at r = v/(1-v), where bracket
+    holds the columns (a, b, c) over ells (1, 0, 0 give the density alone).
+    The sizes x0 (scalar or array, weights alike) are summed into one
+    integrand first, then each block of l is one matrix-vector product.
+    Every sum is finite where x0 v stays above 0."""
+    x, weight = np.reshape(x0, (-1, 1)), np.reshape(weight, (-1, 1))
     v, w = _s_rule(n)
     # x0 v is smallest at the smallest x0 and the first node
     if not x.min() * v[0] > 0:
         raise FloatingPointError(f"x0 = {float(x.min())!r} is too small: x0 v underflows to 0 at the "
                                  f"smallest quadrature node v = {v[0]:.3g}")
-    xv = x * v
-    f = (np.reshape(weight, (-1, 1)) * xv * H_closed(xv)).sum(axis=0) * w
-    blocks = range(0, ells.size, _ELL_BLOCK)
-    return np.concatenate([kernel(ells[lo:lo + _ELL_BLOCK, None], v) @ f for lo in blocks])
-
-
-def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Laguerre nodes and weights for the weight t e^{-t} on (0, inf).
-
-    The orthogonal polynomials of that weight are L_n^(1) = -L_{n+1}', so
-    the nodes are the roots of L_{n+1}' (numpy's companion-matrix roots),
-    refined by two Newton steps, and the weights are
-    (n + 1)/(t L_{n+1}''(t)^2).  Weights read off the eigenvectors of the
-    symmetric Jacobi matrix instead miss the tiny weights of the largest
-    nodes by up to ten orders of magnitude.
-    """
-    # reached at call time: a module-level import would load numpy.polynomial
-    # in every command
-    lag = np.polynomial.laguerre
-    slope = lag.lagder([0.0] * (nodes + 1) + [1.0])  # L_{n+1}'
-    curve = lag.lagder(slope)
-    t = lag.lagroots(slope)
-    for _ in range(2):
-        t = t - lag.lagval(t, slope) / lag.lagval(t, curve)
-    return t, (nodes + 1.0) / (t * lag.lagval(t, curve) ** 2)
-
-
-# Gauss-Laguerre nodes of the average over the stationary size law.
-_Z0_NODES = 40
+    f = np.empty_like(v)
+    # whole panels of 24 nodes: numpy would sum a one-column chunk over the
+    # sizes pairwise, not in order as it sums a wider one
+    cols = 24 * max(1, _ELL_BLOCK // (24 * x.size))
+    for lo in range(0, v.size, cols):
+        xv = x * v[lo:lo + cols]
+        f[lo:lo + cols] = (weight * xv * H_closed(xv)).sum(axis=0) * w[lo:lo + cols]
+    # everything the blocks share, once per table, and three buffers they
+    # reuse (a fresh temporary per operation made 8-row blocks at n = 10^4
+    # about 1.7 times slower)
+    ell = ells[:, None]
+    log_norm, below, above = _log_beta_norm(n, ell), ell - 1, n - ell
+    a, b, c = (np.reshape(column, (-1, 1)) for column in bracket)
+    log_v, log_1mv, ratio = np.log(v), np.log1p(-v), v / (1.0 - v)
+    rows = 8 * max(1, _ELL_BLOCK // (8 * v.size))
+    buffers = np.empty((3, rows, v.size))
+    sums = np.empty(ells.size)
+    for lo in range(0, ells.size, rows):
+        hi = min(lo + rows, ells.size)
+        kernel, term, rest = buffers[:, :hi - lo]
+        # log_norm + (l-1) log v + (n-l) log(1-v), then its exp
+        np.multiply(below[lo:hi], log_v, out=kernel)
+        kernel += log_norm[lo:hi]
+        np.multiply(above[lo:hi], log_1mv, out=term)
+        kernel += term
+        np.exp(kernel, out=kernel)
+        # (a - b/r) - (c r)/l, rounded in that order
+        np.divide(b[lo:hi], ratio, out=term)
+        np.subtract(a[lo:hi], term, out=term)
+        np.multiply(c[lo:hi], ratio, out=rest)
+        rest /= ell[lo:hi]
+        term -= rest
+        kernel *= term
+        sums[lo:hi] = kernel @ f
+    return sums
 
 
 def expected_sfs(n: int, x0: float | None = None) -> np.ndarray:
@@ -173,18 +230,9 @@ def expected_sfs(n: int, x0: float | None = None) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if x0 is None:
-        # the rule for t e^{-t} integrates the Gamma(2, 1) law of x0 exactly
-        x0, weight = _laguerre_rule(_Z0_NODES)
-    else:
-        x0, weight = positive_finite("the size x0", x0), 1.0
-
-    def kernel(k, v):
-        ratio = v / (1.0 - v)
-        bracket = 2.0 * (n - k) - (k - 1) / ratio - (n - k - 1) * (n - k) * ratio / k
-        return _beta_pdf(n, k, v) * bracket
-
-    return _rule_sums(n, x0, weight, np.arange(1, n), kernel)
+    x0, weight = _LAGUERRE if x0 is None else (positive_finite("the size x0", x0), 1.0)
+    k = np.arange(1, n)
+    return _rule_sums(n, x0, weight, k, (2.0 * (n - k), k - 1, (n - k - 1) * (n - k)))
 
 
 def g1(z: float, u: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from cbsfs.genealogy import LeafConfig, ZetaVector, leaf_positions, sample_block
 from cbsfs.model import ModelParams
-from cbsfs.sfs import _beta_pdf, _rule_sums
+from cbsfs.sfs import _rule_sums
 from cbsfs.tree import GenealogyTree, StructuralError, build_tree, drop_mutations, newick_export
 
 
@@ -61,8 +61,28 @@ def sample_records(args, rng, count=1):
 def s_table(n: int, x0: float) -> np.ndarray:
     """S_0..S_n in model units at the size x0 from the package's fixed rule,
     one Beta density per l (:func:`cbsfs.sfs.s_ell` is the per-l reference)."""
-    s = _rule_sums(n, x0, 1.0, np.arange(1, n + 1), lambda ell, v: _beta_pdf(n, ell, v))
+    s = _rule_sums(n, x0, 1.0, np.arange(1, n + 1), (np.ones(n), np.zeros(n), np.zeros(n)))
     return np.concatenate([[0.0], s])
+
+
+def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes and weights for the weight t e^{-t} on (0, inf),
+    the reference for the package's frozen 40-node rule.
+
+    The orthogonal polynomials of that weight are L_n^(1) = -L_{n+1}', so
+    the nodes are the roots of L_{n+1}' (numpy's companion-matrix roots),
+    refined by two Newton steps, and the weights are
+    (n + 1)/(t L_{n+1}''(t)^2).  Weights read off the eigenvectors of the
+    symmetric Jacobi matrix instead miss the tiny weights of the largest
+    nodes by up to ten orders of magnitude.
+    """
+    lag = np.polynomial.laguerre
+    slope = lag.lagder([0.0] * (nodes + 1) + [1.0])  # L_{n+1}'
+    curve = lag.lagder(slope)
+    t = lag.lagroots(slope)
+    for _ in range(2):
+        t = t - lag.lagval(t, slope) / lag.lagval(t, curve)
+    return t, (nodes + 1.0) / (t * lag.lagval(t, curve) ** 2)
 
 
 def laplace_u(params: ModelParams, t: float, lam: float) -> float:

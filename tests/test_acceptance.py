@@ -15,7 +15,10 @@ exact digamma factors by their logarithmic asymptotics, leaving terms of
 order 1/(n k) that the n^2/sqrt(k) scaling amplifies at bounded k.  Both
 ingredients of the residual are verified independently (the expected
 lengths against Monte Carlo in criterion 2, the distortion function by the
-convergence clause), so the growth is inherent to the formulas.
+convergence clause), so the growth is inherent to the formulas.  Two
+further checks, which pass, give the growth its number: at fixed k,
+g2(n, k)/n tends to c_k(x0) = (x0 - 2)(1 + k psi(k) - k log k)/k^{3/2},
+and for k of order n, sqrt(n) |g2| stays bounded.
 """
 
 import json
@@ -116,6 +119,50 @@ def test_criterion_3_residual_bounded():
         ok,
         f"max|g2| by n: " + ", ".join(f"{n}: {v:.2f}" for n, v in max_by_n.items()) + f"; bound {bound:.2f}, {elapsed:.0f}s",
     )
+
+
+def residual_slope(k: int, x0: float) -> float:
+    """c_k(x0) = (x0 - 2)(1 + k psi(k) - k log k)/k^{3/2}, the limit of
+    g2(n, k)/n at fixed k as n -> inf (psi(k) = H_{k-1} - gamma)."""
+    psi = math.fsum(1.0 / j for j in range(1, k)) - 0.5772156649015329
+    return (x0 - 2.0) * (1.0 + k * psi - k * math.log(k)) / k**1.5
+
+
+def test_criterion_3_residual_grows_like_c_k_times_n():
+    # why the clause above fails: at fixed k, g2(n, k) ~ c_k(x0) n.  Stated
+    # before the run: |g2(3000, k)/3000 / c_k - 1| <= 0.05 at k = 1, 2, 10 and
+    # x0 = 0.5, 4 (at most 0.038 measured), and that gap shrinks from
+    # n = 1000 to n = 3000 in every case
+    start = time.perf_counter()
+    ok, details = True, []
+    for x0 in (0.5, 4.0):
+        rows = {n: g2_residual(n, x0) for n in (1000, 3000)}
+        for k in (1, 2, 10):
+            gaps = [abs(rows[n][k - 1] / n / residual_slope(k, x0) - 1.0) for n in (1000, 3000)]
+            ok = ok and gaps[1] <= 0.05 and gaps[1] < gaps[0]
+            details.append(f"x0={x0}, k={k}: " + "->".join(f"{g:.4f}" for g in gaps))
+    elapsed = time.perf_counter() - start
+    assert report(
+        3,
+        "g2(n, k)/n approaches c_k(x0) at fixed k (gap <= 0.05 at n = 3000, shrinking)",
+        ok,
+        "; ".join(details) + f", {elapsed:.1f}s",
+    )
+
+
+def test_criterion_3_residual_bounded_on_the_scale_of_n():
+    # for k of order n the n^2/sqrt(k) scaling holds: stated before the run,
+    # sqrt(n) max_{k >= n/10} |g2(n, k)| <= 25 at n = 300, 1000, 3000 and
+    # x0 = 0.5, 4 (18.4-20.5 measured)
+    start = time.perf_counter()
+    ok, details = True, []
+    for x0 in (0.5, 4.0):
+        for n in (300, 1000, 3000):
+            scaled = math.sqrt(n) * float(np.abs(g2_residual(n, x0)[math.ceil(n / 10) - 1:]).max())
+            ok = ok and scaled <= 25.0
+            details.append(f"x0={x0}, n={n}: {scaled:.1f}")
+    elapsed = time.perf_counter() - start
+    assert report(3, "sqrt(n) max over k >= n/10 of |g2| <= 25", ok, "; ".join(details) + f", {elapsed:.1f}s")
 
 
 def test_criterion_3_limit_convergence():

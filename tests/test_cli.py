@@ -836,6 +836,27 @@ def test_commands_leave_scipy_unloaded(tmp_path, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sfs", "--mode", "expected", "--n", "200"],
+        ["sfs", "--mode", "expected", "--n", "200", "--z0", "2"],
+        ["sfs", "--mode", "simulate", "--n", "20", "--z0", "2", "--reps", "50"],
+    ],
+    ids=["sfs-expected", "sfs-expected-z0", "sfs-simulate"],
+)
+def test_sfs_leaves_numpy_polynomial_unloaded(tmp_path, argv):
+    # both Gauss rules of the spectrum tables are frozen constants: building
+    # them loaded numpy.polynomial (and ran LAPACK's eigenvalue routines)
+    code = (
+        "import sys; from cbsfs.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, 'numpy.polynomial' in sys.modules)"
+    )
+    proc = run_python("-c", code, *argv, "--out", str(tmp_path / "out"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         [],
         ["sfs", "--mode", "expected", "--n", "20"],
         ["sample", "--n", "20", "--reps", "3"],
@@ -863,13 +884,13 @@ def test_single_process_commands_leave_the_pool_unloaded(tmp_path, argv):
     [
         ["sample", "--n", "20", "--reps", "3", "--workers", "2"],
         ["clonal", "--mode", "simulate", "--n-max", "3", "--reps", "100", "--workers", "2"],
+        ["sfs", "--mode", "simulate", "--n", "20", "--z0", "2", "--reps", "50", "--workers", "2"],
     ],
-    ids=["sample", "clonal-simulate"],
+    ids=["sample", "clonal-simulate", "sfs-simulate"],
 )
 def test_pooled_commands_draw_only_in_the_pool(tmp_path, argv):
     # numpy.random loads hashlib and OpenSSL (5.5 MB of resident memory);
     # with a pool every block is drawn there, also when there is one block.
-    # (`sfs` loads it anyway, through numpy.polynomial in its analytic layer.)
     code = (
         "import sys; from cbsfs.cli import main; rc = main(sys.argv[1:]); "
         "print(rc, 'numpy.random' in sys.modules)"

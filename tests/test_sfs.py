@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from cbsfs.genealogy import Lk_all, sample_population, sample_zetas
 from cbsfs.model import ModelParams
 from cbsfs.sfs import (
-    _laguerre_rule,
+    _LAGUERRE,
+    _LEGENDRE,
     _sfs_replicate,
     density_branch_check,
     density_spine_check,
@@ -21,7 +23,7 @@ from cbsfs.sfs import (
     s_ell,
     simulate_sfs,
 )
-from oracles import drawn_records, s_table
+from oracles import _laguerre_rule, drawn_records, s_table
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 
@@ -216,24 +218,67 @@ class TestExpectedLk:
             expected = np.array(values) / (beta * theta)
             np.testing.assert_allclose(params.time_unit * expected_sfs(n), expected, rtol=1e-5, atol=0.0)
 
+    @pytest.mark.parametrize("n", [3000, 10_000])
+    @pytest.mark.parametrize("x0", [None, 4.0], ids=["averaged", "x0-4"])
+    def test_working_set_is_bounded(self, n, x0):
+        # the rule builds its kernel and size integrand in blocks of about
+        # 2^15 entries, so the table's traced peak stays a few such blocks
+        # and its O(n) columns (0.9-2.7 MB measured at these four cases)
+        bound_mb = 4.0
+        tracemalloc.start()
+        try:
+            expected_sfs(n, x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 <= bound_mb
+
 
 class TestLaguerreRule:
+    # the frozen 40-node rule of the size average against two oracles
     def test_against_scipy(self):
         from scipy import special
 
-        t, w = _laguerre_rule(40)
+        t, w = np.array(_LAGUERRE)
         t_ref, w_ref = special.roots_genlaguerre(40, 1.0)
         np.testing.assert_allclose(t, t_ref, rtol=1e-14, atol=0.0)
         # the tail weights fall to about 6e-60; weights read off the
         # eigenvectors miss them by up to 7e10 relative
         np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0.0)
 
+    def test_against_the_laguerre_series(self):
+        t, w = np.array(_LAGUERRE)
+        t_ref, w_ref = _laguerre_rule(40)
+        np.testing.assert_allclose(t, t_ref, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0.0)
+
     def test_exact_to_degree_79(self):
         # a 40-node Gauss rule integrates t^k against t e^{-t} exactly, to (k + 1)!
-        t, w = _laguerre_rule(40)
+        t, w = np.array(_LAGUERRE)
         for k in range(80):
             total = math.fsum(w * t**k)
             assert total == pytest.approx(math.factorial(k + 1), rel=1e-13, abs=0.0), k
+
+
+class TestLegendreRule:
+    # the frozen 24-point rule of every spectrum table
+    def test_against_scipy(self):
+        from scipy import special
+
+        t, w = np.array(_LEGENDRE)
+        t_ref, w_ref = special.roots_legendre(24)
+        np.testing.assert_allclose(t, t_ref, rtol=1e-14, atol=0.0)
+        # the frozen weights are leggauss's, up to 1.2e-13 from 40-digit
+        # values and 3.5e-14 from scipy's
+        np.testing.assert_allclose(w, w_ref, rtol=1e-13, atol=0.0)
+
+    def test_exact_to_degree_47(self):
+        # a 24-point Gauss rule integrates t^k on (-1, 1) exactly: 2/(k + 1)
+        # for even k, 0 for odd k
+        t, w = np.array(_LEGENDRE)
+        for k in range(48):
+            total = math.fsum(w * t**k)
+            assert total == pytest.approx(2.0 / (k + 1) if k % 2 == 0 else 0.0, rel=1e-13, abs=1e-16), k
 
 
 def g1_expansion_mpmath(z, u, dps=30):
