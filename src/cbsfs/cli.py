@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from ._mc import replicate_blocks
+from ._mc import Pool, replicate_blocks
 from .clonal import MC_STATISTICS, clonal_summary, e_zcl_pow, e_zcl_pow_r, mc_clonal
 from .genealogy import block_parents, block_tree_length, leaf_positions, sample_block
 from .model import ModelParams
@@ -45,7 +46,7 @@ FLAGS = {
     "z0": (float, None, None, "condition on population size z0"),
     "out": (str, None, None, "output path (base path for `sample`)"),
     "format": (str, "csv", ("csv", "json"), "data file format"),
-    "workers": (int, 1, None, "parallel workers (output-invariant)"),
+    "workers": (int, 1, None, "forked worker processes (output-invariant)"),
 }
 TAKES = {
     "sample": {"beta", "theta", "mu", "seed", "reps", "n", "z0", "out", "workers"},
@@ -102,29 +103,34 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         return p
 
     p = command("sample", "sample genealogies to Newick + JSON replay")
-    p.add_argument("--root-mode", choices=[m.value for m in RootMode], default=RootMode.POPULATION_MRCA.value)
+    p.add_argument("--root-mode", choices=[m.value for m in RootMode], default=RootMode.POPULATION_MRCA.value,
+                   help="root each tree at the population's MRCA or at the sample's")
 
     p = command("sfs", "expected or simulated site frequency spectrum")
-    p.add_argument("--mode", choices=("expected", "simulate"), default="expected")
+    p.add_argument("--mode", choices=("expected", "simulate"), default="expected",
+                   help="the closed-form spectrum alone, or beside a Monte-Carlo one")
     p.add_argument("--sim-mode", choices=SIMULATE_MODES, default="expected-lengths",
                    help="per-replicate statistic in simulate mode")
 
     p = command("density", "continuum mean-spectrum density on a grid")
-    p.add_argument("--r-min", type=float, default=0.01)
-    p.add_argument("--r-max", type=float, default=5.0)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--r-min", type=float, default=0.01, help="smallest r of the grid")
+    p.add_argument("--r-max", type=float, default=5.0, help="largest r of the grid")
+    p.add_argument("--points", type=int, default=100, help="grid size, geometric in r")
 
     p = command("g1", "distortion curves g1(z, u) on a u grid")
     p.add_argument("--z", default="0.5,1,2,4", help="comma list of z values")
     p.add_argument("--u-points", type=int, default=101, help="grid size on [0, 1]")
 
     p = command("clonal", "clonal moments, analytic and simulated")
-    p.add_argument("--mode", choices=("analytic", "simulate"), default="analytic")
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--statistic", choices=MC_STATISTICS, default="zpow_r")
+    p.add_argument("--mode", choices=("analytic", "simulate"), default="analytic",
+                   help="the closed-form moments alone, or beside Monte-Carlo ones")
+    p.add_argument("--n-max", type=int, default=5, help="moments of order n = 1..n-max")
+    p.add_argument("--statistic", choices=MC_STATISTICS, default="zpow_r",
+                   help="E[Z_cl^(n-1) R] (zpow_r) or E[Z_cl^n] (zpow)")
 
     p = command("verify", "run a verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(verify.SUITES) + ["all"])
+    p.add_argument("--suite", required=True, choices=sorted(verify.SUITES) + ["all"],
+                   help="the checks to run")
     return parser, sub.choices
 
 
@@ -136,8 +142,10 @@ def settings(args) -> list[tuple[str, object]]:
             if key not in ("config", "command", "out", "workers", "pool")]
 
 
-# The most --workers a command takes (a pool forks them all at its first
-# block); a constant, so a config file valid on one machine is valid on all.
+# The most --workers a command takes.  The pool forks them all at its first
+# block and keeps two pipe ends per process (512 descriptors at this bound,
+# half the usual limit of 1024); a constant, so a config file valid on one
+# machine is valid on all.
 MAX_WORKERS = 256
 
 # The most --points (density) and --u-points (g1): a grid is held in memory.
@@ -145,9 +153,10 @@ MAX_POINTS = 100_000
 
 # The mutation atoms one block of `sample` may draw, in expectation.  Written
 # one record at a time, they add 0-4 bytes of peak RSS per atom of a block
-# (runs of 0.4 to 4.1 million atoms at n = 50).  A pool process returns its
-# block as text: at --workers 2, whose window holds four blocks, the peak
-# grew by 52-123 bytes per atom of a block, so about 130 MB at this budget.
+# (runs of 0.4 to 4.1 million atoms at n = 50).  A pool process sends its
+# block back as text, pickled into the pipe as it goes, and holds it until
+# it is read: at --workers 2 the peak grew by 27-37 bytes per atom of a
+# block, so about 30-40 MB at this budget.
 ATOM_BUDGET = 2**20
 
 
@@ -352,6 +361,8 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value > high:
                 raise ValueError(f"--{flag.replace('_', '-')} must be <= {high}, got {value}")
+        if getattr(args, "workers", 1) > 1 and not hasattr(os, "fork"):
+            raise ValueError("--workers above 1 forks worker processes, which this platform cannot (no os.fork)")
         params = ModelParams(beta=args.beta, theta=args.theta, mu=args.mu) if "beta" in taken else None
         for flag in ("z0", "r_min", "r_max"):
             value = getattr(args, flag, None)
@@ -361,10 +372,8 @@ def main(argv=None) -> int:
             args.pool = None
             if getattr(args, "workers", 1) > 1:
                 # one pool serves every run of the command; its processes
-                # start at the first block and stop when the command ends
-                from concurrent.futures import ProcessPoolExecutor
-
-                args.pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
+                # are forked at the first block and reaped when the command ends
+                args.pool = stack.enter_context(Pool(args.workers))
             return COMMANDS[args.command](args, params)
     except (ValueError, OSError) as exc:
         print(f"cbsfs: {exc}", file=sys.stderr)

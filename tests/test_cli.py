@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cbsfs
-from cbsfs import cli
+from cbsfs import cli, clonal
 from cbsfs._mc import BLOCK, replicate_blocks, replicate_rng
 from cbsfs.cli import _sample_replicate, build_parser, main
 from cbsfs.clonal import e_zcl_pow_r
@@ -581,13 +582,11 @@ class TestBadFlags:
     def test_workers_above_the_bound(self, tmp_path, capsys, monkeypatch):
         # rejected before a pool exists: a pool that is built fails the test
         # without starting a process
-        import concurrent.futures
-
         class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError(f"a pool was built with {kwargs}")
+            def __init__(self, *args):
+                raise AssertionError(f"a pool was built with {args}")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(cli, "Pool", NoPool)
         out = tmp_path / "x.csv"
         assert run("clonal", "--mode", "simulate", "--n-max", 1, "--reps", 200,
                    "--workers", 100000, "--out", out) == 1
@@ -864,10 +863,9 @@ def test_sfs_leaves_numpy_polynomial_unloaded(tmp_path, argv):
     ids=["import", "sfs-expected", "sample"],
 )
 def test_single_process_commands_leave_the_pool_unloaded(tmp_path, argv):
-    # concurrent.futures.process loads multiprocessing, which a command
-    # needs only when it starts a pool (--workers > 1); the package logs
-    # nothing, so it loads no logging either
-    modules = ("multiprocessing", "concurrent.futures", "concurrent.futures.process", "logging")
+    # the pool is forked over pipes, so no command loads concurrent.futures
+    # or multiprocessing; the package logs nothing, so it loads no logging
+    modules = ("multiprocessing", "concurrent.futures", "logging")
     code = (
         "import sys; from cbsfs.cli import main; "
         "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
@@ -891,10 +889,64 @@ def test_single_process_commands_leave_the_pool_unloaded(tmp_path, argv):
 def test_pooled_commands_draw_only_in_the_pool(tmp_path, argv):
     # numpy.random loads hashlib and OpenSSL (5.5 MB of resident memory);
     # with a pool every block is drawn there, also when there is one block.
+    # The pool forks over pipes: concurrent.futures.process would load
+    # multiprocessing, socket, selectors and queue, about 1.4 MB in every
+    # process of the pool
+    modules = ("numpy.random", "concurrent.futures", "multiprocessing")
     code = (
         "import sys; from cbsfs.cli import main; rc = main(sys.argv[1:]); "
-        "print(rc, 'numpy.random' in sys.modules)"
+        f"print(rc, [m for m in {modules!r} if m in sys.modules])"
     )
     proc = run_python("-c", code, *argv, "--out", str(tmp_path / "out"), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def _exit_in_the_worker(args, rng, count):
+    # a pool process that dies mid-run, as an out-of-memory kill leaves it
+    os._exit(3)
+
+
+class TestPooledCommandEnds:
+    def test_a_dead_worker_is_a_one_line_message(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(clonal, "_clonal_replicate", _exit_in_the_worker)
+        out = tmp_path / "x.csv"
+        assert run("clonal", "--mode", "simulate", "--n-max", 2, "--reps", 200,
+                   "--workers", 2, "--out", out) == 1
+        assert re.fullmatch(r"cbsfs: worker process 1 of 2 \(pid \d+\) exited with status 3 during the run\n",
+                            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("end", ["success", "block-error", "dead-worker"])
+    def test_no_process_is_left_running(self, tmp_path, monkeypatch, end):
+        clonal_run = ["clonal", "--mode", "simulate", "--n-max", 2, "--reps", 2 * BLOCK + 5]
+        argv, status = {
+            "success": (clonal_run, 0),
+            "block-error": (["sample", "--n", 4, "--reps", 500], 1),  # beyond the atom budget
+            "dead-worker": (clonal_run, 1),
+        }[end]
+        if end == "block-error":
+            monkeypatch.setattr(cli, "ATOM_BUDGET", 100)
+        if end == "dead-worker":
+            monkeypatch.setattr(clonal, "_clonal_replicate", _exit_in_the_worker)
+        assert run(*argv, "--workers", 2, "--out", tmp_path / "x") == status
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("command", ["sample", "clonal"])
+    def test_workers_need_fork(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.delattr(os, "fork")
+        argv = {"sample": ["sample", "--n", 3, "--reps", 5],
+                "clonal": ["clonal", "--mode", "simulate", "--n-max", 1, "--reps", 200]}[command]
+        assert run(*argv, "--workers", 2, "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err == (
+            "cbsfs: --workers above 1 forks worker processes, which this platform cannot (no os.fork)\n")
+        assert list(tmp_path.iterdir()) == []
+        # one process needs no fork
+        assert run(*argv, "--workers", 1, "--out", tmp_path / "x") == 0
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_option_has_help(command):
+    _, commands = build_parser()
+    assert [action.option_strings for action in commands[command]._actions if not action.help] == []

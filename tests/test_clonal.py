@@ -2,14 +2,13 @@
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from cbsfs._mc import replicate_rng
+from cbsfs._mc import Pool, replicate_rng
 from cbsfs.clonal import (
     _clonal_replicate,
     clonal_summary,
@@ -332,7 +331,7 @@ class TestMcClonal:
 
     def test_workers_do_not_change_values(self):
         a = mc_clonal(ALPHA_ONE, 2, reps=2000, seed=70)
-        with ProcessPoolExecutor(max_workers=3) as pool:
+        with Pool(3) as pool:
             b = mc_clonal(ALPHA_ONE, 2, reps=2000, seed=70, pool=pool)
         assert a == b
 
