@@ -4,10 +4,12 @@ Every simulated quantity is built from independent replicates, drawn in
 blocks of :data:`BLOCK`: block b holds replicates b*BLOCK onwards (the last
 block holds what is left) and draws all of them from
 ``replicate_rng(seed, b)``.  ``replicate_blocks`` is the only place that
-loops over the blocks: it yields each block's results as soon as they are
-drawn, in replicate order, so a caller that writes them out holds one block
-at a time.  The block size is a constant, so output is a pure function of
-(seed, reps) no matter how the blocks are spread over worker processes.  A
+splits a run into blocks: it yields each block's results as soon as they
+are drawn, in replicate order, so a caller that writes them out holds one
+block at a time.  With a :class:`Pool` of W processes, process w is given
+blocks w, w + W, ... of a run in one task and draws them in order.  The
+block size is a constant, so output is a pure function of (seed, reps) no
+matter how the blocks are spread over worker processes.  A
 block function ``fn(args, rng, count)`` returns ``count`` results as an
 array with one row per replicate (numbers for the Monte-Carlo means), or
 yields them one row at a time (the text of the sampled trees, which is
@@ -44,35 +46,35 @@ def _run_chunk(fn, args, seed, lo, hi, pooled=False):
 
 
 def _serve(tasks, results) -> None:
-    """The loop of a pool process: run each pickled block task
-    ``(fn, args, seed, lo, hi)`` read from ``tasks`` and write the pickled
-    ``(ok, value)`` to ``results``, the block's results or the exception it
-    raised, until ``tasks`` ends.  The pickle is written as it is built, in
-    frames of 64 KB, so the process never holds it whole; one that cannot
-    be written ends the process, which the parent reports."""
+    """The loop of a pool process: for each pickled run task
+    ``(fn, args, seed, reps, starts)`` read from ``tasks``, draw the blocks
+    that start at ``starts``, in order, and write each one's pickled
+    ``(ok, value)`` to ``results``, its results or the exception it raised,
+    until ``tasks`` ends.  A pickle is written as it is built, in frames of
+    64 KB, so the process never holds it whole; one that cannot be written
+    ends the process, which the parent reports."""
     while True:
         try:
-            fn, args, seed, lo, hi = pickle.load(tasks)
+            fn, args, seed, reps, starts = pickle.load(tasks)
         except EOFError:
             return
-        try:
-            reply = (True, _run_chunk(fn, args, seed, lo, hi, True))
-        except Exception as exc:  # raised again in the parent
-            reply = (False, exc)
-        pickle.dump(reply, results, pickle.HIGHEST_PROTOCOL)
-        results.flush()
-        del reply  # not held while the next block is drawn
+        for lo in starts:
+            try:
+                reply = (True, _run_chunk(fn, args, seed, lo, min(lo + BLOCK, reps), True))
+            except Exception as exc:  # raised again in the parent
+                reply = (False, exc)
+            pickle.dump(reply, results, pickle.HIGHEST_PROTOCOL)
+            results.flush()
+            del reply  # not held while the next block is drawn
 
 
 class Pool:
-    """``size`` worker processes, each fed block tasks over a pipe of its own
-    and answering over another.  They are forked at the first task, so a
-    command rejected before it draws starts none, and reaped by
-    :meth:`close`.  Task ``index`` goes to process ``index % size``, which
-    runs its tasks in the order sent, so reading the processes in turn gives
-    the results in the order the tasks were sent.  A task is a few hundred
-    bytes, so sending one never waits on a busy process; a result waits in
-    its process until it is read.  Needs ``os.fork`` (POSIX).
+    """``size`` worker processes, each given one task per run over a pipe of
+    its own and answering over another.  They are forked at the first run,
+    so a command rejected before it draws starts none, and reaped by
+    :meth:`close`.  Each draws its blocks of a run in order, so reading the
+    processes in turn gives the blocks in order.  A task is a few hundred
+    bytes, so sending one never waits.  Needs ``os.fork`` (POSIX).
     """
 
     def __init__(self, size: int) -> None:
@@ -114,37 +116,32 @@ class Pool:
             os.close(result_write)
             self._workers.append((pid, task_write, open(result_read, "rb")))
 
-    def submit(self, index: int, task: tuple) -> None:
-        """Send ``task`` = ``(fn, args, seed, lo, hi)`` to process ``index % size``."""
-        if not self._workers:
-            self._start()
-        _, tasks, _ = self._workers[index % self.size]
-        data = pickle.dumps(task, pickle.HIGHEST_PROTOCOL)
+    def run(self, fn, args, seed: int, reps: int, starts: range):
+        """Yield the results of the blocks of ``reps`` replicates that start
+        at ``starts``, in order; the exception a block raised is raised
+        here.  A run that stops before its last block closes the pool."""
         try:
-            while data:
-                data = data[os.write(tasks, data):]
-        except BrokenPipeError:
-            self._lost(index % self.size)
-
-    def _reply(self, index: int) -> tuple[bool, object]:
-        _, _, results = self._workers[index % self.size]
-        try:
-            return pickle.load(results)
-        except (EOFError, pickle.UnpicklingError):  # its process ended, mid-reply or before
-            self._lost(index % self.size)
-
-    def receive(self, index: int):
-        """The results of task ``index``; the exception it raised is raised here."""
-        ok, value = self._reply(index)
-        if not ok:
-            raise value
-        return value
-
-    def discard(self, indices) -> None:
-        """Read and drop the replies to the tasks ``indices``, if the pool is open."""
-        if self._workers:
-            for index in indices:
-                self._reply(index)
+            if not self._workers:
+                self._start()
+            for w, (_, tasks, _) in enumerate(self._workers):
+                data = pickle.dumps((fn, args, seed, reps, starts[w :: self.size]), pickle.HIGHEST_PROTOCOL)
+                try:
+                    while data:
+                        data = data[os.write(tasks, data):]
+                except BrokenPipeError:
+                    self._lost(w)
+            for b in range(len(starts)):
+                try:
+                    ok, value = pickle.load(self._workers[b % self.size][2])
+                except (EOFError, pickle.UnpicklingError):  # its process ended, mid-reply or before
+                    self._lost(b % self.size)
+                if not ok:
+                    raise value
+                yield value
+                del value  # not held while the next block is read
+        except BaseException:
+            self.close()
+            raise
 
     def _lost(self, worker: int):
         # close the pool, so that nothing of the run is left in flight, and
@@ -170,15 +167,13 @@ def replicate_blocks(fn, args, reps: int, seed: int, pool=None):
     with one row per replicate, or an iterator of rows (a list from a pool).
 
     Without ``pool`` every block is drawn here.  With a :class:`Pool`
-    (which the command opens and reuses for all its runs), block b is drawn
-    by its process ``b % pool.size``, and the blocks are yielded in order.
-    Blocks are sent as the consumer asks for them, at most twice the pool's
-    size ahead: the block being yielded and those sent after it number at
-    most that many, and a finished block waits in its process until it is
-    read, so a slow consumer holds one block whatever ``reps`` is.  Closing
-    the generator early sends nothing more and reads and drops the blocks in
-    flight, so the pool serves the next run in order.  ``fn`` must be a
-    module-level callable, and its results must pickle.
+    (which the command opens and reuses for all its runs), each process is
+    sent its share of the run once and draws block w, w + W, ... in order.
+    A finished block waits in its process until it is read, so one block
+    per process, and what a pipe buffers, is in flight whatever ``reps``
+    is.  A run that stops early (a block's error, a lost process, the
+    generator closed) closes the pool; the next run forks new processes.
+    ``fn`` must be a module-level callable, and its results must pickle.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -187,17 +182,7 @@ def replicate_blocks(fn, args, reps: int, seed: int, pool=None):
         for lo in starts:
             yield _run_chunk(fn, args, seed, lo, min(lo + BLOCK, reps))
         return
-    sent = done = 0
-    try:
-        while done < len(starts):
-            for lo in starts[sent : done + 2 * pool.size]:
-                pool.submit(sent, (fn, args, seed, lo, min(lo + BLOCK, reps)))
-                sent += 1
-            done += 1
-            # not bound here: the block is dropped while the next one is read
-            yield pool.receive(done - 1)
-    finally:
-        pool.discard(range(done, sent))
+    yield from pool.run(fn, args, seed, reps, starts)
 
 
 def map_replicates(fn, args, reps: int, seed: int, pool=None) -> np.ndarray:

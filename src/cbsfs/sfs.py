@@ -18,9 +18,9 @@ adaptive quadrature as the reference the tests compare against; it alone
 runs to a tighter, relative-only tolerance than the package's quadratures.
 
 The large-n shape of k * E[xi_k] is the Kingman constant plus the
-distortion g1, one line in e^x E1(x); the bounded-remainder residual g2 is
-computed as exactly that: the scaled difference between the exact
-expectation and the two leading terms.
+distortion g1, one line in e^x E1(x); the tests take the bounded-remainder
+residual g2 as the scaled difference between the exact expectation and
+those two leading terms.
 
 The simulated route replays the genealogy sampler and either averages
 mu * L_k directly or draws Poisson counts with those means.
@@ -255,16 +255,6 @@ def g1(z: float, u: float) -> float:
     log_x = math.log(x) if x >= 2.0 ** -1022 else math.log(2.0 * z) + math.log(u)
     exp_e1 = _exp_e1(x) if x >= 1.0 else math.exp(x) * (_ein(x) - EULER_GAMMA - log_x)
     return u * (2.0 * exp_e1 * (1.0 - z * (1.0 - u)) - 1.0)
-
-
-def g2_residual(n: int, x0: float) -> np.ndarray:
-    """Scaled remainder after the 1/k and g1/k terms are removed, for
-    k = 1..n-1 (entry k-1):
-    (n^2/sqrt(k)) * (E[L_k|x0]/x0 - 1/k - g1(x0/2, k/n)/k), free of units."""
-    lk = expected_sfs(n, x0)
-    k = np.arange(1, n)
-    lead = 1.0 / k + np.array([g1(x0 / 2.0, j / n) for j in range(1, n)]) / k
-    return (n * n / np.sqrt(k)) * (lk / x0 - lead)
 
 
 @np.errstate(over="ignore")  # alpha L near the float limit: the written table is checked

@@ -1,6 +1,7 @@
 """Per-replicate references for the block routes of the package, the
-queries of the explicit tree, the laws no command evaluates, and the
-order-statistic table S_0..S_n of the spectrum rule.
+queries of the explicit tree, the laws no command evaluates, the
+order-statistic table S_0..S_n of the spectrum rule, and the residual g2
+of the spectrum's large-n expansion.
 
 The package draws and renders whole blocks of genealogies as arrays; these
 rebuild the same results one replicate at a time through the record types
@@ -16,7 +17,7 @@ import numpy as np
 
 from cbsfs.genealogy import LeafConfig, ZetaVector, leaf_positions, sample_block
 from cbsfs.model import ModelParams
-from cbsfs.sfs import _rule_sums
+from cbsfs.sfs import _rule_sums, expected_sfs, g1
 from cbsfs.tree import GenealogyTree, StructuralError, build_tree, drop_mutations, newick_export
 
 
@@ -63,6 +64,16 @@ def s_table(n: int, x0: float) -> np.ndarray:
     one Beta density per l (:func:`cbsfs.sfs.s_ell` is the per-l reference)."""
     s = _rule_sums(n, x0, 1.0, np.arange(1, n + 1), (np.ones(n), np.zeros(n), np.zeros(n)))
     return np.concatenate([[0.0], s])
+
+
+def g2_residual(n: int, x0: float) -> np.ndarray:
+    """Scaled remainder after the 1/k and g1/k terms are removed, for
+    k = 1..n-1 (entry k-1):
+    (n^2/sqrt(k)) * (E[L_k|x0]/x0 - 1/k - g1(x0/2, k/n)/k), free of units."""
+    lk = expected_sfs(n, x0)
+    k = np.arange(1, n)
+    lead = 1.0 / k + np.array([g1(x0 / 2.0, j / n) for j in range(1, n)]) / k
+    return (n * n / np.sqrt(k)) * (lk / x0 - lead)
 
 
 def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:

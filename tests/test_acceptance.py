@@ -36,9 +36,9 @@ from cbsfs.genealogy import (
     sample_zetas,
 )
 from cbsfs.model import ModelParams
-from cbsfs.sfs import expected_sfs, g1, g2_residual
+from cbsfs.sfs import expected_sfs, g1
 from cbsfs.tree import RootMode, build_tree
-from oracles import edge_lengths_by_count, tmrca_consecutive, tree_tmrca
+from oracles import edge_lengths_by_count, g2_residual, tmrca_consecutive, tree_tmrca
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 ALPHA_ONE = ModelParams(beta=1.0, theta=1.0, mu=2.0)

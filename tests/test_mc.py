@@ -1,5 +1,5 @@
-"""Replicate scheduling: the blocks a pool is given ahead of the consumer,
-and the pool's processes."""
+"""Replicate scheduling: a pool's runs, each one task per process, and the
+pool's processes."""
 
 import os
 import stat
@@ -46,43 +46,29 @@ def no_children_left():
     return False
 
 
-class CountingPool(Pool):
-    """A pool that keeps the index of every task it is sent."""
-
-    def __init__(self, size):
-        super().__init__(size)
-        self.sent = []
-
-    def submit(self, index, task):
-        self.sent.append(index)
-        super().submit(index, task)
-
-
 BLOCKS = 11
 REPS = (BLOCKS - 1) * BLOCK + 5
 
 
-def test_pool_is_given_twice_its_size_ahead():
-    parts = []
-    with CountingPool(2) as pool:
-        for i, part in enumerate(replicate_blocks(_uniforms, None, REPS, 7, pool)):
-            # the block being yielded and at most three after it
-            assert len(pool.sent) == min(i + 4, BLOCKS)
-            parts.append(part)
-    assert np.array_equal(np.concatenate(parts), map_replicates(_uniforms, None, REPS, 7))
+def test_an_early_closed_run_closes_the_pool_and_the_next_run_forks_anew():
+    with Pool(3) as pool:
+        blocks = replicate_blocks(_uniforms, None, REPS, 7, pool)
+        next(blocks)
+        blocks.close()
+        # every process was reaped, with the blocks it held
+        assert no_children_left()
+        again = map_replicates(_uniforms, None, 3 * BLOCK + 5, 8, pool)
+    assert np.array_equal(again, map_replicates(_uniforms, None, 3 * BLOCK + 5, 8))
     assert no_children_left()
 
 
-def test_early_close_submits_nothing_more_and_the_next_run_is_served_in_order():
-    with CountingPool(3) as pool:
-        blocks = replicate_blocks(_uniforms, None, REPS, 7, pool)
-        next(blocks)
-        assert pool.sent == list(range(6))
-        blocks.close()
-        assert pool.sent == list(range(6))
-        # the five blocks in flight were read and dropped, not left for this run
-        again = map_replicates(_uniforms, None, 3 * BLOCK + 5, 8, pool)
-    assert np.array_equal(again, map_replicates(_uniforms, None, 3 * BLOCK + 5, 8))
+def test_processes_with_no_share_serve_the_next_run():
+    with Pool(3) as pool:
+        # one block: two of the three processes are sent an empty share
+        one = map_replicates(_uniforms, None, 5, 2, pool)
+        eleven = map_replicates(_uniforms, None, REPS, 7, pool)
+    assert np.array_equal(one, map_replicates(_uniforms, None, 5, 2))
+    assert np.array_equal(eleven, map_replicates(_uniforms, None, REPS, 7))
     assert no_children_left()
 
 

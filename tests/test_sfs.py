@@ -18,12 +18,11 @@ from cbsfs.sfs import (
     density_spine_check,
     expected_sfs,
     g1,
-    g2_residual,
     mean_density,
     s_ell,
     simulate_sfs,
 )
-from oracles import _laguerre_rule, drawn_records, s_table
+from oracles import _laguerre_rule, drawn_records, g2_residual, s_table
 
 UNIT = ModelParams(beta=1.0, theta=1.0, mu=1.0)
 

@@ -3,6 +3,7 @@ check the files the CLI writes; each name must exist and each output pass."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +15,12 @@ import cbsfs
 from cbsfs.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _env():
+    """This environment with the package's ``src`` first on PYTHONPATH."""
+    src = str(Path(cbsfs.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def _load(name):
@@ -37,9 +44,7 @@ def test_the_cli_import_loads_every_traced_module():
     # run, though each module still imports on its own (test above)
     modules = sorted({module_name for module_name, _, _ in _load("tracer").TRACED})
     code = "import sys, cbsfs.cli; print(*[m for m in sys.argv[1:] if m not in sys.modules])"
-    src = str(Path(cbsfs.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code, *modules], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, *modules], capture_output=True, text=True, env=_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "", f"not loaded by `import cbsfs.cli`: {proc.stdout.strip()}"
 
@@ -75,3 +80,22 @@ def test_workload_outputs_pass_their_checks(tmp_path, monkeypatch, capsys):
         assert main(workload.command(workload.smoke) + ["--seed", "1"]) == 0, name
         assert workload.check(tmp_path, workload.smoke) == [], name
     capsys.readouterr()
+
+
+def test_pooled_blocks_are_traced_in_the_pool_processes(tmp_path):
+    # the tracer flushes a pool process's spans when its wrapped _run_chunk
+    # returns, so each block must run through _run_chunk in the process
+    # that draws it: 2100 replicates are 3 blocks, and n-max 2 is 2 runs
+    spans = tmp_path / "spans"
+    spans.mkdir()
+    command = ["clonal", "--mode", "simulate", "--n-max", "2", "--reps", "2100", "--workers", "2"]
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), str(spans), "--", *command],
+                          cwd=tmp_path, capture_output=True, text=True, env=_env())
+    assert proc.returncode == 0, proc.stderr
+    (main_file,) = spans.glob("spans-*-main.json")
+    main_pid = int(main_file.name.split("-")[1])
+    chunks = [span for path in spans.glob("spans-*-w*.json")
+              for span in json.loads(path.read_text())["spans"] if span[4] == "mc.chunk"]
+    pids = {span[0] for span in chunks}
+    assert len(chunks) == 6
+    assert len(pids) == 2 and main_pid not in pids
