@@ -3,9 +3,9 @@
 Every command is reproducible from (config file, flags, seed); each
 output file header echoes the settings that command takes.  The
 --workers flag only distributes replicates and never changes output bytes.
-``sample`` hands each record to the writer as text as soon as it is drawn,
-so it holds one block's arrays and one record at a time; the other commands
-write a finished table.
+``sample`` hands each record of its block (:func:`cbsfs.tree._sample_replicate`)
+to the writer as text as soon as it is drawn, so it holds one block's arrays
+and one record at a time; the other commands write a finished table.
 
 Exit codes: 0 ok, 1 failed verification check or rejected value, 2 usage
 error.
@@ -20,17 +20,14 @@ import sys
 from contextlib import ExitStack
 from pathlib import Path
 
-import numpy as np
-
 from . import verify
 from ._mc import Pool, replicate_blocks
 from .clonal import MC_STATISTICS, clonal_summary, e_zcl_pow, e_zcl_pow_r, mc_clonal
-from .genealogy import block_parents, block_tree_length, leaf_positions, sample_block
 from .model import ModelParams
-from .reports import fmt_value, write_csv, write_json_doc, write_sample, write_text
+from .reports import fmt_value, sample_paths, write_csv, write_json_doc, write_sample, write_text
 from .sfs import SIMULATE_MODES, expected_sfs, g1, mean_density, simulate_sfs
 from .specfun import QuadratureError
-from .tree import RootMode, block_trees
+from .tree import RootMode, _sample_replicate
 
 
 # The shared flags, in header order: name -> (type, default, choices, help).
@@ -151,67 +148,16 @@ MAX_WORKERS = 256
 # The most --points (density) and --u-points (g1): a grid is held in memory.
 MAX_POINTS = 100_000
 
-# The mutation atoms one block of `sample` may draw, in expectation.  Written
-# one record at a time, they add 0-4 bytes of peak RSS per atom of a block
-# (runs of 0.4 to 4.1 million atoms at n = 50).  A pool process sends its
-# block back as text, pickled into the pipe as it goes, and holds it until
-# it is read: at --workers 2 the peak grew by 27-37 bytes per atom of a
-# block, so about 30-40 MB at this budget.
-ATOM_BUDGET = 2**20
-
-
-def _sample_replicate(args, rng, count: int):
-    """Yield ``count`` sampled genealogies, one row of text at a time: the
-    ``(newick, labels, positions, atoms, zetas)`` of
-    :func:`cbsfs.reports.sample_item`.  A row holds the draw from which
-    ``build_tree`` rebuilds the tree that the atoms' edge ids name, with the
-    spine's depth 0 put back at its rank.  The block's gaps and depths are
-    drawn in model units, then its leaf positions and labels; positions and
-    depths take their units once.  One that is then not finite, or two
-    positions that round to one float, are a FloatingPointError, and a
-    block whose expected atom count exceeds :data:`ATOM_BUDGET` is a
-    ValueError, all raised before the first row.  The trees of the block
-    come from one parent array, and their mutations are dropped after all
-    its genealogies are drawn, tree by tree, as each row is rendered."""
-    params, n, z0, mode = args
-    x0 = None if z0 is None else params.model_size(z0)
-    gaps, depths = sample_block(n, rng, count, x0)
-    positions, labels = leaf_positions(gaps, rng)
-    del gaps
-    # mu L = alpha L in model units bounds the mean of either root mode
-    length = float(block_tree_length(depths).sum())
-    with np.errstate(over="ignore"):  # a value beyond the float range is refused below
-        positions *= params.size_unit
-        depths *= params.time_unit
-    if not (np.isfinite(positions).all() and np.isfinite(depths).all()):
-        raise FloatingPointError("a position or branch depth leaves the float range in its unit")
-    mean_atoms = params.alpha * length
-    if not mean_atoms <= ATOM_BUDGET:
-        raise ValueError(
-            f"a block of {count} replicates would hold about {mean_atoms:.3g} mutations, beyond the "
-            f"{ATOM_BUDGET} kept in memory; lower --mu, or raise --beta or --theta"
-        )
-    if not np.all(positions[:, 1:] > positions[:, :-1]):
-        longer = "raise --z0" if z0 is not None else "lower --theta"
-        raise FloatingPointError(f"two of the {n} leaf positions round to one float; {longer}")
-    parents = block_parents(depths, mode is RootMode.POPULATION_MRCA)
-    trees = block_trees(parents, depths, labels, params, rng)
-    for row_positions, row_labels, (zetas, atoms, newick) in zip(positions, labels, trees):
-        row_positions = row_positions.tolist()
-        spine = row_positions.index(0.0)
-        labels_text = ",".join(map(str, row_labels.tolist()))
-        zetas_text = ",".join([*zetas[:spine], "0.0", *zetas[spine:]])
-        yield newick, labels_text, ",".join(map(repr, row_positions)), atoms, zetas_text
-
 
 def cmd_sample(args, params: ModelParams) -> int:
     mode = RootMode(args.root_mode)
-    base = Path(args.out or "sample")
+    base = args.out or "sample"
     blocks = replicate_blocks(
         _sample_replicate, (params, args.n, args.z0, mode), args.reps, args.seed, args.pool
     )
     write_sample(base, settings(args), blocks)
-    print(f"wrote {args.reps} replicates to {base.with_suffix('.nwk')} and {base.with_suffix('.json')}")
+    nwk, doc = sample_paths(base)
+    print(f"wrote {args.reps} replicates to {nwk} and {doc}")
     return 0
 
 
@@ -256,18 +202,18 @@ def cmd_sfs(args, params: ModelParams) -> int:
 
 def cmd_density(args, params: ModelParams) -> int:
     if not (args.r_min > 0 and args.r_max > args.r_min and args.points >= 2):
-        raise ValueError("need 0 < r-min < r-max and points >= 2")
+        raise ValueError("need 0 < --r-min < --r-max and --points >= 2")
     if params.mu == 0:
         raise ValueError("density needs --mu > 0: at mu = 0 no site mutates and the density is 0 everywhere")
     step = (args.r_max / args.r_min) ** (1.0 / (args.points - 1))
     if not math.isfinite(step):
-        raise ValueError("r-max / r-min overflows a float")
+        raise ValueError("--r-max / --r-min overflows a float")
     grid = [args.r_min * step**i for i in range(args.points)]
     fs = [mean_density(params, r) for r in grid]
-    # an underflow to 0, an overflow to inf or coincident grid points
-    if any(f <= 0 for f in fs):
-        raise FloatingPointError("density values must be positive")
-    if any(a <= b for a, b in zip(fs, fs[1:])):
+    for r, f in zip(grid, fs):  # an underflow to 0 or an overflow to inf
+        if not 0 < f < math.inf:
+            raise FloatingPointError(f"density values must be positive and finite: f({r!r}) = {f!r} left the float range")
+    if any(a <= b for a, b in zip(fs, fs[1:])):  # coincident grid points
         raise FloatingPointError("density must decrease along the grid")
     _emit_table(args, ["r", "f"], [[r, f] for r, f in zip(grid, fs)])
     return 0
@@ -356,7 +302,7 @@ def main(argv=None) -> int:
         # values from outside, checked once
         for flag, low in (("workers", 1), ("seed", 0), ("reps", 1), ("n", 1)):
             if flag in taken and getattr(args, flag) < low:
-                raise ValueError(f"{flag} must be >= {low}, got {getattr(args, flag)}")
+                raise ValueError(f"--{flag} must be >= {low}, got {getattr(args, flag)}")
         for flag, high in (("workers", MAX_WORKERS), ("points", MAX_POINTS), ("u_points", MAX_POINTS)):
             value = getattr(args, flag, None)
             if value is not None and value > high:
@@ -367,7 +313,7 @@ def main(argv=None) -> int:
         for flag in ("z0", "r_min", "r_max"):
             value = getattr(args, flag, None)
             if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{flag.replace('_', '-')} must be positive and finite, got {value}")
+                raise ValueError(f"--{flag.replace('_', '-')} must be positive and finite, got {value}")
         with ExitStack() as stack:
             args.pool = None
             if getattr(args, "workers", 1) > 1:

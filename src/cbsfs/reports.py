@@ -123,13 +123,19 @@ def sample_item(replicate: int, row: tuple[str, str, str, str, str]) -> str:
     )
 
 
-def write_sample(base: Path, pairs: list[tuple[str, object]], blocks) -> None:
-    """Write ``<base>.nwk`` and ``<base>.json`` from an iterable of blocks of
-    rows, one row at a time: a row is the text of one replay record, whose
+def sample_paths(base: str | Path) -> tuple[Path, Path]:
+    """The ``<base>.nwk`` and ``<base>.json`` pair of ``sample``: each suffix
+    is appended, so a dot in ``base`` (``run_0.5``) stays part of the name."""
+    return Path(f"{base}.nwk"), Path(f"{base}.json")
+
+
+def write_sample(base: str | Path, pairs: list[tuple[str, object]], blocks) -> None:
+    """Write the :func:`sample_paths` of ``base`` from an iterable of blocks
+    of rows, one row at a time: a row is the text of one replay record, whose
     Newick text is its line of the ``.nwk`` file and which
     :func:`sample_item` makes an item of the ``sample`` document."""
     head, tail = _json_envelope("sample", pairs)
-    with _replacing(base.with_suffix(".nwk"), base.with_suffix(".json")) as (nwk, doc):
+    with _replacing(*sample_paths(base)) as (nwk, doc):
         doc.write(head)
         # chain drops each block before it asks for the next one to be drawn
         for replicate, row in enumerate(chain.from_iterable(blocks)):

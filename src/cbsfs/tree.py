@@ -15,12 +15,13 @@ The mutation overlay is a Poisson sprinkling on edges; a mutation's
 carrier set is the leaf set under its edge, so carrier counts are
 per-edge quantities.
 
-The ``sample`` command builds no tree objects: :func:`block_trees` draws
-the mutations and writes the Newick text of every tree of a block from
-the parent array that :func:`cbsfs.genealogy.block_parents` derives from
-the gap depths, with the same node ids, lengths and draws.  The attach
-walk of :func:`build_tree` shares no code with that derivation and is its
-oracle, and the replay of every ``sample`` record.
+The ``sample`` command builds no tree objects: its block,
+:func:`_sample_replicate`, draws the leaves and depths, derives every tree
+from the parent array of :func:`cbsfs.genealogy.block_parents`, then draws
+each tree's mutations and writes its record as text, with the same node
+ids, lengths and draws.  The attach walk of :func:`build_tree` shares no
+code with that derivation and is its oracle, and the replay of every
+``sample`` record.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .genealogy import LeafConfig, ZetaVector
+from .genealogy import LeafConfig, ZetaVector, block_parents, block_tree_length, leaf_positions, sample_block
 from .model import ModelParams
 
 
@@ -239,31 +240,61 @@ def drop_mutations(
     return MutationOverlay(atoms=tuple(zip(np.repeat(children, counts).tolist(), depths.tolist())))
 
 
-def block_trees(
-    parents: np.ndarray,
-    depths: np.ndarray,
-    labels: np.ndarray,
-    params: ModelParams,
-    rng: np.random.Generator,
-):
-    """The text of each tree of a block, row by row.
+# The mutation atoms one block of `sample` may draw, in expectation.  Written
+# one record at a time, they add 0-4 bytes of peak RSS per atom of a block
+# (runs of 0.4 to 4.1 million atoms at n = 50).  A pool process sends its
+# block back as text, pickled into the pipe as it goes, and holds it until
+# it is read: at --workers 2 the peak grew by 27-37 bytes per atom of a
+# block, so about 30-40 MB at this budget.
+ATOM_BUDGET = 2**20
 
-    ``parents`` is :func:`cbsfs.genealogy.block_parents` of the block's
-    ``depths``, and ``labels`` holds each row's leaf labels.  Each row
-    yields ``(depths, atoms, newick)``: the repr of each of its depths, in
-    order, the atoms of :func:`drop_mutations` as JSON pairs joined by
-    commas, and the Newick text of :func:`newick_export`, for
-    :func:`build_tree` of the same row, with the same draws: one Poisson
-    count per edge, in child-id order, then one uniform depth per mutation.
-    An edge's length is its parent's depth less its own, so a leaf's is its
-    parent's depth, whose repr is taken from ``depths``; every float is
-    rendered once.  The Newick text renders the internal nodes by
-    increasing depth, so every node's two children, in id order, are
-    rendered first.
+
+def _sample_replicate(args, rng, count: int):
+    """Yield ``count`` sampled genealogies, one row of text at a time: the
+    ``(newick, labels, positions, atoms, zetas)`` of
+    :func:`cbsfs.reports.sample_item`, for ``args = (params, n, z0,
+    root_mode)``.  A row holds the draw from which :func:`build_tree`
+    rebuilds the tree that the atoms' edge ids name, with the spine's depth
+    0 put back at its rank.
+
+    The block's gaps and depths are drawn in model units, then its leaf
+    positions and labels; positions and depths take their units once.  One
+    that is then not finite, or two positions that round to one float, are
+    a FloatingPointError, and a block whose expected atom count exceeds
+    :data:`ATOM_BUDGET` is a ValueError, all raised before the first row.
+    Each row's tree comes from the block's :func:`block_parents` array; its
+    mutations are those of :func:`drop_mutations` for :func:`build_tree`,
+    draw for draw, and its text that of :func:`newick_export`.  An edge's
+    length is its parent's depth less its own, so a leaf's is its parent's
+    depth, already rendered for the zetas: every float is rendered once.
+    The Newick text renders the internal nodes by increasing depth, so
+    every node's two children, in id order, are rendered first.
     """
-    n = parents.shape[1] // 2
+    params, n, z0, mode = args
+    x0 = None if z0 is None else params.model_size(z0)
+    gaps, depths = sample_block(n, rng, count, x0)
+    positions, labels = leaf_positions(gaps, rng)
+    del gaps
+    # mu L = alpha L in model units bounds the mean of either root mode
+    length = float(block_tree_length(depths).sum())
+    with np.errstate(over="ignore"):  # a value beyond the float range is refused below
+        positions *= params.size_unit
+        depths *= params.time_unit
+    if not (np.isfinite(positions).all() and np.isfinite(depths).all()):
+        raise FloatingPointError("a position or branch depth leaves the float range in its unit")
+    mean_atoms = params.alpha * length
+    if not mean_atoms <= ATOM_BUDGET:
+        raise ValueError(
+            f"a block of {count} replicates would hold about {mean_atoms:.3g} mutations, beyond the "
+            f"{ATOM_BUDGET} kept in memory; lower --mu, or raise --beta or --theta"
+        )
+    if not np.all(positions[:, 1:] > positions[:, :-1]):
+        longer = "raise --z0" if z0 is not None else "lower --theta"
+        raise FloatingPointError(f"two of the {n} leaf positions round to one float; {longer}")
+    parents = block_parents(depths, mode is RootMode.POPULATION_MRCA)
     node_depth = np.zeros(2 * n)  # leaves, gaps, population root
-    for row_parents, row_depths, row_labels in zip(parents, depths, map(np.ndarray.tolist, labels)):
+    for row_parents, row_depths, row_labels, row_positions in zip(parents, depths, labels, positions):
+        row_labels = row_labels.tolist()
         node_depth[n:-1] = row_depths[1:-1]
         node_depth[-1] = row_depths.max()
         up = row_parents[:-1]
@@ -273,23 +304,25 @@ def block_trees(
         where = rng.uniform(0.0, np.repeat(edge_length, counts))
         atoms = ",".join(map("[{},{!r}]".format, np.repeat(child, counts).tolist(), where.tolist()))
         texts = list(map(repr, row_depths.tolist()))
+        spine = row_labels.index(0) + 1  # the spine's rank, counting the left end as 0
+        zetas = ",".join([*texts[:spine], "0.0", *texts[spine:]])
         if n == 1:  # one leaf, under the population root or alone
-            top = "0.0" if up[0] < 0 else texts[row_depths.argmax()]
-            yield texts, atoms, f"(X{row_labels[0]}:{top});"
-            continue
-        # nodes sorted by parent: the parentless ones, then each gap's two
-        # children, then the population root's one child
-        kids = np.argsort(row_parents, kind="stable").tolist()
-        free = 2 * n - child.size
-        # a leaf's parent is gap node n+g, whose depth is column 1+g
-        text = [f"X{label}:{texts[c]}" for label, c in zip(row_labels, (row_parents[:n] - (n - 1)).tolist())]
-        text += [f":{x!r}" for x in edge_length[n:].tolist()]
-        if free == 2:  # the sample root is the root: it has no edge
-            text.insert(kids[0], "")
-        for g in np.argsort(row_depths[1:-1]).tolist():
-            a, b = kids[free + 2 * g], kids[free + 2 * g + 1]
-            text[n + g] = f"({text[a]},{text[b]}){text[n + g]}"
-        yield texts, atoms, (f"({text[kids[-1]]});" if free == 1 else text[kids[0]] + ";")
+            newick = f"(X{row_labels[0]}:{'0.0' if up[0] < 0 else texts[row_depths.argmax()]});"
+        else:
+            # nodes sorted by parent: the parentless ones, then each gap's
+            # two children, then the population root's one child
+            kids = np.argsort(row_parents, kind="stable").tolist()
+            free = 2 * n - child.size
+            # a leaf's parent is gap node n+g, whose depth is column 1+g
+            text = [f"X{label}:{texts[c]}" for label, c in zip(row_labels, (row_parents[:n] - (n - 1)).tolist())]
+            text += [f":{x!r}" for x in edge_length[n:].tolist()]
+            if free == 2:  # the sample root is the root: it has no edge
+                text.insert(kids[0], "")
+            for g in np.argsort(row_depths[1:-1]).tolist():
+                a, b = kids[free + 2 * g], kids[free + 2 * g + 1]
+                text[n + g] = f"({text[a]},{text[b]}){text[n + g]}"
+            newick = f"({text[kids[-1]]});" if free == 1 else text[kids[0]] + ";"
+        yield newick, ",".join(map(str, row_labels)), ",".join(map(repr, row_positions.tolist())), atoms, zetas
 
 
 def newick_export(tree: GenealogyTree) -> str:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cbsfs
-from cbsfs import cli, clonal
+from cbsfs import cli, clonal, tree
 from cbsfs._mc import BLOCK, replicate_blocks, replicate_rng
 from cbsfs.cli import _sample_replicate, build_parser, main
 from cbsfs.clonal import e_zcl_pow_r
@@ -89,6 +89,17 @@ class TestSampleCommand:
                    "--out", out) == 0
         assert out.with_suffix(".nwk").read_text().strip() == "(X0:0.0);"
 
+    def test_out_with_a_dot_appends_the_suffixes(self, tmp_path, capsys):
+        # each suffix is appended: put in place of the text after the dot,
+        # both runs would write run_0.nwk and run_0.json, the second over the first
+        for seed, base in ((1, "run_0.5"), (2, "run_0.7")):
+            out = tmp_path / base
+            assert run("sample", "--n", 3, "--reps", 2, "--seed", seed, "--out", out) == 0
+            assert capsys.readouterr().out == f"wrote 2 replicates to {out}.nwk and {out}.json\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "run_0.5.json", "run_0.5.nwk", "run_0.7.json", "run_0.7.nwk"]
+        assert (tmp_path / "run_0.5.nwk").read_text() != (tmp_path / "run_0.7.nwk").read_text()
+
     @pytest.mark.parametrize("root_mode", ["sample", "population"])
     @pytest.mark.parametrize("n", [1, 7, 50])
     def test_records_replay(self, tmp_path, n, root_mode):
@@ -103,15 +114,15 @@ class TestSampleCommand:
         mode = RootMode(doc["config"]["root_mode"])
         atoms = 0
         for record, line in zip(doc["data"], lines):
-            tree = build_tree(
+            rebuilt = build_tree(
                 leaf_config_from_dict(record["leaf_config"]),
                 zeta_vector_from_dict(record["zetas"]),
                 mode,
             )
-            assert newick_export(tree) == record["newick"] == line
-            lengths = {child: length for child, _, length in tree.edges()}
+            assert newick_export(rebuilt) == record["newick"] == line
+            lengths = {child: length for child, _, length in rebuilt.edges()}
             for edge, depth in record["mutations"]["atoms"]:
-                assert edge != tree.root and 0.0 <= depth < lengths[edge]
+                assert edge != rebuilt.root and 0.0 <= depth < lengths[edge]
             atoms += len(record["mutations"]["atoms"])
         assert atoms or (n, root_mode) == (1, "sample")  # that tree has no edge
 
@@ -179,7 +190,7 @@ class TestSampleCommand:
         previous = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         capsys.readouterr()
         # 500 trees of 4 leaves at mu = 1 hold about 800 atoms
-        monkeypatch.setattr(cli, "ATOM_BUDGET", 100)
+        monkeypatch.setattr(tree, "ATOM_BUDGET", 100)
         assert run("sample", "--n", 4, "--reps", 500, "--workers", workers, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("cbsfs: a block of 500 replicates would hold about ")
@@ -628,7 +639,7 @@ class TestBadFlags:
                              ids=["sample", "sfs-expected", "sfs-simulate"])
     def test_nonpositive_z0(self, tmp_path, capsys, argv):
         assert run(*argv, "--z0", -1.0, "--out", tmp_path / "x") == 1
-        assert capsys.readouterr().err == "cbsfs: z0 must be positive and finite, got -1.0\n"
+        assert capsys.readouterr().err == "cbsfs: --z0 must be positive and finite, got -1.0\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -660,6 +671,9 @@ class TestBadFlags:
             (["sfs", "--n", "5", "--z0", "1e-310"], "--z0 1e-310 --format csv --mode expected --sim-mode expected-lengths: x0 = 2e-310 is too small"),
             # the density underflows to 0 at the end of the grid
             (["density", "--r-max", "400"], "density values must be positive"),
+            # the density overflows to inf at the start of the grid
+            (["density", "--mu", "1e300", "--beta", "1e-8"],
+             "density values must be positive and finite: f(0.01) = inf left the float range"),
             # the grid points coincide
             (["density", "--r-min", "1", "--r-max", "1.0000000000000002", "--points", "3"],
              "density must decrease along the grid"),
@@ -717,7 +731,7 @@ class TestBadFlags:
         ids=["density-r-max-inf", "density-ratio-overflow", "g1-z-inf", "g1-z-1e308",
              "sfs-z0-inf", "sample-z0-inf", "clonal-mu-1e300", "clonal-n-max-400",
              "sample-z0-subnormal", "sfs-z0-subnormal", "sfs-z0-underflow",
-             "density-underflow", "density-grid-coincident", "density-mu-0",
+             "density-underflow", "density-overflow", "density-grid-coincident", "density-mu-0",
              "sample-poisson-theta-1e-150", "sample-poisson-beta-1e-300", "sfs-poisson-mu-1e300",
              "sample-tied-depths-beta-1e305", "sfs-zero-depths-beta-1e305",
              "sample-zero-depths-beta-1e305", "sample-depth-overflow-beta-5e-324",
@@ -750,9 +764,9 @@ class TestBadFlags:
             return spoil
 
         if where == "depths":
-            monkeypatch.setattr(cli, "sample_block", spoiled(cli.sample_block, 1))
+            monkeypatch.setattr(tree, "sample_block", spoiled(tree.sample_block, 1))
         else:
-            monkeypatch.setattr(cli, "leaf_positions", spoiled(cli.leaf_positions, 0))
+            monkeypatch.setattr(tree, "leaf_positions", spoiled(tree.leaf_positions, 0))
         assert run("sample", "--n", 5, "--reps", 10, "--out", tmp_path / "x") == 1
         err = capsys.readouterr().err
         assert err.startswith("cbsfs: no finite result at --beta 1.0 ") and err.count("\n") == 1
@@ -926,7 +940,7 @@ class TestPooledCommandEnds:
             "dead-worker": (clonal_run, 1),
         }[end]
         if end == "block-error":
-            monkeypatch.setattr(cli, "ATOM_BUDGET", 100)
+            monkeypatch.setattr(tree, "ATOM_BUDGET", 100)
         if end == "dead-worker":
             monkeypatch.setattr(clonal, "_clonal_replicate", _exit_in_the_worker)
         assert run(*argv, "--workers", 2, "--out", tmp_path / "x") == status

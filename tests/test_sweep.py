@@ -38,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbsfs import cli
+from cbsfs import cli, tree
 
 _floats = st.one_of(st.floats(-2.0, 2.0), st.floats(-300.0, 300.0)).map(lambda e: repr(10.0**e))
 
@@ -128,7 +128,7 @@ def _names_a_flag_or_value(message: str, argv: list[str], config: str | None) ->
 def test_every_command_exits_cleanly(invocation):
     argv, config = invocation
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "ATOM_BUDGET", 10_000)
+        patch.setattr(tree, "ATOM_BUDGET", 10_000)
         tmp = Path(tmp)
         prefix = []
         if config is not None:
