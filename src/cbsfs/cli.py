@@ -208,7 +208,7 @@ def cmd_density(args, params: ModelParams) -> int:
     step = (args.r_max / args.r_min) ** (1.0 / (args.points - 1))
     if not math.isfinite(step):
         raise ValueError("--r-max / --r-min overflows a float")
-    grid = [args.r_min * step**i for i in range(args.points)]
+    grid = [args.r_min * step**i for i in range(args.points - 1)] + [args.r_max]
     fs = [mean_density(params, r) for r in grid]
     for r, f in zip(grid, fs):  # an underflow to 0 or an overflow to inf
         if not 0 < f < math.inf:

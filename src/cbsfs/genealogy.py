@@ -34,6 +34,7 @@ its ordered positions and leaf labels, a :class:`ZetaVector` its depths.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -287,6 +288,31 @@ def block_tree_length(depths: np.ndarray) -> np.ndarray:
     return depths.max(axis=1) + depths[:, 1:-1].sum(axis=1)
 
 
+# The working set of block_Lk and block_parents, which compute each row
+# alone: they run over slices of whole rows holding at most this many
+# entries (128 KB of float64; one row where a row is wider) and write each
+# slice into one output, so their temporaries are a few slices, whatever the
+# block's size.  Budgets of 2^14 and 2^15 were the fastest of 2^12..2^17.
+_ROW_BUDGET = 2**14
+
+
+def _by_rows(block):
+    """``block(depths, *args)`` run over slices of the rows of ``depths``
+    under :data:`_ROW_BUDGET`, each slice's rows written into one output."""
+    @functools.wraps(block)
+    def chunked(depths, *args):
+        rows = max(1, _ROW_BUDGET // depths.shape[1])
+        first = block(depths[:rows], *args)
+        if rows >= len(depths):
+            return first
+        out = np.empty((len(depths), *first.shape[1:]), first.dtype)
+        out[:rows] = first
+        for lo in range(rows, len(depths), rows):
+            out[lo:lo + rows] = block(depths[lo:lo + rows], *args)
+        return out
+    return chunked
+
+
 def _nearest_deeper(g: np.ndarray, inner: np.ndarray, step: int, deeper) -> np.ndarray:
     """For each flat index i in ``inner``, the nearest index j = i + m*step
     (m >= 1) with ``deeper(g[j], g[i])``, found by pointer jumping: every
@@ -313,6 +339,7 @@ def _gap_neighbours(depths: np.ndarray):
     return g, inner, _nearest_deeper(g, inner, -1, np.greater), _nearest_deeper(g, inner, 1, np.greater_equal)
 
 
+@_by_rows
 def block_Lk(depths: np.ndarray) -> np.ndarray:
     """L_1..L_{n-1} for each row of a :func:`sample_block` ``depths`` array
     (row r, column k-1 holds L_k of replicate r): :func:`Lk_all` on arrays.
@@ -341,6 +368,7 @@ def block_Lk(depths: np.ndarray) -> np.ndarray:
     return out
 
 
+@_by_rows
 def block_parents(depths: np.ndarray, population_root: bool) -> np.ndarray:
     """The tree of each row of a :func:`sample_block` ``depths`` array, as
     parent node ids: row r, column v holds the parent of node v of

@@ -343,6 +343,18 @@ class TestDensityCommand:
         fs = [float(f) for _, f in rows]
         assert len(fs) == 40 and all(a > b for a, b in zip(fs, fs[1:]))
 
+    @pytest.mark.parametrize("grid", [[], ["--r-min", "0.5", "--r-max", "4", "--points", "7"],
+                                      ["--r-min", "1e-300", "--r-max", "3e-299", "--points", "2"]])
+    def test_grid_ends_at_its_flags(self, tmp_path, grid):
+        # the default grid, 0.01..5 over 50 points, once ended at 5.000000000000011
+        out = tmp_path / "density.csv"
+        assert run("density", *grid, "--out", out) == 0
+        rows = [line for line in out.read_text().splitlines() if line and not line.startswith("#")][1:]
+        rs = [float(row.split(",")[0]) for row in rows]
+        flags = dict(zip(grid[::2], map(float, grid[1::2])))
+        assert (rs[0], rs[-1]) == (flags.get("--r-min", 0.01), flags.get("--r-max", 5.0))
+        assert all(a < b for a, b in zip(rs, rs[1:]))
+
 
 class TestG1Command:
     def test_zero_row_exact(self, tmp_path):

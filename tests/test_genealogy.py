@@ -1,16 +1,19 @@
 """Sampling-law and closed-form-vs-tree-oracle tests for the genealogy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from cbsfs import genealogy
 from cbsfs.genealogy import (
     LeafConfig,
     Lk_all,
     ZetaVector,
     block_Lk,
+    block_parents,
     block_tree_length,
     intervals,
     leaf_positions,
@@ -212,6 +215,53 @@ class TestSampleBlock:
         for x0 in (0.0, -1.0, math.nan, 2e250, math.inf):
             with pytest.raises(FloatingPointError, match="outside"):
                 sample_block(2, rng, 10, x0=x0)
+
+
+class TestRowChunks:
+    """``block_Lk`` and ``block_parents`` run over slices of rows under
+    ``genealogy._ROW_BUDGET`` entries: the same bits as one row at a time,
+    in a working set of the output and a few budgets."""
+
+    @pytest.mark.parametrize("n, count, budget", [
+        (50, 1000, None),  # 321 rows a slice: three whole slices and 37 rows
+        (genealogy._ROW_BUDGET + 7, 3, None),  # rows wider than the budget
+        (1, 7, 5),  # two rows a slice
+        (2, 7, 5),  # one row a slice
+    ])
+    def test_slices_give_the_row_by_row_bits(self, n, count, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(genealogy, "_ROW_BUDGET", budget)
+        rows = max(1, genealogy._ROW_BUDGET // (n + 1))
+        assert count > 2 * rows and (count % rows or rows == 1)
+        depths = sample_block(n, np.random.default_rng(n), count)[1]
+        for block, args in [(block_Lk, ()), (block_parents, (True,)), (block_parents, (False,))]:
+            alone = np.concatenate([block(depths[r : r + 1], *args) for r in range(count)])
+            assert np.array_equal(block(depths, *args), alone)
+
+    def test_a_tie_in_the_last_slice_raises(self):
+        depths = sample_block(50, np.random.default_rng(3), 1000)[1]
+        depths[-1, 21] = depths[-1, 20]  # two adjacent gaps tie: an edge of length 0
+        assert (len(depths) - 1) // (genealogy._ROW_BUDGET // 51) == 3  # the fourth and last slice
+        block_parents(depths[:-1], True)
+        with pytest.raises(FloatingPointError, match="tied branch depths"):
+            block_parents(depths, True)
+
+    @pytest.mark.parametrize("block, args", [(block_Lk, ()), (block_parents, (True,))],
+                             ids=["block_Lk", "block_parents"])
+    def test_working_set_is_the_output_and_a_few_budgets(self, block, args):
+        # the bound is the output plus 32 budgets of float64: 12.4 MB at
+        # n = 1000, where a block of 1024 rows is 64 budgets; one pass over
+        # the whole block peaked at 9.1 (block_Lk) and 7.5 (block_parents)
+        # arrays of the block's shape, 75 and 61 MB
+        depths = sample_block(1000, np.random.default_rng(8), 1024)[1]
+        block(depths[:1], *args)
+        tracemalloc.start()
+        try:
+            out = block(depths, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 32 * 8 * genealogy._ROW_BUDGET
 
 
 def _within_roundings(value, exact, count, scale):
